@@ -47,8 +47,6 @@ from .kernels import (
     S4DParams,
     StabilityError,
     SynthSpec,
-    Window,
-    compose_elementwise,
     materialize_s4d,
     synth_kernel,
 )
@@ -115,7 +113,6 @@ __all__ = [
     "Spectrum",
     "StabilityError",
     "SynthSpec",
-    "Window",
     "analyze_bundle",
     "analyze_redundancy",
     "band_energies",
@@ -123,7 +120,6 @@ __all__ = [
     "categorize",
     "classify_by_centroid",
     "classify_by_lhfr",
-    "compose_elementwise",
     "compute_spectrum",
     "config_from_mapping",
     "detect_complementary",

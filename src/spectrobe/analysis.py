@@ -4,125 +4,148 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator, Sequence
+from itertools import combinations, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .classify import Categorization, FilterClass, categorize
+from .classify import (
+    CLASSES,
+    VERDICTS,
+    Categorization,
+    FilterClass,
+    verdict_indices,
+)
 from .config import DEFAULT_CONFIG, RunConfig
 from .spectral import (
     DegenerateKernelError,
     Direction,
+    FloatArray,
     Kernel,
     SpectralSummary,
-    compute_spectrum,
-    summarize,
+    magnitude_spectra,
+    summary_fields,
 )
 
-_DIRECTIONS = (Direction.FORWARD, Direction.BACKWARD)
-_CLASS_ORDER = {
-    FilterClass.LOW_PASS: 0,
-    FilterClass.BAND_PASS: 1,
-    FilterClass.HIGH_PASS: 2,
-}
+# the order of a bundle's second axis
+_DIRECTIONS = tuple(Direction)
+# combined class of every verdict as its CLASSES index, -1 for outliers
+_RANKS = np.array(
+    [-1 if v.combined is None else CLASSES.index(v.combined) for v in VERDICTS]
+)
+
+
+def bundle_shape(slots: Iterable[tuple[int, Direction, int, int]]) -> tuple[int, ...]:
+    """The (layers, 2, kernels per direction, N) array shape of a bundle
+    whose kernels sit at the given (layer, direction, kernel_index,
+    length) slots.
+
+    Layers must run contiguously from 1 and each must carry both
+    directions with the same number of kernels, indexed from 0 without
+    gaps; all kernels must share one length of at least 2.
+    """
+    indices: dict[int, dict[Direction, list[int]]] = {}
+    length = None
+    for layer, direction, kernel_index, n in slots:
+        indices.setdefault(layer, {}).setdefault(direction, []).append(kernel_index)
+        if length is None:
+            length = n
+        elif n != length:
+            raise ValueError(f"kernel lengths differ: {n} vs {length}")
+    if not indices:
+        raise ValueError("bundle has no layers")
+    if length < 2:
+        raise ValueError(f"kernels need at least 2 samples, got {length}")
+    layers = sorted(indices)
+    if layers != list(range(1, len(layers) + 1)):
+        raise ValueError(f"layer indices must be contiguous from 1, got {layers}")
+    per_direction = len(indices[1].get(Direction.FORWARD, ()))
+    for layer in layers:
+        for direction in _DIRECTIONS:
+            got = sorted(indices[layer].get(direction, ()))
+            if not got:
+                raise ValueError(f"layer {layer} is missing {direction.value} kernels")
+            if got != list(range(len(got))):
+                raise ValueError(
+                    f"layer {layer} {direction.value}: kernel_index values "
+                    f"must be 0..{len(got) - 1} without gaps, got {got}"
+                )
+            if len(got) != per_direction:
+                raise ValueError(
+                    f"layer {layer} {direction.value} has {len(got)} kernels, "
+                    f"expected {per_direction}"
+                )
+    return len(layers), 2, per_direction, length
 
 
 @dataclass(frozen=True, eq=False)
 class KernelBundle:
-    """Every kernel of one model, indexed by layer and direction.
+    """Every kernel of one model as one read-only float64 array.
 
-    Layers run contiguously from 1 and each carries both directions with
-    the same number of kernels; all kernels share one length. Each
-    kernel's own metadata must match its slot.
+    ``values[layer - 1, d, k]`` holds kernel ``k`` of a layer in direction
+    ``d`` (0 forward, 1 backward), so the shape is (layers, 2, kernels
+    per direction, N). A read-only float64 array that owns its data is
+    kept as given; any other input, views included, is copied.
     """
 
     model_tag: str
-    layers: dict[int, dict[Direction, tuple[Kernel, ...]]]
+    values: FloatArray
 
     def __post_init__(self):
-        if not self.layers:
-            raise ValueError("bundle has no layers")
-        indices = sorted(self.layers)
-        if indices != list(range(1, len(indices) + 1)):
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.flags.writeable or not values.flags.owndata:
+            values = values.copy()
+            values.flags.writeable = False
+        shape = values.shape
+        if len(shape) != 4 or shape[1] != 2 or 0 in shape[:3] or shape[3] < 2:
             raise ValueError(
-                f"layer indices must be contiguous from 1, got {indices}"
+                f"bundle values must have shape (layers, 2, kernels, N >= 2), "
+                f"got {shape}"
             )
-        length = None
-        per_direction = None
-        normalized: dict[int, dict[Direction, tuple[Kernel, ...]]] = {}
-        for layer in indices:
-            slot = dict(self.layers[layer])
-            extra = set(slot) - set(_DIRECTIONS)
-            if extra:
-                raise ValueError(f"layer {layer} has unexpected direction keys {extra}")
-            row: dict[Direction, tuple[Kernel, ...]] = {}
-            for direction in _DIRECTIONS:
-                if direction not in slot or not slot[direction]:
-                    raise ValueError(
-                        f"layer {layer} is missing {direction.value} kernels"
-                    )
-                kernels = tuple(sorted(slot[direction], key=lambda k: k.kernel_index))
-                got = [k.kernel_index for k in kernels]
-                if got != list(range(len(kernels))):
-                    raise ValueError(
-                        f"layer {layer} {direction.value}: kernel_index values "
-                        f"must be 0..{len(kernels) - 1} without gaps, got {got}"
-                    )
-                for kernel in kernels:
-                    if kernel.layer != layer or kernel.direction is not direction:
-                        raise ValueError(
-                            f"kernel tagged layer {kernel.layer} "
-                            f"{kernel.direction.value} placed at layer {layer} "
-                            f"{direction.value}"
-                        )
-                    if length is None:
-                        length = kernel.length
-                    elif kernel.length != length:
-                        raise ValueError(
-                            f"kernel lengths differ: {kernel.length} vs {length}"
-                        )
-                if per_direction is None:
-                    per_direction = len(kernels)
-                elif len(kernels) != per_direction:
-                    raise ValueError(
-                        f"layer {layer} {direction.value} has {len(kernels)} kernels, "
-                        f"expected {per_direction}"
-                    )
-                row[direction] = kernels
-            normalized[layer] = row
-        object.__setattr__(self, "layers", normalized)
+        if not np.isfinite(values).all():
+            raise ValueError("bundle values must be finite")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_kernels(cls, model_tag: str, kernels) -> "KernelBundle":
-        """Group loose kernels into a bundle by their own metadata."""
-        grouped: dict[int, dict[Direction, list[Kernel]]] = {}
-        for kernel in kernels:
-            slot = grouped.setdefault(kernel.layer, {d: [] for d in _DIRECTIONS})
-            slot[kernel.direction].append(kernel)
-        layers = {
-            layer: {d: tuple(ks) for d, ks in slot.items() if ks}
-            for layer, slot in grouped.items()
-        }
-        return cls(model_tag, layers)
+        """Place loose kernels in a bundle by their own metadata."""
+        kernels = list(kernels)
+        values = np.empty(bundle_shape(
+            (k.layer, k.direction, k.kernel_index, k.length) for k in kernels
+        ))
+        for k in kernels:
+            d = _DIRECTIONS.index(k.direction)
+            values[k.layer - 1, d, k.kernel_index] = k.values
+        values.flags.writeable = False
+        return cls(model_tag, values)
 
     @property
     def layer_count(self) -> int:
-        return len(self.layers)
+        return self.values.shape[0]
 
     @property
     def length(self) -> int:
-        return self.layers[1][Direction.FORWARD][0].length
+        return self.values.shape[3]
 
     @property
     def kernel_count_per_direction(self) -> int:
-        return len(self.layers[1][Direction.FORWARD])
+        return self.values.shape[2]
 
     def iter_kernels(self) -> Iterator[Kernel]:
         """All kernels ordered by (layer, forward-then-backward, index)."""
-        for layer in sorted(self.layers):
-            for direction in _DIRECTIONS:
-                yield from self.layers[layer][direction]
+        for layer, d, k in np.ndindex(self.values.shape[:3]):
+            yield Kernel(self.values[layer, d, k], layer=layer + 1,
+                         direction=_DIRECTIONS[d], kernel_index=k)
+
+    @property
+    def layers(self) -> dict[int, dict[Direction, tuple[Kernel, ...]]]:
+        """The kernels as {layer: {direction: (kernel 0, kernel 1, ...)}}."""
+        kernels = self.iter_kernels()
+        count = self.kernel_count_per_direction
+        return {
+            layer: {d: tuple(islice(kernels, count)) for d in _DIRECTIONS}
+            for layer in range(1, self.layer_count + 1)
+        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,6 +221,25 @@ class RedundancyPair:
     redundant: bool
 
 
+def _classify(
+    values: FloatArray, cfg: RunConfig
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Summary fields (see summary_fields) and VERDICTS indices, under
+    ``cfg``, of every kernel in ``values``, an array of shape (..., N).
+    All-zero kernels have a zero ``total_magnitude`` and no verdict."""
+    fields = summary_fields(
+        *magnitude_spectra(values),
+        low_fraction=cfg.low_band_fraction,
+        high_fraction=cfg.high_band_fraction,
+    )
+    verdicts = verdict_indices(
+        fields["centroid"], fields["lhfr"],
+        (cfg.sc_low_bound, cfg.sc_high_bound),
+        (cfg.lhfr_low_pass_min, cfg.lhfr_high_pass_max),
+    )
+    return fields, verdicts
+
+
 def analyze_bundle(
     bundle: KernelBundle, config: RunConfig | None = None
 ) -> list[LayerReport]:
@@ -208,34 +250,19 @@ def analyze_bundle(
     """
     cfg = config or DEFAULT_CONFIG
     reports = []
-    for layer in sorted(bundle.layers):
+    for layer, slab in enumerate(bundle.values, start=1):
+        fields, verdicts = _classify(slab, cfg)
+        columns = {name: column.tolist() for name, column in fields.items()}
         entries = []
-        for direction in _DIRECTIONS:
-            for kernel in bundle.layers[layer][direction]:
-                spectrum = compute_spectrum(kernel)
-                try:
-                    summary = summarize(
-                        spectrum,
-                        low_fraction=cfg.low_band_fraction,
-                        high_fraction=cfg.high_band_fraction,
-                    )
-                except DegenerateKernelError:
-                    entries.append(
-                        KernelAnalysis(layer, direction, kernel.kernel_index,
-                                       None, None, degenerate=True)
-                    )
-                    continue
-                verdict = categorize(
-                    summary,
-                    sc_low_bound=cfg.sc_low_bound,
-                    sc_high_bound=cfg.sc_high_bound,
-                    lhfr_low_pass_min=cfg.lhfr_low_pass_min,
-                    lhfr_high_pass_max=cfg.lhfr_high_pass_max,
+        for d, k in np.ndindex(slab.shape[:2]):
+            slot = (layer, _DIRECTIONS[d], k)
+            if columns["total_magnitude"][d][k] > 0.0:
+                summary = SpectralSummary(
+                    **{name: column[d][k] for name, column in columns.items()}
                 )
-                entries.append(
-                    KernelAnalysis(layer, direction, kernel.kernel_index,
-                                   summary, verdict)
-                )
+                entries.append(KernelAnalysis(*slot, summary, VERDICTS[verdicts[d, k]]))
+            else:
+                entries.append(KernelAnalysis(*slot, None, None, degenerate=True))
         reports.append(LayerReport(layer, tuple(entries)))
     return reports
 
@@ -279,23 +306,11 @@ def detect_complementary(reports: Sequence[LayerReport]) -> ComplementarityRepor
 
 
 def _check_same_topology(before: KernelBundle, after: KernelBundle) -> None:
-    if before.layer_count != after.layer_count:
-        raise ValueError(
-            f"layer counts differ: {before.layer_count} vs {after.layer_count}"
-        )
-    if before.length != after.length:
-        raise ValueError(
-            f"kernel lengths differ: {before.length} vs {after.length}"
-        )
-    for layer in sorted(before.layers):
-        for direction in _DIRECTIONS:
-            nb = len(before.layers[layer][direction])
-            na = len(after.layers[layer][direction])
-            if nb != na:
-                raise ValueError(
-                    f"layer {layer} {direction.value}: kernel counts differ "
-                    f"({nb} vs {na})"
-                )
+    for what, axis in (("layer counts", 0), ("kernel lengths", 3),
+                       ("kernel counts per direction", 2)):
+        nb, na = before.values.shape[axis], after.values.shape[axis]
+        if nb != na:
+            raise ValueError(f"{what} differ: {nb} vs {na}")
 
 
 def diff_bundles(
@@ -310,66 +325,33 @@ def diff_bundles(
     """
     cfg = config or DEFAULT_CONFIG
     _check_same_topology(before, after)
-
-    def classed_centroid(kernel: Kernel) -> tuple[float, FilterClass | None]:
-        summary = summarize(
-            compute_spectrum(kernel),
-            low_fraction=cfg.low_band_fraction,
-            high_fraction=cfg.high_band_fraction,
-        )
-        verdict = categorize(
-            summary,
-            sc_low_bound=cfg.sc_low_bound,
-            sc_high_bound=cfg.sc_high_bound,
-            lhfr_low_pass_min=cfg.lhfr_low_pass_min,
-            lhfr_high_pass_max=cfg.lhfr_high_pass_max,
-        )
-        return summary.centroid, verdict.combined
-
     entries = []
-    for kb, ka in zip(before.iter_kernels(), after.iter_kernels()):
-        sc_b, class_b = classed_centroid(kb)
-        sc_a, class_a = classed_centroid(ka)
-        delta = sc_a - sc_b
-        climbed = (
-            class_b is not None
-            and class_a is not None
-            and _CLASS_ORDER[class_a] > _CLASS_ORDER[class_b]
-        )
-        entries.append(
-            ShiftEntry(
-                layer=kb.layer,
-                direction=kb.direction,
-                kernel_index=kb.kernel_index,
-                sc_before=sc_b,
-                sc_after=sc_a,
-                delta_sc=delta,
-                class_before=class_b,
-                class_after=class_a,
-                shifted_high=delta > cfg.shift_threshold or climbed,
-            )
-        )
+    flagged = []
     early_limit = (before.layer_count + 1) // 2
-    flagged = tuple(
-        sorted(
-            {
-                e.layer
-                for e in entries
-                if e.shifted_high
-                and e.direction is Direction.FORWARD
-                and e.layer <= early_limit
-            }
-        )
-    )
-    return ShiftReport(tuple(entries), flagged, cfg.shift_threshold)
-
-
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    for layer in range(before.layer_count):
+        (fb, vb), (fa, va) = (_classify(b.values[layer], cfg) for b in (before, after))
+        if (fb["total_magnitude"] <= 0.0).any() or (fa["total_magnitude"] <= 0.0).any():
+            raise DegenerateKernelError("all-zero spectrum cannot be summarized")
+        delta = fa["centroid"] - fb["centroid"]
+        climbed = (_RANKS[vb] >= 0) & (_RANKS[va] > _RANKS[vb])
+        shifted = (delta > cfg.shift_threshold) | climbed
+        for d, k in np.ndindex(delta.shape):
+            entries.append(
+                ShiftEntry(
+                    layer=layer + 1,
+                    direction=_DIRECTIONS[d],
+                    kernel_index=k,
+                    sc_before=fb["centroid"][d, k].item(),
+                    sc_after=fa["centroid"][d, k].item(),
+                    delta_sc=delta[d, k].item(),
+                    class_before=VERDICTS[vb[d, k]].combined,
+                    class_after=VERDICTS[va[d, k]].combined,
+                    shifted_high=bool(shifted[d, k]),
+                )
+            )
+        if layer < early_limit and shifted[0].any():  # row 0 is forward
+            flagged.append(layer + 1)
+    return ShiftReport(tuple(entries), tuple(flagged), cfg.shift_threshold)
 
 
 def analyze_redundancy(
@@ -388,18 +370,23 @@ def analyze_redundancy(
             "bundle has a single kernel per direction; nothing to compare"
         )
     pairs = []
-    for layer in sorted(bundle.layers):
-        for direction in _DIRECTIONS:
-            kernels = bundle.layers[layer][direction]
-            spectra = [compute_spectrum(k).magnitudes for k in kernels]
-            for ia, ib in combinations(range(len(kernels)), 2):
-                similarity = _cosine(spectra[ia], spectra[ib])
+    for layer, slab in enumerate(bundle.values, start=1):
+        for direction, spectra in zip(_DIRECTIONS, magnitude_spectra(slab)[1]):
+            # a norm per kernel, a dot per pair: a Gram matrix would round
+            # differently and change the report's bytes
+            norms = [float(np.linalg.norm(s)) for s in spectra]
+            for ia, ib in combinations(range(len(spectra)), 2):
+                na, nb = norms[ia], norms[ib]
+                similarity = (
+                    float(np.dot(spectra[ia], spectra[ib]) / (na * nb))
+                    if na != 0.0 and nb != 0.0 else 0.0
+                )
                 pairs.append(
                     RedundancyPair(
                         layer=layer,
                         direction=direction,
-                        kernel_index_a=kernels[ia].kernel_index,
-                        kernel_index_b=kernels[ib].kernel_index,
+                        kernel_index_a=ia,
+                        kernel_index_b=ib,
                         similarity=similarity,
                         redundant=similarity >= cfg.redundancy_cutoff,
                     )

@@ -11,6 +11,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .spectral import SpectralSummary
 
 SC_LOW_BOUND = 1.0 / 6.0
@@ -23,6 +25,10 @@ class FilterClass(enum.Enum):
     LOW_PASS = "low_pass"
     BAND_PASS = "band_pass"
     HIGH_PASS = "high_pass"
+
+
+# class order from low to high frequencies; rule results index into it
+CLASSES = (FilterClass.LOW_PASS, FilterClass.BAND_PASS, FilterClass.HIGH_PASS)
 
 
 class Confidence(enum.Enum):
@@ -45,6 +51,12 @@ class Categorization:
     confidence: Confidence
 
 
+def _class_index(values, low_side, high_side):
+    """Index into CLASSES per value: 0 below low_side, 2 above high_side,
+    1 otherwise, so a value on either side lands in the middle."""
+    return np.where(values < low_side, 0, np.where(values > high_side, 2, 1))
+
+
 def classify_by_centroid(
     sc: float,
     *,
@@ -58,11 +70,7 @@ def classify_by_centroid(
     """
     if not 0.0 <= sc <= 0.5:
         raise ValueError(f"centroid {sc!r} outside [0, 0.5]")
-    if sc < low_bound:
-        return FilterClass.LOW_PASS
-    if sc > high_bound:
-        return FilterClass.HIGH_PASS
-    return FilterClass.BAND_PASS
+    return CLASSES[_class_index(sc, low_bound, high_bound)]
 
 
 def classify_by_lhfr(
@@ -77,11 +85,32 @@ def classify_by_lhfr(
     """
     if math.isnan(ratio) or ratio < 0:
         raise ValueError(f"band ratio must be nonnegative, got {ratio!r}")
-    if ratio > low_pass_min:
-        return FilterClass.LOW_PASS
-    if ratio < high_pass_max:
-        return FilterClass.HIGH_PASS
-    return FilterClass.BAND_PASS
+    # negated, a large ratio sits on the low-pass side
+    return CLASSES[_class_index(-ratio, -low_pass_min, -high_pass_max)]
+
+
+def _combine(by_sc: FilterClass, by_ratio: FilterClass) -> Categorization:
+    if by_sc is by_ratio:
+        return Categorization(by_sc, by_ratio, by_sc, Confidence.AGREE)
+    if FilterClass.BAND_PASS in (by_sc, by_ratio):
+        other = by_ratio if by_sc is FilterClass.BAND_PASS else by_sc
+        return Categorization(by_sc, by_ratio, other, Confidence.WEAK)
+    return Categorization(by_sc, by_ratio, None, Confidence.OUTLIER)
+
+
+# every verdict, at index 3 * centroid-rule index + ratio-rule index
+VERDICTS = tuple(_combine(a, b) for a in CLASSES for b in CLASSES)
+
+
+def verdict_indices(centroid, ratio, sc_bounds, lhfr_bounds) -> np.ndarray:
+    """Index into VERDICTS of every (centroid, band ratio) pair, given the
+    (low, high) centroid bounds and the (low-pass minimum, high-pass
+    maximum) ratio bounds: the array form of categorize, for values
+    already known to be in range."""
+    (sc_low, sc_high), (low_pass_min, high_pass_max) = sc_bounds, lhfr_bounds
+    return 3 * _class_index(centroid, sc_low, sc_high) + _class_index(
+        -ratio, -low_pass_min, -high_pass_max
+    )
 
 
 def categorize(
@@ -105,9 +134,4 @@ def categorize(
     by_ratio = classify_by_lhfr(
         summary.lhfr, low_pass_min=lhfr_low_pass_min, high_pass_max=lhfr_high_pass_max
     )
-    if by_sc is by_ratio:
-        return Categorization(by_sc, by_ratio, by_sc, Confidence.AGREE)
-    if FilterClass.BAND_PASS in (by_sc, by_ratio):
-        other = by_ratio if by_sc is FilterClass.BAND_PASS else by_sc
-        return Categorization(by_sc, by_ratio, other, Confidence.WEAK)
-    return Categorization(by_sc, by_ratio, None, Confidence.OUTLIER)
+    return _combine(by_sc, by_ratio)

@@ -34,7 +34,7 @@ from .io import (
 from .kernels import SynthSpec, materialize_s4d, synth_kernel
 from .plot import emit_plot
 from .probe import PairTask, build_pairs, evaluate, run_directprobe
-from .spectral import Direction, compute_spectrum, summarize
+from .spectral import Direction, Kernel, compute_spectrum, summarize
 
 
 class _UsageError(Exception):
@@ -79,24 +79,17 @@ def _cmd_analyze(args) -> int:
     if args.plots:
         plots_dir = Path(args.plots)
         plots_dir.mkdir(parents=True, exist_ok=True)
-        for kernel in bundle.iter_kernels():
-            spectrum = compute_spectrum(kernel)
-            entry = next(
-                e
-                for r in reports
-                if r.layer == kernel.layer
-                for e in r.entries
-                if e.direction is kernel.direction
-                and e.kernel_index == kernel.kernel_index
-            )
+        # reports and iter_kernels share the (layer, direction, index) order
+        entries = (entry for report in reports for entry in report.entries)
+        for kernel, entry in zip(bundle.iter_kernels(), entries, strict=True):
             if entry.degenerate:
                 continue
             title = (
                 f"{bundle.model_tag} layer {kernel.layer} "
                 f"{kernel.direction.value} k{kernel.kernel_index}"
             )
-            emit_plot(spectrum, entry.summary, plots_dir / _plot_name(kernel),
-                      title=title)
+            emit_plot(compute_spectrum(kernel), entry.summary,
+                      plots_dir / _plot_name(kernel), title=title)
     return 0
 
 
@@ -134,7 +127,6 @@ def _cmd_materialize(args) -> int:
             layer=entry.layer,
             direction=entry.direction,
             kernel_index=entry.kernel_index,
-            tag=model_tag,
         )
         for entry in entries
     ]
@@ -151,7 +143,7 @@ def _cmd_synth(args) -> int:
     )
     tag = f"synth-{args.target_class}"
     kernels = [
-        synth_kernel(spec, layer=1, direction=direction, tag=tag)
+        synth_kernel(spec, layer=1, direction=direction)
         for direction in (Direction.FORWARD, Direction.BACKWARD)
     ]
     write_bundle(KernelBundle.from_kernels(tag, kernels), args.out)
@@ -170,13 +162,13 @@ def _cmd_probe(args) -> int:
 
 def _cmd_plot(args) -> int:
     bundle = read_bundle(args.bundle)
-    if args.layer not in bundle.layers:
+    if not 1 <= args.layer <= bundle.layer_count:
         raise ValueError(
             f"layer {args.layer} not in bundle (1..{bundle.layer_count})"
         )
     direction = Direction(args.direction)
-    kernel = bundle.layers[args.layer][direction][0]
-    spectrum = compute_spectrum(kernel)
+    d = tuple(Direction).index(direction)
+    spectrum = compute_spectrum(Kernel(bundle.values[args.layer - 1, d, 0]))
     summary = summarize(spectrum)
     title = f"{bundle.model_tag} layer {args.layer} {direction.value}"
     emit_plot(spectrum, summary, args.out, title=title)

@@ -26,10 +26,11 @@ from .analysis import (
     LayerReport,
     RedundancyPair,
     ShiftReport,
+    bundle_shape,
 )
 from .kernels import S4DParams
 from .probe import BuiltPairs, EvalResult, ProbeResult
-from .spectral import Direction, FloatArray, Kernel
+from .spectral import Direction, FloatArray
 
 _PAYLOAD_DTYPE = "<f4"
 
@@ -75,21 +76,26 @@ def _load_json(path) -> object:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _read_payload(path: Path, expected_count: int) -> FloatArray:
+def _check_payload(path: Path, count: int) -> None:
+    """Raise unless ``path`` is a file of exactly ``count`` float32 values."""
     if not path.is_file():
         raise FormatError(f"{path}: missing payload file")
-    data = path.read_bytes()
-    expected_bytes = expected_count * 4
-    if len(data) != expected_bytes:
+    size = path.stat().st_size
+    if size != count * 4:
         raise FormatError(
-            f"{path}: expected {expected_bytes} bytes "
-            f"({expected_count} float32 values), got {len(data)}"
+            f"{path}: expected {count * 4} bytes ({count} float32 values), got {size}"
         )
-    values = np.frombuffer(data, dtype=_PAYLOAD_DTYPE).astype(np.float64)
-    bad = np.flatnonzero(~np.isfinite(values))
+
+
+def _read_payload(path: Path, out: FloatArray) -> None:
+    """Fill ``out`` from a payload that passed _check_payload."""
+    data = path.read_bytes()
+    if len(data) != out.size * 4:
+        raise FormatError(f"{path}: changed size while being read")
+    out[...] = np.frombuffer(data, dtype=_PAYLOAD_DTYPE).reshape(out.shape)
+    bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise FormatError(f"{path}: non-finite value at element {bad[0]}")
-    return values
 
 
 def write_bundle(bundle: KernelBundle, path) -> None:
@@ -97,20 +103,18 @@ def write_bundle(bundle: KernelBundle, path) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     entries = []
-    for kernel in bundle.iter_kernels():
-        rel = (
-            f"layer{kernel.layer:03d}_{kernel.direction.value}"
-            f"_k{kernel.kernel_index:02d}.f32"
-        )
-        payload = np.asarray(kernel.values, dtype=_PAYLOAD_DTYPE).tobytes()
+    for layer, d, k in np.ndindex(bundle.values.shape[:3]):
+        direction = tuple(Direction)[d].value
+        rel = f"layer{layer + 1:03d}_{direction}_k{k:02d}.f32"
+        payload = bundle.values[layer, d, k].astype(_PAYLOAD_DTYPE).tobytes()
         _atomic_write_bytes(root / rel, payload)
         entries.append(
             {
-                "layer": kernel.layer,
-                "direction": kernel.direction.value,
-                "kernel_index": kernel.kernel_index,
+                "layer": layer + 1,
+                "direction": direction,
+                "kernel_index": k,
                 "path": rel,
-                "element_count": kernel.length,
+                "element_count": bundle.length,
             }
         )
     manifest = {
@@ -126,7 +130,10 @@ def write_bundle(bundle: KernelBundle, path) -> None:
 
 
 def read_bundle(path) -> KernelBundle:
-    """Read a bundle directory back into a KernelBundle, bit-exactly."""
+    """Read a bundle directory back into a KernelBundle, bit-exactly.
+
+    Payload paths must stay inside the bundle directory.
+    """
     root = Path(path)
     mpath = root / "manifest.json"
     manifest = _load_json(mpath)
@@ -134,7 +141,8 @@ def read_bundle(path) -> KernelBundle:
     n = _require(manifest, "N", int, mpath)
     layer_count = _require(manifest, "layer_count", int, mpath)
     entries = _require(manifest, "kernels", list, mpath)
-    kernels = []
+    base = os.path.realpath(root)
+    slots = []
     for i, entry in enumerate(entries):
         where = f"{mpath}: kernels[{i}]"
         layer = _require(entry, "layer", int, where)
@@ -153,21 +161,28 @@ def read_bundle(path) -> KernelBundle:
             raise FormatError(
                 f"{where}: element_count {element_count} does not match N={n}"
             )
-        values = _read_payload(root / rel, element_count)
-        kernels.append(
-            Kernel(values, layer=layer, direction=direction,
-                   kernel_index=kernel_index, tag=model_tag)
-        )
+        payload = root / rel
+        if os.path.isabs(rel) or (
+            os.path.commonpath([base, os.path.realpath(payload)]) != base
+        ):
+            raise FormatError(f"{where}: path {rel!r} leaves the bundle directory")
+        _check_payload(payload, element_count)
+        slots.append((layer, direction, kernel_index, element_count, payload))
     try:
-        bundle = KernelBundle.from_kernels(model_tag, kernels)
+        values = np.empty(bundle_shape(slot[:4] for slot in slots))
     except ValueError as exc:
         raise FormatError(f"{mpath}: {exc}") from exc
-    if bundle.layer_count != layer_count:
+    if len(values) != layer_count:
         raise FormatError(
             f"{mpath}: layer_count says {layer_count} but entries span "
-            f"{bundle.layer_count} layers"
+            f"{len(values)} layers"
         )
-    return bundle
+    directions = tuple(Direction)
+    for layer, direction, kernel_index, _, payload in slots:
+        d = directions.index(direction)
+        _read_payload(payload, values[layer - 1, d, kernel_index])
+    values.flags.writeable = False
+    return KernelBundle(model_tag, values)
 
 
 def _check_token_id(token_id, where) -> str:
@@ -253,8 +268,9 @@ def read_pair_dataset(path) -> tuple[dict[str, FloatArray], list[tuple[str, str,
             raise FormatError(f"{mpath}: duplicate token id {token_id!r}")
         seen.add(token_id)
     vpath = root / "vectors.f32"
-    flat = _read_payload(vpath, count * dim)
-    matrix = flat.reshape(count, dim)
+    _check_payload(vpath, count * dim)
+    matrix = np.empty((count, dim))
+    _read_payload(vpath, matrix)
     representations = {token_id: matrix[i] for i, token_id in enumerate(ids)}
     ppath = root / "pairs.txt"
     if not ppath.is_file():

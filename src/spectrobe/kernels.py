@@ -1,26 +1,20 @@
-"""Kernel construction: diagonal state-space materialization, ideal filter
-synthesis, and bidirectional composition."""
+"""Kernel construction: diagonal state-space materialization and ideal
+filter synthesis."""
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 
 from .classify import FilterClass
-from .spectral import Direction, Kernel, Spectrum, compute_spectrum
+from .spectral import Direction, Kernel
 
 ComplexArray = npt.NDArray[np.complex128]
 
 
 class StabilityError(ValueError):
     """A state-space pole sits on or right of the imaginary axis."""
-
-
-class Window(enum.Enum):
-    HAMMING = "hamming"
-    RECTANGULAR = "rectangular"
 
 
 def _as_complex_vector(values, name: str) -> ComplexArray:
@@ -86,7 +80,6 @@ class SynthSpec:
     cutoff_low: float
     cutoff_high: float | None = None
     length: int = 256
-    window: Window = Window.HAMMING
 
     def __post_init__(self):
         if self.length < 16:
@@ -114,7 +107,6 @@ def materialize_s4d(
     layer: int = 1,
     direction: Direction = Direction.FORWARD,
     kernel_index: int = 0,
-    tag: str = "",
 ) -> Kernel:
     """Kernel of a diagonal state-space system under zero-order hold.
 
@@ -131,32 +123,26 @@ def materialize_s4d(
         powers = abar[:, None] ** np.arange(length)[None, :]
         values = ((params.coefficients * bbar) @ powers).real
     return Kernel(values, layer=layer, direction=direction,
-                  kernel_index=kernel_index, tag=tag)
+                  kernel_index=kernel_index)
 
 
-def _window_taps(count: int, window: Window) -> np.ndarray:
-    if window is Window.HAMMING:
-        return np.hamming(count)
-    return np.ones(count)
-
-
-def _low_pass_taps(cutoff: float, length: int, window: Window) -> np.ndarray:
+def _low_pass_taps(cutoff: float, length: int) -> np.ndarray:
     # odd tap count keeps the delay integral so spectral inversion stays exact
     taps = length if length % 2 == 1 else length - 1
     center = (taps - 1) // 2
     m = np.arange(taps) - center
     h = 2.0 * cutoff * np.sinc(2.0 * cutoff * m)
-    h = h * _window_taps(taps, window)
+    h = h * np.hamming(taps)
     h = h / h.sum()
     out = np.zeros(length)
     out[:taps] = h
     return out
 
 
-def _high_pass_taps(cutoff: float, length: int, window: Window) -> np.ndarray:
+def _high_pass_taps(cutoff: float, length: int) -> np.ndarray:
     taps = length if length % 2 == 1 else length - 1
     center = (taps - 1) // 2
-    out = -_low_pass_taps(cutoff, length, window)
+    out = -_low_pass_taps(cutoff, length)
     out[center] += 1.0
     return out
 
@@ -184,48 +170,21 @@ def synth_kernel(
     layer: int = 1,
     direction: Direction = Direction.FORWARD,
     kernel_index: int = 0,
-    tag: str | None = None,
 ) -> Kernel:
     """Ideal filter kernel for exercising the classification pipeline.
 
-    Low-pass is a windowed sinc normalized to unit DC gain. High-pass is
-    its spectral inversion (a centered unit impulse minus the low-pass).
-    Band-pass samples the ideal band response on the kernel's own
-    frequency grid, which pins the passband to the bins the analysis
-    reads; the window setting plays no role there.
+    Low-pass is a Hamming-windowed sinc normalized to unit DC gain.
+    High-pass is its spectral inversion (a centered unit impulse minus
+    the low-pass). Band-pass samples the ideal band response on the
+    kernel's own frequency grid, which pins the passband to the bins the
+    analysis reads.
     """
     if spec.target_class is FilterClass.LOW_PASS:
-        values = _low_pass_taps(spec.cutoff_low, spec.length, spec.window)
+        values = _low_pass_taps(spec.cutoff_low, spec.length)
     elif spec.target_class is FilterClass.HIGH_PASS:
-        values = _high_pass_taps(spec.cutoff_low, spec.length, spec.window)
+        values = _high_pass_taps(spec.cutoff_low, spec.length)
     else:
         values = _band_pass_taps(spec.cutoff_low, spec.cutoff_high, spec.length)
-    if tag is None:
-        edges = f"{spec.cutoff_low:g}"
-        if spec.cutoff_high is not None:
-            edges += f"-{spec.cutoff_high:g}"
-        tag = f"synth {spec.target_class.value} {edges}"
     return Kernel(values, layer=layer, direction=direction,
-                  kernel_index=kernel_index, tag=tag)
+                  kernel_index=kernel_index)
 
-
-def compose_elementwise(forward: Kernel, backward: Kernel) -> Spectrum:
-    """Spectrum of the elementwise product of two equal-length kernels.
-
-    Multiplying the directions in the time domain convolves their spectra,
-    so paired kernels occupying the same band reinforce it (sum and
-    difference frequencies appear). The product of two kernels can be
-    all-zero; such a spectrum is degenerate and summarize() refuses it.
-    """
-    if forward.length != backward.length:
-        raise ValueError(
-            f"kernel lengths differ: {forward.length} vs {backward.length}"
-        )
-    product = Kernel(
-        forward.values * backward.values,
-        layer=forward.layer,
-        direction=forward.direction,
-        kernel_index=forward.kernel_index,
-        tag=f"compose({forward.tag or 'forward'}, {backward.tag or 'backward'})",
-    )
-    return compute_spectrum(product)

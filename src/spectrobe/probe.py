@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .spectral import FloatArray
 
@@ -141,6 +140,9 @@ def _as_point_matrix(points, name: str) -> FloatArray:
 def _best_margin(a: FloatArray, b: FloatArray) -> float:
     """Largest t such that some w in [-1, 1]^d, offset b0 satisfy
     x.w <= b0 - t on one side and x.w >= b0 + t on the other."""
+    # imported here: only the probe solves LPs, and scipy.optimize is slow to import
+    from scipy.optimize import linprog
+
     na, d = a.shape
     nb = b.shape[0]
     # variables: w (d), b0, t

@@ -9,7 +9,6 @@ the metrics depend on normalization.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,15 +53,13 @@ class Kernel:
     """Time-domain convolution weights plus their place in a model.
 
     ``layer`` is 1-based; ``kernel_index`` distinguishes kernels when a
-    layer holds several per direction. ``tag`` is free-form text, usually
-    a model or checkpoint name.
+    layer holds several per direction.
     """
 
     values: FloatArray
     layer: int = 1
     direction: Direction = Direction.FORWARD
     kernel_index: int = 0
-    tag: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_float_vector(self.values, 2))
@@ -113,10 +110,6 @@ class Spectrum:
     def bin_count(self) -> int:
         return int(self.frequencies.size)
 
-    def bins(self) -> list[tuple[float, float]]:
-        """(frequency, magnitude) pairs, ascending in frequency."""
-        return list(zip(self.frequencies.tolist(), self.magnitudes.tolist()))
-
 
 @dataclass(frozen=True, slots=True)
 class SpectralSummary:
@@ -136,12 +129,57 @@ class SpectralSummary:
     tail_free: bool = False
 
 
+def magnitude_spectra(values) -> tuple[FloatArray, FloatArray]:
+    """The grid f(n) = n/N and the one-sided magnitudes of every row of
+    ``values``, an array of shape (..., N)."""
+    mags = np.abs(np.fft.rfft(values, axis=-1))
+    return np.arange(mags.shape[-1], dtype=np.float64) / values.shape[-1], mags
+
+
 def compute_spectrum(kernel: Kernel) -> Spectrum:
     """One-sided magnitude spectrum of a kernel, unnormalized."""
-    n = kernel.length
-    mags = np.abs(np.fft.rfft(kernel.values))
-    freqs = np.arange(mags.size, dtype=np.float64) / n
-    return Spectrum(freqs, mags, n)
+    return Spectrum(*magnitude_spectra(kernel.values), kernel.length)
+
+
+def summary_fields(
+    frequencies: FloatArray,
+    magnitudes: FloatArray,
+    *,
+    low_fraction: float = LOW_BAND_FRACTION,
+    high_fraction: float = HIGH_BAND_FRACTION,
+) -> dict[str, np.ndarray]:
+    """Every SpectralSummary field, by name, over the leading axes of
+    ``magnitudes``; ``frequencies`` is the grid of its last axis.
+
+    Each reduction runs along the last axis and the bands are contiguous
+    slices, so a row of a batch gets bit-for-bit what it gets alone.
+    Rows without energy have a zero ``total_magnitude`` and meaningless
+    other fields; callers must check it.
+    """
+    for name, value in (("low_fraction", low_fraction), ("high_fraction", high_fraction)):
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"{name} must lie in (0, 1), got {value}")
+    if low_fraction + high_fraction > 1.0:
+        raise ValueError("low and high bands overlap; fractions must sum to at most 1")
+    # the grid ascends, so each band is a prefix or a suffix of the bins
+    k_low = int(np.searchsorted(frequencies, low_fraction * 0.5, side="right"))
+    k_high = int(np.searchsorted(frequencies, (1.0 - high_fraction) * 0.5, side="left"))
+    total = magnitudes.sum(-1)
+    e_low = magnitudes[..., :k_low].sum(-1)
+    e_high = magnitudes[..., k_high:].sum(-1)
+    floor = ZERO_BAND_FLOOR * total
+    tail_free = (e_low <= floor) & (e_high <= floor)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centroid = (frequencies * magnitudes).sum(-1) / total
+    return {
+        "centroid": centroid,
+        "e_low": e_low,
+        "e_high": e_high,
+        "lhfr": _band_ratio(e_low, e_high, tail_free),
+        "dominant_frequency": frequencies[magnitudes.argmax(-1)],
+        "total_magnitude": total,
+        "tail_free": tail_free,
+    }
 
 
 def spectral_centroid(spectrum: Spectrum) -> float:
@@ -150,11 +188,9 @@ def spectral_centroid(spectrum: Spectrum) -> float:
     Raises DegenerateKernelError when the spectrum carries no energy;
     a centroid of nothing is undefined and classification must refuse it.
     """
-    total = float(spectrum.magnitudes.sum())
-    if total <= 0.0:
+    if not spectrum.magnitudes.sum() > 0.0:
         raise DegenerateKernelError("all-zero spectrum has no centroid")
-    weighted = float((spectrum.frequencies * spectrum.magnitudes).sum())
-    return weighted / total
+    return summary_fields(spectrum.frequencies, spectrum.magnitudes)["centroid"].item()
 
 
 def band_energies(
@@ -169,34 +205,30 @@ def band_energies(
     f >= (1 - high_fraction) * 0.5, both boundary-inclusive. Fractions are
     of the representable range [0, 0.5], not of the bin count.
     """
-    for name, value in (("low_fraction", low_fraction), ("high_fraction", high_fraction)):
-        if not 0.0 < value < 1.0:
-            raise ValueError(f"{name} must lie in (0, 1), got {value}")
-    if low_fraction + high_fraction > 1.0:
-        raise ValueError("low and high bands overlap; fractions must sum to at most 1")
-    low_edge = low_fraction * 0.5
-    high_edge = (1.0 - high_fraction) * 0.5
-    freqs = spectrum.frequencies
-    mags = spectrum.magnitudes
-    e_low = float(mags[freqs <= low_edge].sum())
-    e_high = float(mags[freqs >= high_edge].sum())
-    return e_low, e_high
+    fields = summary_fields(spectrum.frequencies, spectrum.magnitudes,
+                            low_fraction=low_fraction, high_fraction=high_fraction)
+    return fields["e_low"].item(), fields["e_high"].item()
 
 
 def lhfr(e_low: float, e_high: float) -> float:
     """Low-to-high band ratio; math.inf when the high band is empty."""
     if e_low < 0 or e_high < 0:
         raise ValueError("band energies must be nonnegative")
-    if e_high == 0.0:
-        if e_low == 0.0:
-            raise DegenerateKernelError("both band energies are zero")
-        return math.inf
-    return e_low / e_high
+    if e_low == 0.0 and e_high == 0.0:
+        raise DegenerateKernelError("both band energies are zero")
+    return _band_ratio(e_low, e_high, False).item()
+
+
+def _band_ratio(e_low, e_high, tail_free):
+    """e_low / e_high, inf for an empty high band, 1.0 where tail_free."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(tail_free, 1.0, np.divide(e_low, e_high))
 
 
 def dominant_frequency(spectrum: Spectrum) -> float:
     """Frequency of the strongest bin, DC included, lowest bin on ties."""
-    return float(spectrum.frequencies[int(np.argmax(spectrum.magnitudes))])
+    fields = summary_fields(spectrum.frequencies, spectrum.magnitudes)
+    return fields["dominant_frequency"].item()
 
 
 def summarize(
@@ -212,24 +244,10 @@ def summarize(
     reported as 1.0 with ``tail_free`` set, so downstream classification
     reads the kernel as mid-band.
     """
-    total = float(spectrum.magnitudes.sum())
-    if total <= 0.0:
+    fields = summary_fields(
+        spectrum.frequencies, spectrum.magnitudes,
+        low_fraction=low_fraction, high_fraction=high_fraction,
+    )
+    if not fields["total_magnitude"] > 0.0:
         raise DegenerateKernelError("all-zero spectrum cannot be summarized")
-    centroid = spectral_centroid(spectrum)
-    e_low, e_high = band_energies(
-        spectrum, low_fraction=low_fraction, high_fraction=high_fraction
-    )
-    floor = ZERO_BAND_FLOOR * total
-    if e_low <= floor and e_high <= floor:
-        ratio, tail_free = 1.0, True
-    else:
-        ratio, tail_free = lhfr(e_low, e_high), False
-    return SpectralSummary(
-        centroid=centroid,
-        e_low=e_low,
-        e_high=e_high,
-        lhfr=ratio,
-        dominant_frequency=dominant_frequency(spectrum),
-        total_magnitude=total,
-        tail_free=tail_free,
-    )
+    return SpectralSummary(**{name: value.item() for name, value in fields.items()})

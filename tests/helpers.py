@@ -12,7 +12,7 @@ CLASS_CUTOFFS = {
 }
 
 
-def synth_for(target, layer, direction, length=256, kernel_index=0, tag="synthetic"):
+def synth_for(target, layer, direction, length=256, kernel_index=0):
     lo, hi = CLASS_CUTOFFS[target]
     spec = SynthSpec(target, lo, cutoff_high=hi, length=length)
     return synth_kernel(
@@ -20,7 +20,6 @@ def synth_for(target, layer, direction, length=256, kernel_index=0, tag="synthet
         layer=layer,
         direction=direction,
         kernel_index=kernel_index,
-        tag=tag,
     )
 
 
@@ -47,7 +46,6 @@ def random_bundle(tag, rng, layer_count=3, kernel_count=1, length=64):
                         layer=layer,
                         direction=direction,
                         kernel_index=idx,
-                        tag=f"{tag}-{layer}-{direction.value}-{idx}",
                     )
                 )
     return KernelBundle.from_kernels(tag, kernels)

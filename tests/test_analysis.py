@@ -13,15 +13,18 @@ from spectrobe import (
     KernelBundle,
     LayerReport,
     RunConfig,
+    Spectrum,
     analyze_bundle,
     analyze_redundancy,
     categorize,
     compute_spectrum,
     detect_complementary,
     diff_bundles,
+    read_bundle,
     summarize,
     synth_kernel,
     SynthSpec,
+    write_bundle,
 )
 
 LOW = FilterClass.LOW_PASS
@@ -79,11 +82,6 @@ class TestKernelBundle:
         with pytest.raises(ValueError, match="without gaps"):
             KernelBundle.from_kernels("m", kernels)
 
-    def test_slot_metadata_must_match(self):
-        wrong = synth_for(LOW, 2, FWD)
-        with pytest.raises(ValueError, match="placed at"):
-            KernelBundle("m", {1: {FWD: (wrong,), BWD: (synth_for(LOW, 1, BWD),)}})
-
     def test_uneven_kernel_counts_rejected(self):
         kernels = [
             synth_for(LOW, 1, FWD, kernel_index=0),
@@ -101,6 +99,49 @@ class TestKernelBundle:
             (1, FWD, 0), (1, FWD, 1), (1, BWD, 0), (1, BWD, 1),
             (2, FWD, 0), (2, FWD, 1), (2, BWD, 0), (2, BWD, 1),
         ]
+
+    def test_values_are_one_read_only_array(self):
+        rng = np.random.default_rng(7)
+        bundle = random_bundle("m", rng, layer_count=2, kernel_count=3, length=16)
+        assert bundle.values.shape == (2, 2, 3, 16)
+        assert not bundle.values.flags.writeable
+        for kernel in bundle.iter_kernels():
+            d = 0 if kernel.direction is FWD else 1
+            np.testing.assert_array_equal(
+                bundle.values[kernel.layer - 1, d, kernel.kernel_index], kernel.values
+            )
+        with pytest.raises(ValueError, match="shape"):
+            KernelBundle("m", np.zeros((2, 3, 1, 16)))
+        with pytest.raises(ValueError, match="finite"):
+            KernelBundle("m", np.full((1, 2, 1, 16), np.nan))
+
+    def test_read_only_view_is_copied(self):
+        base = np.ones((1, 2, 1, 16))
+        view = base.view()
+        view.flags.writeable = False
+        bundle = KernelBundle("m", view)
+        base[:] = 2.0
+        assert (bundle.values == 1.0).all()
+        assert not bundle.values.flags.writeable
+
+    def test_analyses_build_no_per_kernel_objects(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        write_bundle(random_bundle("m", rng, layer_count=2, kernel_count=2),
+                     tmp_path / "b")
+        made = []
+        for cls in (Kernel, Spectrum):
+            def counted(self, original=cls.__post_init__):
+                made.append(type(self))
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        bundle = read_bundle(tmp_path / "b")
+        analyze_bundle(bundle)
+        diff_bundles(bundle, bundle)
+        analyze_redundancy(bundle)
+        assert made == []
+        next(bundle.iter_kernels())
+        assert made == [Kernel]
 
     def test_properties(self):
         bundle = class_pair_bundle("m", [(LOW, HIGH), (BAND, BAND)], length=128)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spectrobe
 import spectrobe.cli as cli
 from spectrobe import (
     Direction,
@@ -150,6 +155,19 @@ class TestAnalyze:
         ])
         assert rc == 1
         assert "mystery_knob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rel", ["../x.f32", "/etc/passwd"])
+    def test_payload_path_escape(self, band_bundle_dir, tmp_path, capsys, rel):
+        mpath = band_bundle_dir / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        victim = band_bundle_dir / manifest["kernels"][0]["path"]
+        (band_bundle_dir.parent / "x.f32").write_bytes(victim.read_bytes())
+        manifest["kernels"][0]["path"] = rel
+        mpath.write_text(json.dumps(manifest))
+        rc = cli.main(["analyze", "--bundle", str(band_bundle_dir),
+                       "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert "leaves the bundle directory" in capsys.readouterr().err
 
     def test_missing_bundle(self, tmp_path, capsys):
         rc = cli.main(
@@ -370,6 +388,15 @@ class TestExitCodes:
 
     def test_missing_required_flag(self, band_bundle_dir):
         assert cli.main(["analyze", "--bundle", str(band_bundle_dir)]) == 1
+
+    def test_import_does_not_load_scipy(self):
+        # only the probe solves LPs; every other command skips scipy's import
+        src = str(Path(spectrobe.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, spectrobe.cli; sys.exit('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0

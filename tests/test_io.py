@@ -50,8 +50,7 @@ def small_bundle(rng, tag="model-a", layers=2, length=32):
     for layer in range(1, layers + 1):
         for direction in (FWD, BWD):
             kernels.append(
-                Kernel(f32_grid(rng, length), layer=layer, direction=direction,
-                       tag=tag)
+                Kernel(f32_grid(rng, length), layer=layer, direction=direction)
             )
     return KernelBundle.from_kernels(tag, kernels)
 
@@ -175,6 +174,17 @@ class TestBundleReadErrors:
         m["kernels"] = [e for e in m["kernels"] if e["direction"] == "forward"]
         self.rewrite(written, m)
         with pytest.raises(FormatError, match="backward"):
+            read_bundle(written)
+
+    @pytest.mark.parametrize("rel", ["../x.f32", "/etc/passwd"])
+    def test_payload_path_must_stay_inside_the_bundle(self, written, rel):
+        m = self.manifest(written)
+        # a well-formed payload, so only the path itself is wrong
+        victim = written / m["kernels"][0]["path"]
+        (written.parent / "x.f32").write_bytes(victim.read_bytes())
+        m["kernels"][0]["path"] = rel
+        self.rewrite(written, m)
+        with pytest.raises(FormatError, match="leaves the bundle directory"):
             read_bundle(written)
 
     def test_layer_count_cross_check(self, written):

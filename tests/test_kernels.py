@@ -4,16 +4,13 @@ import pytest
 from oracles import s4d_recurrence
 from spectrobe import (
     Confidence,
-    DegenerateKernelError,
     Direction,
     FilterClass,
     Kernel,
     S4DParams,
     StabilityError,
     SynthSpec,
-    Window,
     categorize,
-    compose_elementwise,
     compute_spectrum,
     materialize_s4d,
     summarize,
@@ -111,13 +108,12 @@ class TestMaterialize:
     def test_metadata_passthrough(self):
         params = S4DParams(np.array([-1.0 + 0j]), np.array([1.0 + 0j]), 0.1)
         kern = materialize_s4d(
-            params, 16, layer=3, direction=Direction.BACKWARD, kernel_index=2, tag="x"
+            params, 16, layer=3, direction=Direction.BACKWARD, kernel_index=2
         )
-        assert (kern.layer, kern.direction, kern.kernel_index, kern.tag) == (
+        assert (kern.layer, kern.direction, kern.kernel_index) == (
             3,
             Direction.BACKWARD,
             2,
-            "x",
         )
 
 
@@ -137,11 +133,6 @@ class TestSynth:
         got = classify_values(synth_kernel(spec).values)
         assert got.combined is expected
         assert got.confidence is Confidence.AGREE
-
-    def test_rectangular_window_still_classifies(self):
-        spec = SynthSpec(LOW, 0.03, window=Window.RECTANGULAR)
-        got = classify_values(synth_kernel(spec).values)
-        assert got.combined is LOW
 
     def test_low_pass_has_unit_dc_gain(self):
         values = synth_kernel(SynthSpec(LOW, 0.04)).values
@@ -179,55 +170,8 @@ class TestSynth:
         with pytest.raises(ValueError):
             SynthSpec(LOW, 0.1, length=8)
 
-    def test_default_tag_names_class_and_edges(self):
-        kern = synth_kernel(SynthSpec(BAND, 0.2, cutoff_high=0.3))
-        assert "band_pass" in kern.tag
-        assert "0.2" in kern.tag and "0.3" in kern.tag
-
     def test_metadata_passthrough(self):
         kern = synth_kernel(
-            SynthSpec(LOW, 0.03), layer=4, direction=Direction.BACKWARD, tag="t"
+            SynthSpec(LOW, 0.03), layer=4, direction=Direction.BACKWARD
         )
-        assert (kern.layer, kern.direction, kern.tag) == (4, Direction.BACKWARD, "t")
-
-
-class TestCompose:
-    def test_all_ones_backward_is_identity(self):
-        rng = np.random.default_rng(8)
-        fwd = Kernel(rng.standard_normal(64))
-        bwd = Kernel(np.ones(64), direction=Direction.BACKWARD)
-        composed = compose_elementwise(fwd, bwd)
-        np.testing.assert_array_equal(
-            composed.magnitudes, compute_spectrum(fwd).magnitudes
-        )
-
-    def test_cosine_product_splits_into_sum_and_difference(self):
-        t = np.arange(200)
-        fwd = Kernel(np.cos(2 * np.pi * 0.10 * t))
-        bwd = Kernel(np.cos(2 * np.pi * 0.15 * t), direction=Direction.BACKWARD)
-        composed = compose_elementwise(fwd, bwd)
-        top_two = set(np.argsort(composed.magnitudes)[-2:].tolist())
-        assert top_two == {10, 50}  # 0.05 and 0.25 cycles per sample
-
-    def test_matches_direct_spectrum_of_product(self):
-        from oracles import one_sided_magnitudes
-
-        rng = np.random.default_rng(17)
-        a = rng.standard_normal(96)
-        b = rng.standard_normal(96)
-        composed = compose_elementwise(Kernel(a), Kernel(b))
-        _, expected = one_sided_magnitudes(a * b)
-        assert np.abs(composed.magnitudes - expected).max() <= 1e-9 * expected.max()
-
-    def test_disjoint_supports_compose_to_nothing(self):
-        fwd = np.zeros(32)
-        fwd[:16] = 1.0
-        bwd = np.zeros(32)
-        bwd[16:] = 1.0
-        composed = compose_elementwise(Kernel(fwd), Kernel(bwd))
-        with pytest.raises(DegenerateKernelError):
-            summarize(composed)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            compose_elementwise(Kernel(np.ones(8)), Kernel(np.ones(16)))
+        assert (kern.layer, kern.direction) == (4, Direction.BACKWARD)

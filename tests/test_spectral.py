@@ -71,10 +71,6 @@ class TestComputeSpectrum:
         time_energy = 128 * float(np.sum(values**2))
         assert freq_energy == pytest.approx(time_energy, rel=1e-9)
 
-    def test_bins_pairs_frequencies_with_magnitudes(self):
-        spec = spectrum_of([1.0, 0.0, 0.0, 0.0])
-        assert spec.bins() == [(0.0, 1.0), (0.25, 1.0), (0.5, 1.0)]
-
     def test_rejects_non_finite_values(self):
         with pytest.raises(ValueError, match="index 1"):
             Kernel(np.array([1.0, np.nan, 2.0]))
@@ -238,7 +234,6 @@ class TestSummarize:
             summarize(spectrum_of(np.zeros(16)))
 
     def test_kernel_metadata_carried(self):
-        kern = Kernel(np.ones(8), layer=2, direction=Direction.BACKWARD, tag="t")
+        kern = Kernel(np.ones(8), layer=2, direction=Direction.BACKWARD)
         assert kern.layer == 2
         assert kern.direction is Direction.BACKWARD
-        assert kern.tag == "t"
