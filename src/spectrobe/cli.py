@@ -59,9 +59,7 @@ _PROBE_TASKS = {
 
 
 def _config_from(args):
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    return DEFAULT_CONFIG
+    return load_config(args.config) if args.config else DEFAULT_CONFIG
 
 
 def _plot_name(kernel) -> str:
@@ -94,26 +92,27 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    cfg = _config_from(args)
     before = read_bundle(args.before)
     after = read_bundle(args.after)
-    report = diff_bundles(before, after)
+    report = diff_bundles(before, after, cfg)
     emit_report(shift_payload(report, before.model_tag, after.model_tag), args.out)
     return 0
 
 
 def _cmd_complementary(args) -> int:
+    cfg = _config_from(args)
     bundle = read_bundle(args.bundle)
-    report = detect_complementary(analyze_bundle(bundle))
+    report = detect_complementary(analyze_bundle(bundle, cfg))
     sys.stdout.write(emit_report(complementarity_payload(report, bundle.model_tag)))
     return 0
 
 
 def _cmd_redundancy(args) -> int:
+    cfg = _config_from(args)
     bundle = read_bundle(args.bundle)
-    pairs = analyze_redundancy(bundle)
-    payload = redundancy_payload(
-        pairs, bundle.model_tag, DEFAULT_CONFIG.redundancy_cutoff
-    )
+    pairs = analyze_redundancy(bundle, cfg)
+    payload = redundancy_payload(pairs, bundle.model_tag, cfg.redundancy_cutoff)
     sys.stdout.write(emit_report(payload))
     return 0
 
@@ -166,9 +165,15 @@ def _cmd_plot(args) -> int:
         raise ValueError(
             f"layer {args.layer} not in bundle (1..{bundle.layer_count})"
         )
+    count = bundle.kernel_count_per_direction
+    if not 0 <= args.kernel_index < count:
+        raise ValueError(
+            f"kernel index {args.kernel_index} not in bundle (0..{count - 1})"
+        )
     direction = Direction(args.direction)
     d = tuple(Direction).index(direction)
-    spectrum = compute_spectrum(Kernel(bundle.values[args.layer - 1, d, 0]))
+    kernel = Kernel(bundle.values[args.layer - 1, d, args.kernel_index])
+    spectrum = compute_spectrum(kernel)
     summary = summarize(spectrum)
     title = f"{bundle.model_tag} layer {args.layer} {direction.value}"
     emit_plot(spectrum, summary, args.out, title=title)
@@ -181,28 +186,33 @@ def build_parser() -> _Parser:
         description="Frequency-domain kernel analysis and representation probing.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    config = _Parser(add_help=False)
+    config.add_argument("--config", help="JSON threshold overrides")
 
-    p = sub.add_parser("analyze", help="classify every kernel in a bundle")
+    p = sub.add_parser("analyze", parents=[config],
+                       help="classify every kernel in a bundle")
     p.add_argument("--bundle", required=True, help="bundle directory")
     p.add_argument("--out", required=True, help="report file to write")
     p.add_argument("--plots", help="directory for per-kernel SVG charts")
-    p.add_argument("--config", help="JSON threshold overrides")
     p.set_defaults(handler=_cmd_analyze)
 
-    p = sub.add_parser("diff", help="centroid shift between two checkpoints")
+    p = sub.add_parser("diff", parents=[config],
+                       help="centroid shift between two checkpoints")
     p.add_argument("--before", required=True, help="bundle directory")
     p.add_argument("--after", required=True, help="bundle directory")
     p.add_argument("--out", required=True, help="report file to write")
     p.set_defaults(handler=_cmd_diff)
 
     p = sub.add_parser(
-        "complementary", help="forward/backward band complementarity per layer"
+        "complementary", parents=[config],
+        help="forward/backward band complementarity per layer",
     )
     p.add_argument("--bundle", required=True, help="bundle directory")
     p.set_defaults(handler=_cmd_complementary)
 
     p = sub.add_parser(
-        "redundancy", help="pairwise spectral similarity in multi-kernel layers"
+        "redundancy", parents=[config],
+        help="pairwise spectral similarity in multi-kernel layers",
     )
     p.add_argument("--bundle", required=True, help="bundle directory")
     p.set_defaults(handler=_cmd_redundancy)
@@ -246,6 +256,8 @@ def build_parser() -> _Parser:
     p.add_argument("--layer", required=True, type=int, help="1-based layer")
     p.add_argument("--direction", required=True,
                    choices=[d.value for d in Direction])
+    p.add_argument("--kernel-index", type=int, default=0,
+                   help="0-based kernel index within the slot (default 0)")
     p.add_argument("--out", required=True, help="SVG file to write")
     p.set_defaults(handler=_cmd_plot)
 

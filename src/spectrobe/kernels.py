@@ -110,18 +110,20 @@ def materialize_s4d(
 ) -> Kernel:
     """Kernel of a diagonal state-space system under zero-order hold.
 
-    With abar = exp(step * a) and bbar = (abar - 1) / a per mode,
-    K[l] = Re(sum_n c_n * bbar_n * abar_n**l) for l = 0..length-1.
+    With abar = exp(step * a), bbar = (abar - 1) / a and B = ceil(sqrt(length)),
+    K[l] = Re(sum_n c_n * bbar_n * abar_n**l), l = 0..length-1, is evaluated as
+    one product of exp(step*a*B*r) (r < B) by exp(step*a*b) (b < B), l = B*r + b.
     """
     if length < 2:
         raise ValueError(f"length must be >= 2, got {length}")
     if params.state_size == 0:
         values = np.zeros(length)
     else:
-        abar = np.exp(params.step * params.poles)
-        bbar = (abar - 1.0) / params.poles
-        powers = abar[:, None] ** np.arange(length)[None, :]
-        values = ((params.coefficients * bbar) @ powers).real
+        sa = params.step * params.poles
+        b = np.arange(int(np.ceil(np.sqrt(length))))  # r runs over it too
+        weights = params.coefficients * np.expm1(sa) / params.poles
+        outer = weights * np.exp(sa * b.size * b[:, None])
+        values = (outer @ np.exp(sa[:, None] * b)).real.reshape(-1)[:length]
     return Kernel(values, layer=layer, direction=direction,
                   kernel_index=kernel_index)
 

@@ -231,6 +231,41 @@ class TestComplementaryAndRedundancy:
         assert rc == 1
         assert "single kernel" in capsys.readouterr().err
 
+    def test_redundancy_reports_and_applies_the_config_cutoff(
+        self, multi_kernel_bundle_dir, tmp_path, capsys
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"redundancy_cutoff": 0.5}))
+        rc = cli.main(["redundancy", "--bundle", str(multi_kernel_bundle_dir),
+                       "--config", str(cfg)])
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["cutoff"] == 0.5
+        similarities = [pair["similarity"] for pair in data["pairs"]]
+        # the cutoff decides here: the default 0.95 would flag none of these
+        assert all(0.5 <= s < 0.95 for s in similarities)
+        assert all(pair["redundant"] for pair in data["pairs"])
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["analyze", "--bundle", "{bundle}", "--out", "{tmp}/r.json"],
+        ["diff", "--before", "{bundle}", "--after", "{bundle}",
+         "--out", "{tmp}/r.json"],
+        ["complementary", "--bundle", "{bundle}"],
+        ["redundancy", "--bundle", "{bundle}"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_every_analysis_command_reads_the_config(command, band_bundle_dir,
+                                                 tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"no_such_threshold": 1}))
+    argv = [arg.format(bundle=band_bundle_dir, tmp=tmp_path) for arg in command]
+    assert cli.main(argv + ["--config", str(cfg)]) == 1
+    assert "unknown config keys: no_such_threshold" in capsys.readouterr().err
+
 
 class TestMaterialize:
     def test_writes_matching_bundle(self, params_file, tmp_path):
@@ -367,6 +402,28 @@ class TestPlot:
                        "--direction", "forward", "--out", str(tmp_path / "c.svg")])
         assert rc == 1
         assert "layer 99" in capsys.readouterr().err
+
+    def test_kernel_index_selects_the_kernel(self, multi_kernel_bundle_dir,
+                                             tmp_path):
+        charts = []
+        for index in ("0", "1"):
+            out = tmp_path / f"k{index}.svg"
+            assert cli.main(["plot", "--bundle", str(multi_kernel_bundle_dir),
+                             "--layer", "1", "--direction", "forward",
+                             "--kernel-index", index, "--out", str(out)]) == 0
+            charts.append(out.read_text())
+        assert charts[1].startswith("<svg")
+        assert charts[0] != charts[1]
+
+    @pytest.mark.parametrize("index", ["2", "-1"])
+    def test_kernel_index_out_of_range(self, multi_kernel_bundle_dir, tmp_path,
+                                       capsys, index):
+        rc = cli.main(["plot", "--bundle", str(multi_kernel_bundle_dir),
+                       "--layer", "1", "--direction", "forward",
+                       "--kernel-index", index, "--out", str(tmp_path / "c.svg")])
+        assert rc == 1
+        assert f"kernel index {index} not in bundle (0..1)" in capsys.readouterr().err
+        assert not (tmp_path / "c.svg").exists()
 
     def test_direction_choices_are_closed(self, band_bundle_dir, tmp_path):
         rc = cli.main(["plot", "--bundle", str(band_bundle_dir), "--layer", "1",

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from spectrobe import (
     write_pair_dataset,
 )
 from spectrobe.io import (
+    _atomic_write_bytes,
     analysis_payload,
     complementarity_payload,
     probe_payload,
@@ -430,6 +434,53 @@ class TestEmitReport:
     def test_no_temp_file_left(self, tmp_path):
         emit_report({"k": 1}, tmp_path / "out" / "r.json")
         assert not list((tmp_path / "out").glob("*.tmp"))
+
+
+class TestAtomicWrite:
+    def test_concurrent_writers_leave_one_whole_payload(self, tmp_path):
+        target = tmp_path / "out" / "k.f32"
+        payloads = [bytes([i]) * 200_000 for i in range(8)]
+        errors = []
+
+        def writer(data):
+            try:
+                for _ in range(20):
+                    _atomic_write_bytes(target, data)
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert target.read_bytes() in payloads
+        assert not list(target.parent.glob("*.tmp"))
+
+    @pytest.mark.parametrize("umask", [0o002, 0o027])
+    def test_file_gets_the_current_umask_mode(self, tmp_path, umask):
+        saved = os.umask(umask)
+        try:
+            _atomic_write_bytes(tmp_path / "r.json", b"{}")
+        finally:
+            os.umask(saved)
+        assert (tmp_path / "r.json").stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_failed_rename_removes_the_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("spectrobe.io.os.replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            _atomic_write_bytes(tmp_path / "r.json", b"{}")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPayloadBuilders:

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+import spectrobe.cli as cli
 from oracles import s4d_recurrence
 from spectrobe import (
     Confidence,
@@ -99,6 +102,68 @@ class TestMaterialize:
             tail = np.abs(doubled[512:]).sum()
             total = np.abs(doubled).sum()
             assert tail < 1e-3 * total
+
+    # lengths 2, 3, perfect squares and squares +- 1, up to 4096; modes and
+    # steps spread over 1..64 and 1e-3..0.5
+    @pytest.mark.parametrize("modes,step,length", [
+        (1, 1e-3, 2), (64, 0.5, 2), (3, 0.5, 3), (1, 0.01, 4), (7, 0.2, 5),
+        (64, 1e-3, 8), (2, 0.1, 9), (16, 0.05, 10), (5, 0.5, 15),
+        (33, 0.01, 16), (8, 0.3, 17), (1, 0.5, 99), (64, 0.02, 100),
+        (12, 1e-3, 101), (4, 0.1, 1000), (64, 0.5, 1023), (32, 0.01, 1024),
+        (9, 0.25, 1025), (64, 1e-3, 4095), (48, 0.05, 4096),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_recurrence_at_any_length(self, modes, step, length, seed):
+        rng = np.random.default_rng([seed, modes, length])
+        poles = -rng.uniform(0.01, 2.0, modes) + 1j * rng.uniform(-100, 100, modes)
+        coeffs = rng.normal(0.0, 1.0, modes) + 1j * rng.normal(0.0, 1.0, modes)
+        params = S4DParams(poles, coeffs, step)
+        got = materialize_s4d(params, length).values
+        expected = s4d_recurrence(poles, coeffs, step, length)
+        # every |K[l]| is bounded by sum_n |c_n * bbar_n|
+        bound = np.abs(coeffs * (np.exp(step * poles) - 1.0) / poles).sum()
+        assert np.abs(got - expected).max() <= 1e-9 * bound
+
+    @pytest.mark.parametrize("short,long", [(2, 3), (15, 16), (16, 17),
+                                            (99, 4096), (1000, 16384)])
+    def test_prefix_of_a_longer_kernel(self, short, long):
+        # the block size follows the length, so the two runs block differently
+        rng = np.random.default_rng(short)
+        params = S4DParams(
+            -0.5 + 1j * np.pi * np.arange(32),
+            rng.normal(size=32) + 1j * rng.normal(size=32),
+            step=0.01,
+        )
+        full = materialize_s4d(params, long).values
+        head = materialize_s4d(params, short).values
+        assert np.abs(head - full[:short]).max() <= 1e-12 * np.abs(full).max()
+
+    def test_strongly_damped_pole_gives_finite_zeros(self):
+        # step * Re(a) * length = -4096: the tail underflows to exact zeros
+        params = S4DParams(np.array([-2.0 + 30j]), np.array([1.0 - 1j]), 0.5)
+        values = materialize_s4d(params, 4096).values
+        assert np.all(np.isfinite(values))
+        assert np.all(values[800:] == 0.0)
+        expected = s4d_recurrence(params.poles, params.coefficients, 0.5, 4096)
+        assert np.abs(values - expected).max() < 1e-12
+
+    def test_cli_payloads_repeat_byte_for_byte(self, tmp_path):
+        rng = np.random.default_rng(9)
+        doc = {"model_tag": "s4d", "step": 0.01, "layers": [
+            {"layer": 1, **{direction: [
+                {"modes": [{"a": [-0.5, np.pi * n], "c": list(rng.normal(size=2))}
+                           for n in range(32)]}
+                for _ in range(2)] for direction in ("forward", "backward")}}]}
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(doc))
+        payloads = []
+        for run in ("one", "two"):
+            out = tmp_path / run
+            assert cli.main(["materialize", "--params", str(params),
+                             "--length", "4096", "--out", str(out)]) == 0
+            payloads.append({p.name: p.read_bytes() for p in out.glob("*.f32")})
+        assert len(payloads[0]) == 4
+        assert payloads[0] == payloads[1]
 
     def test_length_validation(self):
         params = S4DParams(np.array([-1.0 + 0j]), np.array([1.0 + 0j]), 0.1)
