@@ -62,11 +62,12 @@ def _config_from(args):
     return load_config(args.config) if args.config else DEFAULT_CONFIG
 
 
-def _plot_name(kernel) -> str:
-    return (
-        f"layer{kernel.layer:03d}_{kernel.direction.value}"
-        f"_k{kernel.kernel_index:02d}.svg"
-    )
+def _plot_kernel(bundle, layer: int, direction: Direction, k: int, path) -> None:
+    """Chart of kernel ``k`` of ``direction`` in 1-based ``layer``."""
+    d = tuple(Direction).index(direction)
+    spectrum = compute_spectrum(Kernel(bundle.values[layer - 1, d, k]))
+    title = f"{bundle.model_tag} layer {layer} {direction.value} k{k}"
+    emit_plot(spectrum, summarize(spectrum), path, title=title)
 
 
 def _cmd_analyze(args) -> int:
@@ -77,17 +78,13 @@ def _cmd_analyze(args) -> int:
     if args.plots:
         plots_dir = Path(args.plots)
         plots_dir.mkdir(parents=True, exist_ok=True)
-        # reports and iter_kernels share the (layer, direction, index) order
-        entries = (entry for report in reports for entry in report.entries)
-        for kernel, entry in zip(bundle.iter_kernels(), entries, strict=True):
-            if entry.degenerate:
-                continue
-            title = (
-                f"{bundle.model_tag} layer {kernel.layer} "
-                f"{kernel.direction.value} k{kernel.kernel_index}"
-            )
-            emit_plot(compute_spectrum(kernel), entry.summary,
-                      plots_dir / _plot_name(kernel), title=title)
+        for report in reports:
+            for entry in report.entries:
+                if entry.degenerate:
+                    continue
+                layer, direction, k = report.layer, entry.direction, entry.kernel_index
+                name = f"layer{layer:03d}_{direction.value}_k{k:02d}.svg"
+                _plot_kernel(bundle, layer, direction, k, plots_dir / name)
     return 0
 
 
@@ -170,13 +167,8 @@ def _cmd_plot(args) -> int:
         raise ValueError(
             f"kernel index {args.kernel_index} not in bundle (0..{count - 1})"
         )
-    direction = Direction(args.direction)
-    d = tuple(Direction).index(direction)
-    kernel = Kernel(bundle.values[args.layer - 1, d, args.kernel_index])
-    spectrum = compute_spectrum(kernel)
-    summary = summarize(spectrum)
-    title = f"{bundle.model_tag} layer {args.layer} {direction.value}"
-    emit_plot(spectrum, summary, args.out, title=title)
+    _plot_kernel(bundle, args.layer, Direction(args.direction), args.kernel_index,
+                 args.out)
     return 0
 
 

@@ -1,10 +1,10 @@
 """Run-wide thresholds collected in one overridable bag.
 
-Every number that shapes a verdict lives here exactly once: the centroid
-class bounds, the band-ratio class bounds, the band-edge fractions, the
-checkpoint-shift threshold, the redundancy cutoff, and the separability
-tolerance. A JSON file with any subset of the field names overrides the
-defaults for a run.
+Every number that shapes a kernel verdict lives here exactly once: the
+centroid class bounds, the band-ratio class bounds, the band-edge
+fractions, the checkpoint-shift threshold and the redundancy cutoff. A
+JSON file with any subset of the field names overrides the defaults for
+a run. The probe's separability tolerance is fixed (see ``probe``).
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from .classify import (
     SC_HIGH_BOUND,
     SC_LOW_BOUND,
 )
-from .probe import SEPARABILITY_TOLERANCE
 from .spectral import HIGH_BAND_FRACTION, LOW_BAND_FRACTION
 
 
@@ -33,7 +32,6 @@ class RunConfig:
     high_band_fraction: float = HIGH_BAND_FRACTION
     shift_threshold: float = 0.05
     redundancy_cutoff: float = 0.95
-    separability_tolerance: float = SEPARABILITY_TOLERANCE
 
     def __post_init__(self):
         if not 0.0 < self.sc_low_bound < 0.5:
@@ -58,8 +56,6 @@ class RunConfig:
             raise ValueError(
                 f"redundancy_cutoff {self.redundancy_cutoff} outside (0, 1]"
             )
-        if not self.separability_tolerance > 0:
-            raise ValueError("separability_tolerance must be positive")
 
 
 DEFAULT_CONFIG = RunConfig()

@@ -29,7 +29,7 @@ from .analysis import (
     bundle_shape,
 )
 from .kernels import S4DParams
-from .probe import BuiltPairs, EvalResult, ProbeResult
+from .probe import BuiltPairs, EvalResult, ProbeResult, _checked_representations
 from .spectral import Direction, FloatArray
 
 _PAYLOAD_DTYPE = "<f4"
@@ -219,25 +219,10 @@ def write_pair_dataset(
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    ids = []
-    rows = []
-    dim = None
-    for token_id, rep in representations.items():
+    for token_id in representations:
         _check_token_id(token_id, root)
-        arr = np.asarray(rep, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError(f"representation {token_id!r} must be a nonempty vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"representation {token_id!r} has a non-finite value")
-        if dim is None:
-            dim = arr.size
-        elif arr.size != dim:
-            raise ValueError(
-                f"representation {token_id!r} has dimension {arr.size}, expected {dim}"
-            )
-        ids.append(token_id)
-        rows.append(arr)
-    if not ids:
+    vectors = _checked_representations(representations)
+    if not vectors:
         raise ValueError("dataset needs at least one representation")
     lines = []
     for i, (id_i, id_j, label) in enumerate(pairs):
@@ -250,8 +235,9 @@ def write_pair_dataset(
                 "surrounding whitespace"
             )
         lines.append(f"{id_i} {id_j} {label}")
-    matrix = np.stack(rows).astype(_PAYLOAD_DTYPE)
-    manifest = {"count": len(ids), "dimension": int(dim), "token_ids": ids}
+    matrix = np.stack(list(vectors.values())).astype(_PAYLOAD_DTYPE)
+    manifest = {"count": len(vectors), "dimension": matrix.shape[1],
+                "token_ids": list(vectors)}
     _atomic_write_text(
         root / "manifest.json",
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
@@ -326,6 +312,11 @@ def _mode_part(mode, key, where) -> complex:
     return complex(value[0], value[1])
 
 
+def _check_step(step, where) -> None:
+    if isinstance(step, bool) or not isinstance(step, (int, float)):
+        raise FormatError(f"{where}: field 'step' must be a number, got {step!r}")
+
+
 def read_s4d_params(path) -> tuple[str, list[ParamsEntry]]:
     """Read a state-space parameter file.
 
@@ -338,6 +329,8 @@ def read_s4d_params(path) -> tuple[str, list[ParamsEntry]]:
     data = _load_json(path)
     model_tag = _require(data, "model_tag", str, path)
     default_step = data.get("step")
+    if default_step is not None:
+        _check_step(default_step, path)
     layers = _require(data, "layers", list, path)
     entries = []
     for li, layer_spec in enumerate(layers):
@@ -347,12 +340,13 @@ def read_s4d_params(path) -> tuple[str, list[ParamsEntry]]:
             kernel_specs = _require(layer_spec, direction.value, list, where_layer)
             for ki, kernel_spec in enumerate(kernel_specs):
                 where = f"{where_layer}.{direction.value}[{ki}]"
+                modes = _require(kernel_spec, "modes", list, where)
                 step = kernel_spec.get("step", default_step)
                 if step is None:
                     raise FormatError(
                         f"{where}: no step given and no file-level default"
                     )
-                modes = _require(kernel_spec, "modes", list, where)
+                _check_step(step, where)
                 poles = []
                 coefficients = []
                 for mi, mode in enumerate(modes):
@@ -385,12 +379,8 @@ def _jsonable(value):
         if math.isnan(value):
             return None
         return value
-    if isinstance(value, np.floating):
-        return _jsonable(float(value))
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.generic, np.ndarray)):
+        return _jsonable(value.tolist())
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -163,15 +163,13 @@ def _best_margin(a: FloatArray, b: FloatArray) -> float:
     return float(res.x[d + 1])
 
 
-def separable(set_a, set_b, *, tolerance: float = SEPARABILITY_TOLERANCE) -> bool:
+def separable(set_a, set_b) -> bool:
     """True iff a hyperplane strictly separates the two point sets.
 
     Equivalent to their convex hulls being disjoint. Decided by the
-    maximal separating margin: separable when it exceeds ``tolerance``.
-    Symmetric in its arguments.
+    maximal separating margin: separable when it exceeds
+    ``SEPARABILITY_TOLERANCE``. Symmetric in its arguments.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
     a = _as_point_matrix(set_a, "set_a")
     b = _as_point_matrix(set_b, "set_b")
     if a.shape[1] != b.shape[1]:
@@ -181,15 +179,14 @@ def separable(set_a, set_b, *, tolerance: float = SEPARABILITY_TOLERANCE) -> boo
     # a single-coordinate gap certifies a margin of half the gap without
     # touching the solver; never used to declare inseparability
     gap = np.maximum(b.min(axis=0) - a.max(axis=0), a.min(axis=0) - b.max(axis=0))
-    if float(gap.max(initial=-np.inf)) > 2.0 * tolerance:
+    if float(gap.max(initial=-np.inf)) > 2.0 * SEPARABILITY_TOLERANCE:
         return True
-    return _best_margin(a, b) > tolerance
+    return _best_margin(a, b) > SEPARABILITY_TOLERANCE
 
 
 def run_directprobe(
     dataset: Sequence[LabeledPoint],
     *,
-    tolerance: float = SEPARABILITY_TOLERANCE,
     merge_budget: int | None = None,
 ) -> ProbeResult:
     """Constrained agglomerative clustering of the dataset.
@@ -209,11 +206,10 @@ def run_directprobe(
     for i, p in enumerate(points):
         if not isinstance(p, LabeledPoint):
             raise ValueError(f"dataset[{i}] is not a LabeledPoint")
-    dim = points[0].dimension
-    for i, p in enumerate(points):
-        if p.dimension != dim:
+        if p.dimension != points[0].dimension:
             raise ValueError(
-                f"dataset[{i}] has dimension {p.dimension}, expected {dim}"
+                f"dataset[{i}] has dimension {p.dimension}, "
+                f"expected {points[0].dimension}"
             )
     n = len(points)
     if merge_budget is None:
@@ -236,7 +232,6 @@ def run_directprobe(
             if label_of[ia] == label_of[ib]:
                 push_pair(heap, ia, ib)
 
-    blocked: set[tuple[int, int]] = set()
     log: list[MergeRecord] = []
     next_id = n
     attempts = 0
@@ -244,7 +239,8 @@ def run_directprobe(
 
     while heap:
         dist, ia, ib = heapq.heappop(heap)
-        if ia not in members or ib not in members or (ia, ib) in blocked:
+        # each pair is pushed once, so a popped pair never comes back
+        if ia not in members or ib not in members:
             continue
         if attempts >= merge_budget:
             converged = False
@@ -253,12 +249,11 @@ def run_directprobe(
         merged = tuple(sorted(members[ia] + members[ib]))
         merged_points = x[list(merged)]
         ok = all(
-            separable(merged_points, x[list(members[other])], tolerance=tolerance)
+            separable(merged_points, x[list(members[other])])
             for other in members
             if label_of[other] != label_of[ia]
         )
         if not ok:
-            blocked.add((ia, ib))
             continue
         del members[ia], members[ib]
         cid = next_id
@@ -279,29 +274,37 @@ def run_directprobe(
     return ProbeResult(points, clusters, tuple(log), converged)
 
 
+def _nearest_labels(result: ProbeResult, queries) -> list[str]:
+    """``predict`` for each query, over one stack of the training points.
+
+    Points are stacked cluster by cluster: the nearest cluster holds the
+    nearest point, and argmin's first minimum has the lowest cluster index.
+    """
+    if not result.clusters:
+        raise ValueError("result has no clusters")
+    sizes = [len(c.member_indices) for c in result.clusters]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    x = np.stack([result.points[i].vector
+                  for c in result.clusters for i in c.member_indices])
+    labels = []
+    for query in queries:
+        q = np.asarray(query, dtype=np.float64)
+        if q.ndim != 1 or q.size != x.shape[1]:
+            raise ValueError(f"query must be a vector of dimension {x.shape[1]}")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("query contains a non-finite value")
+        nearest = owner[np.argmin(np.linalg.norm(x - q, axis=1))]
+        labels.append(result.clusters[nearest].label)
+    return labels
+
+
 def predict(result: ProbeResult, query) -> str:
     """Label of the cluster nearest to the query.
 
     Distance to a cluster is the minimum Euclidean distance to any of its
     member points; ties go to the lower-indexed cluster.
     """
-    if not result.clusters:
-        raise ValueError("result has no clusters")
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1 or q.size != result.dimension:
-        raise ValueError(
-            f"query must be a vector of dimension {result.dimension}"
-        )
-    if not np.all(np.isfinite(q)):
-        raise ValueError("query contains a non-finite value")
-    x = np.stack([p.vector for p in result.points])
-    best_d = np.inf
-    best = None
-    for cluster in result.clusters:
-        d = float(np.linalg.norm(x[list(cluster.member_indices)] - q, axis=1).min())
-        if d < best_d:
-            best_d, best = d, cluster
-    return best.label
+    return _nearest_labels(result, [query])[0]
 
 
 def evaluate(result: ProbeResult, heldout: Sequence[LabeledPoint]) -> EvalResult:
@@ -312,11 +315,12 @@ def evaluate(result: ProbeResult, heldout: Sequence[LabeledPoint]) -> EvalResult
     if not result.converged:
         raise ValueError("result did not converge and is excluded from evaluation")
     trained = {c.label for c in result.clusters}
+    predicted = _nearest_labels(result, [point.vector for point in heldout])
     totals: dict[str, int] = {}
     correct: dict[str, int] = {}
-    for point in heldout:
+    for point, label in zip(heldout, predicted):
         totals[point.label] = totals.get(point.label, 0) + 1
-        if predict(result, point.vector) == point.label:
+        if label == point.label:
             correct[point.label] = correct.get(point.label, 0) + 1
     per_label = {
         label: correct.get(label, 0) / count for label, count in sorted(totals.items())
@@ -324,6 +328,24 @@ def evaluate(result: ProbeResult, heldout: Sequence[LabeledPoint]) -> EvalResult
     mean = sum(per_label.values()) / len(per_label)
     unknown = tuple(sorted(label for label in totals if label not in trained))
     return EvalResult(per_label=per_label, mean_accuracy=mean, unknown_labels=unknown)
+
+
+def _checked_representations(representations) -> dict[str, FloatArray]:
+    """Token id -> float64 vector, each nonempty, finite, 1-D and of one size."""
+    vectors: dict[str, FloatArray] = {}
+    dim = 0
+    for token_id, rep in representations.items():
+        arr = vectors[token_id] = np.asarray(rep, dtype=np.float64)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError(f"representation {token_id!r} must be a nonempty vector")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"representation {token_id!r} has a non-finite value")
+        dim = dim or arr.size
+        if arr.size != dim:
+            raise ValueError(
+                f"representation {token_id!r} has dimension {arr.size}, expected {dim}"
+            )
+    return vectors
 
 
 _MAX_DISTINCT_LABELS = {PairTask.SIBLINGS: 2, PairTask.DFG_EDGE: 3}
@@ -344,22 +366,7 @@ def build_pairs(
     SIBLINGS and DFG_EDGE points concatenate the representations and cap
     the distinct label count at 2 and 3 respectively.
     """
-    vectors: dict[str, FloatArray] = {}
-    dim = None
-    for token_id, rep in representations.items():
-        arr = np.asarray(rep, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError(f"representation {token_id!r} must be a nonempty vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"representation {token_id!r} has a non-finite value")
-        if dim is None:
-            dim = arr.size
-        elif arr.size != dim:
-            raise ValueError(
-                f"representation {token_id!r} has dimension {arr.size}, expected {dim}"
-            )
-        vectors[token_id] = arr
-
+    vectors = _checked_representations(representations)
     points: list[LabeledPoint] = []
     skipped = 0
     seen_labels: set[str] = set()

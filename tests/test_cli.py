@@ -260,11 +260,13 @@ class TestComplementaryAndRedundancy:
 )
 def test_every_analysis_command_reads_the_config(command, band_bundle_dir,
                                                  tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"no_such_threshold": 1}))
     argv = [arg.format(bundle=band_bundle_dir, tmp=tmp_path) for arg in command]
-    assert cli.main(argv + ["--config", str(cfg)]) == 1
-    assert "unknown config keys: no_such_threshold" in capsys.readouterr().err
+    # the probe's separability tolerance is fixed, not a config key
+    for key in ("no_such_threshold", "separability_tolerance"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        assert cli.main(argv + ["--config", str(cfg)]) == 1
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
 
 
 class TestMaterialize:
@@ -302,6 +304,33 @@ class TestMaterialize:
                        "--length", "16", "--out", str(tmp_path / "b")])
         assert rc == 1
         assert "real part" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "patch, expected",
+        [
+            (lambda doc: doc["layers"][0].update(forward=[5]),
+             "layers[0].forward[0]: expected a JSON object"),
+            (lambda doc: doc["layers"][0]["backward"][0].update(step=[0.1]),
+             "layers[0].backward[0]: field 'step' must be a number"),
+            (lambda doc: doc["layers"][0]["forward"][0].update(step=True),
+             "layers[0].forward[0]: field 'step' must be a number"),
+            (lambda doc: doc["layers"][0]["forward"][0].update(step="0.1"),
+             "layers[0].forward[0]: field 'step' must be a number"),
+            (lambda doc: doc.update(step=True),
+             "params.json: field 'step' must be a number"),
+        ],
+        ids=["entry-not-object", "list-step", "bool-step", "string-step",
+             "bool-file-step"],
+    )
+    def test_malformed_params_exit_one_naming_the_entry(self, params_file, tmp_path,
+                                                        capsys, patch, expected):
+        doc = json.loads(params_file.read_text())
+        patch(doc)
+        params_file.write_text(json.dumps(doc))
+        rc = cli.main(["materialize", "--params", str(params_file),
+                       "--length", "16", "--out", str(tmp_path / "b")])
+        assert rc == 1
+        assert expected in capsys.readouterr().err
 
 
 class TestSynth:

@@ -15,8 +15,6 @@ from spectrobe import (
     analyze_redundancy,
     config_from_mapping,
     load_config,
-    run_directprobe,
-    LabeledPoint,
 )
 
 LOW = FilterClass.LOW_PASS
@@ -43,7 +41,6 @@ class TestRunConfig:
         assert cfg.high_band_fraction == 0.40
         assert cfg.shift_threshold == 0.05
         assert cfg.redundancy_cutoff == 0.95
-        assert cfg.separability_tolerance == 1e-6
 
     @pytest.mark.parametrize(
         "overrides",
@@ -59,7 +56,6 @@ class TestRunConfig:
             {"shift_threshold": -0.01},
             {"redundancy_cutoff": 0.0},
             {"redundancy_cutoff": 1.1},
-            {"separability_tolerance": 0.0},
         ],
     )
     def test_invalid_values_rejected(self, overrides):
@@ -167,15 +163,3 @@ class TestOverridesReachThePipeline:
         assert not analyze_redundancy(
             bundle, RunConfig(redundancy_cutoff=min(1.0, sim + 1e-9))
         )[0].redundant
-
-    def test_separability_tolerance_blocks_tight_merges(self):
-        points = [
-            LabeledPoint(np.array([0.0, 0.0]), "a"),
-            LabeledPoint(np.array([1.0, 1.0]), "a"),
-            LabeledPoint(np.array([0.0, 1.0]), "b"),
-            LabeledPoint(np.array([1.0, 0.0]), "b"),
-        ]
-        assert len(run_directprobe(points).clusters) == 3
-        # a huge tolerance makes even singletons look inseparable
-        strict = run_directprobe(points, tolerance=10.0)
-        assert len(strict.clusters) == 4

@@ -25,8 +25,8 @@ DIGESTS = {
     "analyze_plots": "d6561bb7c919a90673bd7bc4f3486bd9749433eadee4e22c7bad5e1152edb921",
     "complementary": "3da0a6bd487a06c5ec41e27af1c585c7b2d79e9cef2e7fc00ba9642bf286a6ce",
     "diff": "e954912d6f9287de6ad977c23afbe301d7505626ce17921b3bfb045446b8940a",
-    "plot_band_pass": "b3e76b728451613104fd2fdbeab9f681e9332ac2be8fb0bf7609e99deff3b9f4",
-    "plot_forward": "e7e4c760771adeece9236d0be80d6ac3cce5cd3f38ed9d1ca34f63658dfe83d1",
+    "plot_band_pass": "bfa005506d8f8e547c2f20202d5e94406a15dc16b13f3ae79a87467aebe61d74",
+    "plot_forward": "77e545428b7bd62bc602763d65ef9e413007a7e89c9c45970054961fbcc41d15",
     "redundancy": "8871b462f309975224a14dc238651ba9c9841fb7195bf8af72ac61d5e78091ee",
 }
 

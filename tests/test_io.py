@@ -411,6 +411,8 @@ class TestEmitReport:
             "hole": math.nan,
             "direction": FWD,
             "values": np.array([1.0, 2.5]),
+            "flag": np.bool_(True),
+            "single": np.float32(0.5),
         }
         text = emit_report(payload, tmp_path / "r.json")
         data = json.loads(text)
@@ -419,6 +421,8 @@ class TestEmitReport:
         assert data["hole"] is None
         assert data["direction"] == "forward"
         assert data["values"] == [1.0, 2.5]
+        assert data["flag"] is True
+        assert data["single"] == 0.5
         assert (tmp_path / "r.json").read_text() == text
         assert text.endswith("\n")
 

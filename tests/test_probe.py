@@ -97,8 +97,6 @@ class TestSeparable:
             separable(np.zeros((1, 2)), np.zeros((1, 3)))
         with pytest.raises(ValueError):
             separable(np.zeros((0, 2)), np.zeros((1, 2)))
-        with pytest.raises(ValueError, match="tolerance"):
-            separable(np.zeros((1, 1)), np.ones((1, 1)), tolerance=0.0)
         with pytest.raises(ValueError, match="non-finite"):
             separable(np.array([[np.nan]]), np.ones((1, 1)))
 
@@ -206,6 +204,14 @@ class TestPredictEvaluate:
     def test_tie_goes_to_earlier_cluster(self):
         result = run_directprobe([lp([0.0], "a"), lp([2.0], "b")])
         assert predict(result, np.array([1.0])) == "a"
+
+    def test_tie_goes_to_earlier_cluster_not_earlier_point(self):
+        # cluster 0 is points {0, 2}; [4] is 1 from point 2 and 1 from point 1
+        result = run_directprobe([lp([0.0], "a"), lp([5.0], "b"), lp([3.0], "a")])
+        assert [c.member_indices for c in result.clusters] == [(0, 2), (1,)]
+        assert predict(result, np.array([4.0])) == "a"
+        outcome = evaluate(result, [lp([4.0], "a")])
+        assert outcome.per_label == {"a": 1.0}
 
     def test_query_validation(self):
         result = run_directprobe([lp([0.0, 0.0], "a")])
