@@ -71,11 +71,7 @@ from .spectral import (
     Kernel,
     SpectralSummary,
     Spectrum,
-    band_energies,
     compute_spectrum,
-    dominant_frequency,
-    lhfr,
-    spectral_centroid,
     summarize,
 )
 
@@ -115,7 +111,6 @@ __all__ = [
     "SynthSpec",
     "analyze_bundle",
     "analyze_redundancy",
-    "band_energies",
     "build_pairs",
     "categorize",
     "classify_by_centroid",
@@ -124,11 +119,9 @@ __all__ = [
     "config_from_mapping",
     "detect_complementary",
     "diff_bundles",
-    "dominant_frequency",
     "emit_plot",
     "emit_report",
     "evaluate",
-    "lhfr",
     "load_config",
     "materialize_s4d",
     "predict",
@@ -137,7 +130,6 @@ __all__ = [
     "read_s4d_params",
     "run_directprobe",
     "separable",
-    "spectral_centroid",
     "summarize",
     "synth_kernel",
     "write_bundle",

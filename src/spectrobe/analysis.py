@@ -227,17 +227,8 @@ def _classify(
     """Summary fields (see summary_fields) and VERDICTS indices, under
     ``cfg``, of every kernel in ``values``, an array of shape (..., N).
     All-zero kernels have a zero ``total_magnitude`` and no verdict."""
-    fields = summary_fields(
-        *magnitude_spectra(values),
-        low_fraction=cfg.low_band_fraction,
-        high_fraction=cfg.high_band_fraction,
-    )
-    verdicts = verdict_indices(
-        fields["centroid"], fields["lhfr"],
-        (cfg.sc_low_bound, cfg.sc_high_bound),
-        (cfg.lhfr_low_pass_min, cfg.lhfr_high_pass_max),
-    )
-    return fields, verdicts
+    fields = summary_fields(*magnitude_spectra(values), cfg)
+    return fields, verdict_indices(fields["centroid"], fields["lhfr"], cfg)
 
 
 def analyze_bundle(

@@ -13,12 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_CONFIG, RunConfig
 from .spectral import SpectralSummary
-
-SC_LOW_BOUND = 1.0 / 6.0
-SC_HIGH_BOUND = 1.0 / 3.0
-LHFR_LOW_PASS_MIN = 10.0
-LHFR_HIGH_PASS_MAX = 1.0
 
 
 class FilterClass(enum.Enum):
@@ -51,42 +47,37 @@ class Categorization:
     confidence: Confidence
 
 
-def _class_index(values, low_side, high_side):
-    """Index into CLASSES per value: 0 below low_side, 2 above high_side,
-    1 otherwise, so a value on either side lands in the middle."""
-    return np.where(values < low_side, 0, np.where(values > high_side, 2, 1))
+def _by_centroid(sc, config: RunConfig):
+    """CLASSES index of every centroid, the array form of classify_by_centroid."""
+    return np.where(sc < config.sc_low_bound, 0,
+                    np.where(sc > config.sc_high_bound, 2, 1))
 
 
-def classify_by_centroid(
-    sc: float,
-    *,
-    low_bound: float = SC_LOW_BOUND,
-    high_bound: float = SC_HIGH_BOUND,
-) -> FilterClass:
-    """Class by centroid position: below low_bound, above high_bound, or between.
+def _by_lhfr(ratio, config: RunConfig):
+    """CLASSES index of every band ratio, the array form of classify_by_lhfr."""
+    return np.where(ratio > config.lhfr_low_pass_min, 0,
+                    np.where(ratio < config.lhfr_high_pass_max, 2, 1))
 
-    Comparisons are strict, so a centroid sitting exactly on a bound falls
-    into the band-pass middle.
+
+def classify_by_centroid(sc: float, config: RunConfig | None = None) -> FilterClass:
+    """Class by centroid position under ``config`` (default DEFAULT_CONFIG):
+    low-pass below sc_low_bound, high-pass above sc_high_bound. Comparisons
+    are strict, so a centroid sitting exactly on a bound is band-pass.
     """
     if not 0.0 <= sc <= 0.5:
         raise ValueError(f"centroid {sc!r} outside [0, 0.5]")
-    return CLASSES[_class_index(sc, low_bound, high_bound)]
+    return CLASSES[_by_centroid(sc, config or DEFAULT_CONFIG)]
 
 
-def classify_by_lhfr(
-    ratio: float,
-    *,
-    low_pass_min: float = LHFR_LOW_PASS_MIN,
-    high_pass_max: float = LHFR_HIGH_PASS_MAX,
-) -> FilterClass:
-    """Class by band ratio: low-pass above low_pass_min, high-pass below
-    high_pass_max, band-pass between. Boundary values land band-pass.
-    An infinite ratio (empty high band) is low-pass.
+def classify_by_lhfr(ratio: float, config: RunConfig | None = None) -> FilterClass:
+    """Class by band ratio under ``config`` (default DEFAULT_CONFIG):
+    low-pass above lhfr_low_pass_min, high-pass below lhfr_high_pass_max;
+    boundary values are band-pass. An infinite ratio (empty high band) is
+    low-pass.
     """
     if math.isnan(ratio) or ratio < 0:
         raise ValueError(f"band ratio must be nonnegative, got {ratio!r}")
-    # negated, a large ratio sits on the low-pass side
-    return CLASSES[_class_index(-ratio, -low_pass_min, -high_pass_max)]
+    return CLASSES[_by_lhfr(ratio, config or DEFAULT_CONFIG)]
 
 
 def _combine(by_sc: FilterClass, by_ratio: FilterClass) -> Categorization:
@@ -102,36 +93,23 @@ def _combine(by_sc: FilterClass, by_ratio: FilterClass) -> Categorization:
 VERDICTS = tuple(_combine(a, b) for a in CLASSES for b in CLASSES)
 
 
-def verdict_indices(centroid, ratio, sc_bounds, lhfr_bounds) -> np.ndarray:
-    """Index into VERDICTS of every (centroid, band ratio) pair, given the
-    (low, high) centroid bounds and the (low-pass minimum, high-pass
-    maximum) ratio bounds: the array form of categorize, for values
-    already known to be in range."""
-    (sc_low, sc_high), (low_pass_min, high_pass_max) = sc_bounds, lhfr_bounds
-    return 3 * _class_index(centroid, sc_low, sc_high) + _class_index(
-        -ratio, -low_pass_min, -high_pass_max
-    )
+def verdict_indices(centroid, ratio, config: RunConfig) -> np.ndarray:
+    """Index into VERDICTS of every (centroid, band ratio) pair under
+    ``config``: the array form of categorize, for values already known
+    to be in range."""
+    return 3 * _by_centroid(centroid, config) + _by_lhfr(ratio, config)
 
 
 def categorize(
-    summary: SpectralSummary,
-    *,
-    sc_low_bound: float = SC_LOW_BOUND,
-    sc_high_bound: float = SC_HIGH_BOUND,
-    lhfr_low_pass_min: float = LHFR_LOW_PASS_MIN,
-    lhfr_high_pass_max: float = LHFR_HIGH_PASS_MAX,
+    summary: SpectralSummary, config: RunConfig | None = None
 ) -> Categorization:
-    """Run both rules and combine them.
+    """Run both rules under ``config`` (default DEFAULT_CONFIG) and
+    combine them.
 
     Agreement keeps the shared class. When exactly one rule says
     band-pass, the other rule's committed tail preference wins with WEAK
     confidence. A low-vs-high conflict is irreconcilable: no combined
     class, OUTLIER confidence.
     """
-    by_sc = classify_by_centroid(
-        summary.centroid, low_bound=sc_low_bound, high_bound=sc_high_bound
-    )
-    by_ratio = classify_by_lhfr(
-        summary.lhfr, low_pass_min=lhfr_low_pass_min, high_pass_max=lhfr_high_pass_max
-    )
-    return _combine(by_sc, by_ratio)
+    return _combine(classify_by_centroid(summary.centroid, config),
+                    classify_by_lhfr(summary.lhfr, config))

@@ -1,39 +1,52 @@
 """Run-wide thresholds collected in one overridable bag.
 
-Every number that shapes a kernel verdict lives here exactly once: the
-centroid class bounds, the band-ratio class bounds, the band-edge
-fractions, the checkpoint-shift threshold and the redundancy cutoff. A
-JSON file with any subset of the field names overrides the defaults for
-a run. The probe's separability tolerance is fixed (see ``probe``).
+Every number that shapes a kernel verdict lives here exactly once, as a
+``RunConfig`` field default: the centroid class bounds, the band-ratio
+class bounds, the band-edge fractions, the checkpoint-shift threshold
+and the redundancy cutoff. Every function that summarizes, classifies
+or compares kernels takes a ``RunConfig``; none takes a threshold of
+its own. A JSON file with any subset of the field names overrides the
+defaults for a run. The probe's separability tolerance is fixed (see
+``probe``).
 """
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .classify import (
-    LHFR_HIGH_PASS_MAX,
-    LHFR_LOW_PASS_MIN,
-    SC_HIGH_BOUND,
-    SC_LOW_BOUND,
-)
-from .spectral import HIGH_BAND_FRACTION, LOW_BAND_FRACTION
+
+def finite_float(value, what: str) -> float:
+    """A JSON number as a finite float; ValueError naming ``what`` for
+    anything else, an integer too large for a float included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be a finite number")
+    return number
 
 
 @dataclass(frozen=True, slots=True)
 class RunConfig:
-    sc_low_bound: float = SC_LOW_BOUND
-    sc_high_bound: float = SC_HIGH_BOUND
-    lhfr_low_pass_min: float = LHFR_LOW_PASS_MIN
-    lhfr_high_pass_max: float = LHFR_HIGH_PASS_MAX
-    low_band_fraction: float = LOW_BAND_FRACTION
-    high_band_fraction: float = HIGH_BAND_FRACTION
+    sc_low_bound: float = 1.0 / 6.0
+    sc_high_bound: float = 1.0 / 3.0
+    lhfr_low_pass_min: float = 10.0
+    lhfr_high_pass_max: float = 1.0
+    low_band_fraction: float = 0.10
+    high_band_fraction: float = 0.40
     shift_threshold: float = 0.05
     redundancy_cutoff: float = 0.95
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise ValueError(f"{field.name} must be finite")
         if not 0.0 < self.sc_low_bound < 0.5:
             raise ValueError(f"sc_low_bound {self.sc_low_bound} outside (0, 0.5)")
         if not 0.0 < self.sc_high_bound < 0.5:
@@ -70,11 +83,9 @@ def config_from_mapping(data) -> RunConfig:
     unknown = sorted(set(data) - _FIELD_NAMES)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    overrides = {}
-    for key, value in data.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"config key {key!r} must be a number, got {value!r}")
-        overrides[key] = float(value)
+    overrides = {
+        key: finite_float(value, f"config key {key!r}") for key, value in data.items()
+    }
     return dataclasses.replace(DEFAULT_CONFIG, **overrides)
 
 

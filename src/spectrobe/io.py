@@ -28,6 +28,7 @@ from .analysis import (
     ShiftReport,
     bundle_shape,
 )
+from .config import finite_float
 from .kernels import S4DParams
 from .probe import BuiltPairs, EvalResult, ProbeResult, _checked_representations
 from .spectral import Direction, FloatArray
@@ -305,16 +306,19 @@ class ParamsEntry:
 
 def _mode_part(mode, key, where) -> complex:
     value = _require(mode, key, list, where)
-    if len(value) != 2 or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
+    if len(value) != 2:
         raise FormatError(f"{where}: field {key!r} must be [real, imag]")
-    return complex(value[0], value[1])
+    try:
+        return complex(*(finite_float(v, f"field {key!r}") for v in value))
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from None
 
 
-def _check_step(step, where) -> None:
-    if isinstance(step, bool) or not isinstance(step, (int, float)):
-        raise FormatError(f"{where}: field 'step' must be a number, got {step!r}")
+def _check_step(step, where) -> float:
+    try:
+        return finite_float(step, "field 'step'")
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from None
 
 
 def read_s4d_params(path) -> tuple[str, list[ParamsEntry]]:
@@ -330,7 +334,7 @@ def read_s4d_params(path) -> tuple[str, list[ParamsEntry]]:
     model_tag = _require(data, "model_tag", str, path)
     default_step = data.get("step")
     if default_step is not None:
-        _check_step(default_step, path)
+        default_step = _check_step(default_step, path)
     layers = _require(data, "layers", list, path)
     entries = []
     for li, layer_spec in enumerate(layers):
@@ -346,7 +350,7 @@ def read_s4d_params(path) -> tuple[str, list[ParamsEntry]]:
                     raise FormatError(
                         f"{where}: no step given and no file-level default"
                     )
-                _check_step(step, where)
+                step = _check_step(step, where)
                 poles = []
                 coefficients = []
                 for mi, mode in enumerate(modes):
@@ -357,7 +361,7 @@ def read_s4d_params(path) -> tuple[str, list[ParamsEntry]]:
                     params = S4DParams(
                         np.asarray(poles, dtype=np.complex128),
                         np.asarray(coefficients, dtype=np.complex128),
-                        float(step),
+                        step,
                     )
                 except ValueError as exc:
                     raise FormatError(f"{where}: {exc}") from exc

@@ -56,8 +56,8 @@ class S4DParams:
                 f"pole {unstable[0]} has nonnegative real part "
                 f"({poles[unstable[0]]:.6g})"
             )
-        if not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        if not 0 < self.step < np.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step}")
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "coefficients", coeffs)
 

@@ -48,7 +48,6 @@ class LabeledPoint:
 class Cluster:
     member_indices: tuple[int, ...]
     label: str
-    centroid: FloatArray
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,10 +76,6 @@ class ProbeResult:
     clusters: tuple[Cluster, ...]
     merge_log: tuple[MergeRecord, ...]
     converged: bool
-
-    @property
-    def dimension(self) -> int:
-        return self.points[0].dimension
 
 
 class PairTask(enum.Enum):
@@ -267,10 +262,7 @@ def run_directprobe(
                 push_pair(heap, other, cid)
 
     order = sorted(members, key=lambda cid: members[cid][0])
-    clusters = tuple(
-        Cluster(members[cid], label_of[cid], x[list(members[cid])].mean(axis=0))
-        for cid in order
-    )
+    clusters = tuple(Cluster(members[cid], label_of[cid]) for cid in order)
     return ProbeResult(points, clusters, tuple(log), converged)
 
 

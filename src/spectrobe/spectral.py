@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-FloatArray = npt.NDArray[np.float64]
+from .config import DEFAULT_CONFIG, RunConfig
 
-LOW_BAND_FRACTION = 0.10
-HIGH_BAND_FRACTION = 0.40
+FloatArray = npt.NDArray[np.float64]
 
 # A band sum this small relative to the spectrum total is rounding dust,
 # not tail energy. Sized to absorb float32 kernel payloads, whose
@@ -73,9 +72,6 @@ class Kernel:
     def length(self) -> int:
         return int(self.values.size)
 
-    def __len__(self) -> int:
-        return self.length
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Spectrum:
@@ -105,10 +101,6 @@ class Spectrum:
             raise ValueError("magnitudes must be nonnegative")
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "magnitudes", mags)
-
-    @property
-    def bin_count(self) -> int:
-        return int(self.frequencies.size)
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,28 +134,24 @@ def compute_spectrum(kernel: Kernel) -> Spectrum:
 
 
 def summary_fields(
-    frequencies: FloatArray,
-    magnitudes: FloatArray,
-    *,
-    low_fraction: float = LOW_BAND_FRACTION,
-    high_fraction: float = HIGH_BAND_FRACTION,
+    frequencies: FloatArray, magnitudes: FloatArray, config: RunConfig
 ) -> dict[str, np.ndarray]:
     """Every SpectralSummary field, by name, over the leading axes of
     ``magnitudes``; ``frequencies`` is the grid of its last axis.
 
-    Each reduction runs along the last axis and the bands are contiguous
-    slices, so a row of a batch gets bit-for-bit what it gets alone.
-    Rows without energy have a zero ``total_magnitude`` and meaningless
-    other fields; callers must check it.
+    The low band covers f <= low_band_fraction * 0.5 and the high band
+    f >= (1 - high_band_fraction) * 0.5, both boundary-inclusive; the
+    fractions are of the representable range [0, 0.5], not of the bin
+    count. Each reduction runs along the last axis and the bands are
+    contiguous slices, so a row of a batch gets bit-for-bit what it gets
+    alone. Rows without energy have a zero ``total_magnitude`` and
+    meaningless other fields; callers must check it.
     """
-    for name, value in (("low_fraction", low_fraction), ("high_fraction", high_fraction)):
-        if not 0.0 < value < 1.0:
-            raise ValueError(f"{name} must lie in (0, 1), got {value}")
-    if low_fraction + high_fraction > 1.0:
-        raise ValueError("low and high bands overlap; fractions must sum to at most 1")
     # the grid ascends, so each band is a prefix or a suffix of the bins
-    k_low = int(np.searchsorted(frequencies, low_fraction * 0.5, side="right"))
-    k_high = int(np.searchsorted(frequencies, (1.0 - high_fraction) * 0.5, side="left"))
+    k_low = int(np.searchsorted(frequencies, config.low_band_fraction * 0.5,
+                                side="right"))
+    k_high = int(np.searchsorted(frequencies, (1.0 - config.high_band_fraction) * 0.5,
+                                 side="left"))
     total = magnitudes.sum(-1)
     e_low = magnitudes[..., :k_low].sum(-1)
     e_high = magnitudes[..., k_high:].sum(-1)
@@ -171,82 +159,33 @@ def summary_fields(
     tail_free = (e_low <= floor) & (e_high <= floor)
     with np.errstate(divide="ignore", invalid="ignore"):
         centroid = (frequencies * magnitudes).sum(-1) / total
+        # e_low / e_high, inf for an empty high band, 1.0 where tail_free
+        ratio = np.where(tail_free, 1.0, np.divide(e_low, e_high))
     return {
         "centroid": centroid,
         "e_low": e_low,
         "e_high": e_high,
-        "lhfr": _band_ratio(e_low, e_high, tail_free),
+        "lhfr": ratio,
         "dominant_frequency": frequencies[magnitudes.argmax(-1)],
         "total_magnitude": total,
         "tail_free": tail_free,
     }
 
 
-def spectral_centroid(spectrum: Spectrum) -> float:
-    """Magnitude-weighted mean frequency of the spectrum.
+def summarize(spectrum: Spectrum, config: RunConfig | None = None) -> SpectralSummary:
+    """All scalar metrics of a spectrum in one pass, under ``config``
+    (default DEFAULT_CONFIG): the one-row case of summary_fields.
 
-    Raises DegenerateKernelError when the spectrum carries no energy;
-    a centroid of nothing is undefined and classification must refuse it.
-    """
-    if not spectrum.magnitudes.sum() > 0.0:
-        raise DegenerateKernelError("all-zero spectrum has no centroid")
-    return summary_fields(spectrum.frequencies, spectrum.magnitudes)["centroid"].item()
-
-
-def band_energies(
-    spectrum: Spectrum,
-    *,
-    low_fraction: float = LOW_BAND_FRACTION,
-    high_fraction: float = HIGH_BAND_FRACTION,
-) -> tuple[float, float]:
-    """Summed magnitudes in the low and high tails of the frequency range.
-
-    The low band covers f <= low_fraction * 0.5 and the high band covers
-    f >= (1 - high_fraction) * 0.5, both boundary-inclusive. Fractions are
-    of the representable range [0, 0.5], not of the bin count.
-    """
-    fields = summary_fields(spectrum.frequencies, spectrum.magnitudes,
-                            low_fraction=low_fraction, high_fraction=high_fraction)
-    return fields["e_low"].item(), fields["e_high"].item()
-
-
-def lhfr(e_low: float, e_high: float) -> float:
-    """Low-to-high band ratio; math.inf when the high band is empty."""
-    if e_low < 0 or e_high < 0:
-        raise ValueError("band energies must be nonnegative")
-    if e_low == 0.0 and e_high == 0.0:
-        raise DegenerateKernelError("both band energies are zero")
-    return _band_ratio(e_low, e_high, False).item()
-
-
-def _band_ratio(e_low, e_high, tail_free):
-    """e_low / e_high, inf for an empty high band, 1.0 where tail_free."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(tail_free, 1.0, np.divide(e_low, e_high))
-
-
-def dominant_frequency(spectrum: Spectrum) -> float:
-    """Frequency of the strongest bin, DC included, lowest bin on ties."""
-    fields = summary_fields(spectrum.frequencies, spectrum.magnitudes)
-    return fields["dominant_frequency"].item()
-
-
-def summarize(
-    spectrum: Spectrum,
-    *,
-    low_fraction: float = LOW_BAND_FRACTION,
-    high_fraction: float = HIGH_BAND_FRACTION,
-) -> SpectralSummary:
-    """All scalar metrics of a spectrum in one pass.
-
+    The centroid is the magnitude-weighted mean frequency, DC included;
+    the dominant frequency is the strongest bin's, the lowest on ties.
     Band sums below ZERO_BAND_FLOOR of the total are treated as empty.
     When both tails are empty but the spectrum is not, the ratio is
     reported as 1.0 with ``tail_free`` set, so downstream classification
-    reads the kernel as mid-band.
+    reads the kernel as mid-band. Raises DegenerateKernelError when the
+    spectrum carries no energy.
     """
     fields = summary_fields(
-        spectrum.frequencies, spectrum.magnitudes,
-        low_fraction=low_fraction, high_fraction=high_fraction,
+        spectrum.frequencies, spectrum.magnitudes, config or DEFAULT_CONFIG
     )
     if not fields["total_magnitude"] > 0.0:
         raise DegenerateKernelError("all-zero spectrum cannot be summarized")

@@ -152,20 +152,29 @@ class TestKernelBundle:
 
 class TestAnalyzeBundle:
     def test_matches_per_kernel_pipeline(self):
+        # the scalar pipeline is the one-row case of analyze_bundle, under
+        # the default config and under one that moves all six thresholds
+        # into the spread of these kernels (11 of 12 verdicts change)
         rng = np.random.default_rng(40)
         bundle = random_bundle("m", rng, layer_count=3, kernel_count=2, length=64)
-        reports = analyze_bundle(bundle)
-        by_slot = {
-            (e.layer, e.direction, e.kernel_index): e
-            for report in reports
-            for e in report.entries
-        }
-        for kernel in bundle.iter_kernels():
-            summary = summarize(compute_spectrum(kernel))
-            entry = by_slot[(kernel.layer, kernel.direction, kernel.kernel_index)]
-            assert entry.summary == summary
-            assert entry.categorization == categorize(summary)
-            assert not entry.degenerate
+        moved = RunConfig(sc_low_bound=0.245, sc_high_bound=0.26,
+                          lhfr_low_pass_min=0.6, lhfr_high_pass_max=0.4,
+                          low_band_fraction=0.15, high_band_fraction=0.3)
+        seen = {}
+        for cfg in (None, moved):
+            by_slot = {
+                (e.layer, e.direction, e.kernel_index): e
+                for report in analyze_bundle(bundle, cfg)
+                for e in report.entries
+            }
+            for kernel in bundle.iter_kernels():
+                summary = summarize(compute_spectrum(kernel), cfg)
+                entry = by_slot[(kernel.layer, kernel.direction, kernel.kernel_index)]
+                assert entry.summary == summary
+                assert entry.categorization == categorize(summary, cfg)
+                assert not entry.degenerate
+            seen[cfg] = [e.categorization for e in by_slot.values()]
+        assert sum(a != b for a, b in zip(seen[None], seen[moved])) == 11
 
     def test_insertion_order_does_not_matter(self):
         rng = np.random.default_rng(41)

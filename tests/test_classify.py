@@ -8,6 +8,7 @@ from spectrobe import (
     Confidence,
     FilterClass,
     Kernel,
+    RunConfig,
     categorize,
     classify_by_centroid,
     classify_by_lhfr,
@@ -62,8 +63,10 @@ class TestClassifyByCentroid:
             classify_by_centroid(0.51)
 
     def test_custom_bounds(self):
-        assert classify_by_centroid(0.25, high_bound=0.2) is HIGH
-        assert classify_by_centroid(0.25, low_bound=0.3, high_bound=0.4) is LOW
+        assert classify_by_centroid(0.25, RunConfig(sc_high_bound=0.2)) is HIGH
+        assert classify_by_centroid(
+            0.25, RunConfig(sc_low_bound=0.3, sc_high_bound=0.4)
+        ) is LOW
 
 
 class TestClassifyByLhfr:
@@ -91,8 +94,8 @@ class TestClassifyByLhfr:
             classify_by_lhfr(math.nan)
 
     def test_custom_bounds(self):
-        assert classify_by_lhfr(5.0, low_pass_min=4.0) is LOW
-        assert classify_by_lhfr(0.9, high_pass_max=0.5) is BAND
+        assert classify_by_lhfr(5.0, RunConfig(lhfr_low_pass_min=4.0)) is LOW
+        assert classify_by_lhfr(0.9, RunConfig(lhfr_high_pass_max=0.5)) is BAND
 
 
 class TestCategorize:
@@ -139,7 +142,9 @@ class TestCategorize:
 
     def test_threshold_overrides_reach_both_rules(self):
         summary = summary_with(0.25, 5.0)
-        moved = categorize(summary, sc_high_bound=0.2, lhfr_low_pass_min=4.0)
+        moved = categorize(
+            summary, RunConfig(sc_high_bound=0.2, lhfr_low_pass_min=4.0)
+        )
         assert moved.by_centroid is HIGH
         assert moved.by_lhfr is LOW
         assert moved.confidence is Confidence.OUTLIER

@@ -156,6 +156,24 @@ class TestAnalyze:
         assert rc == 1
         assert "mystery_knob" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [('{"shift_threshold": NaN}', "shift_threshold"),
+         ('{"lhfr_low_pass_min": Infinity}', "lhfr_low_pass_min"),
+         ('{"redundancy_cutoff": 1' + "0" * 400 + "}", "redundancy_cutoff")],
+        ids=["nan", "infinity", "huge-int"],
+    )
+    def test_non_finite_config_fails_naming_the_key(self, band_bundle_dir, tmp_path,
+                                                     capsys, text, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc = cli.main([
+            "diff", "--before", str(band_bundle_dir), "--after", str(band_bundle_dir),
+            "--out", str(tmp_path / "r.json"), "--config", str(cfg),
+        ])
+        assert rc == 1
+        assert f"config key '{key}' must be a finite number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("rel", ["../x.f32", "/etc/passwd"])
     def test_payload_path_escape(self, band_bundle_dir, tmp_path, capsys, rel):
         mpath = band_bundle_dir / "manifest.json"
@@ -318,15 +336,26 @@ class TestMaterialize:
              "layers[0].forward[0]: field 'step' must be a number"),
             (lambda doc: doc.update(step=True),
              "params.json: field 'step' must be a number"),
+            (lambda doc: doc["layers"][0]["forward"][0].update(step=10**400),
+             "layers[0].forward[0]: field 'step' must be a finite number"),
+            (lambda doc: doc["layers"][0]["backward"][0].update(step=float("inf")),
+             "layers[0].backward[0]: field 'step' must be a finite number"),
+            (lambda doc: doc.update(step="<1e400>"),
+             "params.json: field 'step' must be a finite number"),
+            (lambda doc: doc["layers"][0]["forward"][0]["modes"][0].update(
+                c=[10**400, 0.0]),
+             "layers[0].forward[0].modes[0]: field 'c' must be a finite number"),
         ],
         ids=["entry-not-object", "list-step", "bool-step", "string-step",
-             "bool-file-step"],
+             "bool-file-step", "huge-int-step", "infinity-step",
+             "1e400-file-step", "huge-int-mode-part"],
     )
     def test_malformed_params_exit_one_naming_the_entry(self, params_file, tmp_path,
                                                         capsys, patch, expected):
         doc = json.loads(params_file.read_text())
         patch(doc)
-        params_file.write_text(json.dumps(doc))
+        # json.dumps cannot write 1e400 itself; the marker stands in for it
+        params_file.write_text(json.dumps(doc).replace('"<1e400>"', "1e400"))
         rc = cli.main(["materialize", "--params", str(params_file),
                        "--length", "16", "--out", str(tmp_path / "b")])
         assert rc == 1

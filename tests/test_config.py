@@ -56,6 +56,9 @@ class TestRunConfig:
             {"shift_threshold": -0.01},
             {"redundancy_cutoff": 0.0},
             {"redundancy_cutoff": 1.1},
+            {"shift_threshold": float("nan")},
+            {"shift_threshold": float("inf")},
+            {"lhfr_low_pass_min": float("inf")},
         ],
     )
     def test_invalid_values_rejected(self, overrides):
@@ -90,6 +93,16 @@ class TestConfigFromMapping:
             config_from_mapping({"shift_threshold": "big"})
         with pytest.raises(ValueError, match="must be a number"):
             config_from_mapping({"shift_threshold": True})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("shift_threshold", float("nan")), ("lhfr_low_pass_min", float("inf")),
+         ("redundancy_cutoff", 10**400)],
+        ids=["nan", "infinity", "huge-int"],
+    )
+    def test_non_finite_values_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"'{key}' must be a finite number"):
+            config_from_mapping({key: value})
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ValueError, match="JSON object"):

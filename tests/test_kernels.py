@@ -50,8 +50,8 @@ class TestS4DParams:
             S4DParams(np.array([-1.0 + 0j]), np.array([1.0, 2.0]), 0.1)
 
     def test_step_must_be_positive(self):
-        for step in (0.0, -0.5):
-            with pytest.raises(ValueError):
+        for step in (0.0, -0.5, np.inf, np.nan):
+            with pytest.raises(ValueError, match="step must be positive and finite"):
                 S4DParams(np.array([-1.0 + 0j]), np.array([1.0 + 0j]), step)
 
     def test_state_size(self):

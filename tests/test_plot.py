@@ -56,7 +56,7 @@ class TestSvgShape:
     def test_curve_covers_every_bin(self):
         spectrum, svg = render(np.arange(40, dtype=float))
         polyline = re.search(r'<polyline[^>]+points="([^"]+)"', svg).group(1)
-        assert len(polyline.split()) == spectrum.bin_count
+        assert len(polyline.split()) == spectrum.frequencies.size
 
     def test_byte_determinism(self):
         _, first = render(np.arange(24, dtype=float))

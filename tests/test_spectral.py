@@ -6,17 +6,16 @@ import pytest
 from oracles import dft_two_sided, one_sided_magnitudes
 from oracles import spectral_centroid as centroid_oracle
 from spectrobe import (
+    DEFAULT_CONFIG,
     DegenerateKernelError,
     Direction,
     Kernel,
+    RunConfig,
     Spectrum,
-    band_energies,
     compute_spectrum,
-    dominant_frequency,
-    lhfr,
-    spectral_centroid,
     summarize,
 )
+from spectrobe.spectral import summary_fields
 
 
 def spectrum_of(values):
@@ -90,23 +89,27 @@ class TestComputeSpectrum:
             Spectrum(np.array([0.0, 0.3, 0.2]), np.ones(3), source_length=4)
 
 
+def centroid_of(spec):
+    return summarize(spec).centroid
+
+
 class TestSpectralCentroid:
     def test_point_mass(self):
         spec = Spectrum(np.arange(5) / 8, np.array([0, 0, 1, 0, 0.0]), 8)
-        assert spectral_centroid(spec) == 0.25
+        assert centroid_of(spec) == 0.25
 
     def test_uniform_is_midpoint(self):
         spec = spectrum_of([1.0] + [0.0] * 7)
-        assert spectral_centroid(spec) == pytest.approx(0.25, abs=1e-15)
+        assert centroid_of(spec) == pytest.approx(0.25, abs=1e-15)
 
     def test_weighted_example(self):
         # mass 1 at 0.25 and 3 at 0.5 lands on (0.25 + 1.5) / 4
         spec = Spectrum(np.arange(5) / 8, np.array([0, 0, 1, 0, 3.0]), 8)
-        assert spectral_centroid(spec) == pytest.approx(0.4375)
+        assert centroid_of(spec) == pytest.approx(0.4375)
 
     def test_dc_mass_is_counted(self):
         spec = Spectrum(np.arange(5) / 8, np.array([1, 0, 0, 0, 3.0]), 8)
-        assert spectral_centroid(spec) == pytest.approx(0.375)
+        assert centroid_of(spec) == pytest.approx(0.375)
 
     def test_matches_longhand_oracle(self):
         rng = np.random.default_rng(11)
@@ -114,98 +117,101 @@ class TestSpectralCentroid:
             values = rng.standard_normal(96)
             spec = compute_spectrum(Kernel(values))
             expected = centroid_oracle(spec.frequencies, spec.magnitudes)
-            assert spectral_centroid(spec) == pytest.approx(expected, abs=1e-12)
+            assert centroid_of(spec) == pytest.approx(expected, abs=1e-12)
 
     def test_stays_in_frequency_range(self):
         rng = np.random.default_rng(23)
         for _ in range(25):
             spec = spectrum_of(rng.standard_normal(50))
-            assert 0.0 <= spectral_centroid(spec) <= 0.5
+            assert 0.0 <= centroid_of(spec) <= 0.5
 
     def test_all_zero_is_degenerate(self):
         spec = Spectrum(np.arange(5) / 8, np.zeros(5), 8)
         with pytest.raises(DegenerateKernelError):
-            spectral_centroid(spec)
+            centroid_of(spec)
+
+
+def bands_of(spec, config=None):
+    summary = summarize(spec, config)
+    return summary.e_low, summary.e_high
 
 
 class TestBandEnergies:
     def test_dc_only(self):
         spec = spectrum_of(np.ones(8))
-        e_low, e_high = band_energies(spec)
+        e_low, e_high = bands_of(spec)
         assert e_low == pytest.approx(8.0, rel=1e-12)
         assert e_high == pytest.approx(0.0, abs=1e-11)
 
     def test_nyquist_only(self):
         values = np.array([1.0, -1.0] * 8)
-        e_low, e_high = band_energies(spectrum_of(values))
+        e_low, e_high = bands_of(spectrum_of(values))
         assert e_low == pytest.approx(0.0, abs=1e-11)
         assert e_high == pytest.approx(16.0, rel=1e-12)
 
     def test_uniform_hundred_bin_counts(self):
         # f <= 0.05 covers bins 0..5, f >= 0.30 covers bins 30..50
         spec = spectrum_of([1.0] + [0.0] * 99)
-        e_low, e_high = band_energies(spec)
+        e_low, e_high = bands_of(spec)
         assert e_low == 6.0
         assert e_high == 21.0
 
     def test_custom_fractions(self):
         spec = spectrum_of([1.0] + [0.0] * 99)
-        e_low, e_high = band_energies(spec, low_fraction=0.2, high_fraction=0.2)
+        e_low, e_high = bands_of(
+            spec, RunConfig(low_band_fraction=0.2, high_band_fraction=0.2)
+        )
         assert e_low == 11.0
         assert e_high == 11.0
 
-    def test_fraction_validation(self):
-        spec = spectrum_of(np.ones(8))
-        with pytest.raises(ValueError):
-            band_energies(spec, low_fraction=0.0)
-        with pytest.raises(ValueError):
-            band_energies(spec, high_fraction=1.5)
-        with pytest.raises(ValueError):
-            band_energies(spec, low_fraction=0.7, high_fraction=0.7)
+
+def ratio_of(mags):
+    return summarize(Spectrum(np.arange(9) / 16, np.asarray(mags, float), 16)).lhfr
 
 
 class TestLhfr:
+    # on the 16-point grid the low band is bin 0 and the high band bins 5..8
+
     def test_plain_ratio(self):
-        assert lhfr(6.0, 21.0) == 6 / 21
+        assert ratio_of([3, 0, 0, 0, 1, 2, 0, 0, 5]) == 3 / 7
 
     def test_zero_high_tail_is_infinite(self):
-        assert lhfr(5.0, 0.0) == math.inf
+        assert ratio_of([5, 0, 0, 0, 0, 0, 0, 0, 0]) == math.inf
 
     def test_zero_low_tail(self):
-        assert lhfr(0.0, 4.0) == 0.0
+        assert ratio_of([0, 0, 0, 0, 0, 0, 0, 4, 0]) == 0.0
 
     def test_both_zero_is_degenerate(self):
+        # empty bands read as tail-free while the spectrum has energy
+        assert ratio_of(np.eye(9)[4]) == 1.0
         with pytest.raises(DegenerateKernelError):
-            lhfr(0.0, 0.0)
-
-    def test_negative_energy_rejected(self):
-        with pytest.raises(ValueError):
-            lhfr(-1.0, 2.0)
-        with pytest.raises(ValueError):
-            lhfr(1.0, -2.0)
+            ratio_of(np.zeros(9))
 
 
 class TestDominantFrequency:
     def test_dc_peak(self):
-        assert dominant_frequency(spectrum_of(np.ones(8))) == 0.0
+        assert summarize(spectrum_of(np.ones(8))).dominant_frequency == 0.0
 
     def test_interior_peak(self):
         spec = Spectrum(np.arange(5) / 8, np.array([1, 5, 1, 1, 1.0]), 8)
-        assert dominant_frequency(spec) == 0.125
+        assert summarize(spec).dominant_frequency == 0.125
 
     def test_tie_takes_lowest_frequency(self):
         spec = Spectrum(np.arange(5) / 8, np.array([1, 5, 1, 5, 1.0]), 8)
-        assert dominant_frequency(spec) == 0.125
+        assert summarize(spec).dominant_frequency == 0.125
 
 
 class TestSummarize:
     def test_fields_follow_component_functions(self):
+        # summarize is the one-row case of summary_fields over a batch
+        rng = np.random.default_rng(3)
         values = np.cos(2 * np.pi * 0.1 * np.arange(200))
+        rows = np.stack([values, rng.standard_normal(200)])
         spec = spectrum_of(values)
+        batch = summary_fields(spec.frequencies, np.abs(np.fft.rfft(rows)), DEFAULT_CONFIG)
         summary = summarize(spec)
-        assert summary.centroid == spectral_centroid(spec)
-        assert (summary.e_low, summary.e_high) == band_energies(spec)
-        assert summary.dominant_frequency == dominant_frequency(spec)
+        for name, column in batch.items():
+            assert getattr(summary, name) == column[0].item()
         assert summary.total_magnitude == pytest.approx(spec.magnitudes.sum())
 
     def test_tail_free_midband_spike(self):
