@@ -12,9 +12,10 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-import math
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _str
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -113,15 +114,24 @@ def _read_payload(path: Path, out: FloatArray) -> None:
 
 
 def write_bundle(bundle: KernelBundle, path) -> None:
-    """Write a bundle directory; payloads are quantized to float32."""
+    """Write a bundle directory; payloads are quantized to float32, and a
+    value beyond the float32 range is refused before any file is written."""
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        payloads = bundle.values.astype(_PAYLOAD_DTYPE)
+    overflow = np.argwhere(np.isinf(payloads))
+    if overflow.size:
+        layer, d, k, i = overflow[0]
+        raise ValueError(
+            f"layer {layer + 1} {tuple(Direction)[d].value} kernel {k}: value "
+            f"{bundle.values[layer, d, k, i]:.6g} at element {i} overflows float32"
+        )
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     entries = []
     for layer, d, k in np.ndindex(bundle.values.shape[:3]):
         direction = tuple(Direction)[d].value
         rel = f"layer{layer + 1:03d}_{direction}_k{k:02d}.f32"
-        payload = bundle.values[layer, d, k].astype(_PAYLOAD_DTYPE).tobytes()
-        _atomic_write_bytes(root / rel, payload)
+        _atomic_write_bytes(root / rel, payloads[layer, d, k].tobytes())
         entries.append(
             {
                 "layer": layer + 1,
@@ -137,10 +147,7 @@ def write_bundle(bundle: KernelBundle, path) -> None:
         "layer_count": bundle.layer_count,
         "kernels": entries,
     }
-    _atomic_write_text(
-        root / "manifest.json",
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-    )
+    _atomic_write_text(root / "manifest.json", _json(manifest) + "\n")
 
 
 def read_bundle(path) -> KernelBundle:
@@ -239,10 +246,7 @@ def write_pair_dataset(
     matrix = np.stack(list(vectors.values())).astype(_PAYLOAD_DTYPE)
     manifest = {"count": len(vectors), "dimension": matrix.shape[1],
                 "token_ids": list(vectors)}
-    _atomic_write_text(
-        root / "manifest.json",
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-    )
+    _atomic_write_text(root / "manifest.json", _json(manifest) + "\n")
     _atomic_write_bytes(root / "vectors.f32", matrix.tobytes())
     _atomic_write_text(root / "pairs.txt", "".join(line + "\n" for line in lines))
 
@@ -369,39 +373,68 @@ def read_s4d_params(path) -> tuple[str, list[ParamsEntry]]:
     return model_tag, entries
 
 
-def _jsonable(value):
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "infinite" if value > 0 else "-infinite"
-        if math.isnan(value):
-            return None
-        return value
-    if isinstance(value, (np.generic, np.ndarray)):
-        return _jsonable(value.tolist())
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+_SPECIAL_FLOATS = {"inf": '"infinite"', "-inf": '"-infinite"', "nan": "null"}
+_SCALARS = {  # exact type -> JSON text; each enum type is added when first met
+    str: _str, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+    float: lambda v: _SPECIAL_FLOATS.get(text := float.__repr__(v), text),
+    type(None): {None: "null"}.__getitem__,
+}
+_ROWS: dict = {}  # (dataclass type, pad) -> (%-template, getter of its field tuple)
+
+
+def _row(kind, pad: str):
+    names = sorted(f.name for f in dataclasses.fields(kind))
+    fields = "".join(f",{pad}  {_str(name)}: %s" for name in names)[1:]
+    return (f"{{{fields}{pad}}}" if names else "{}"), (
+        attrgetter(*names) if len(names) > 1
+        else lambda value: tuple(getattr(value, name) for name in names)
+    )
+
+
+def _block(brackets: str, parts: list, pad: str) -> str:
+    joined = f",{pad}  ".join(parts)
+    return f"{brackets[0]}{pad}  {joined}{pad}{brackets[1]}" if parts else brackets
+
+
+def _json(value, pad: str = "\n") -> str:
+    """``value`` as emit_report writes it, nested at ``pad``: newline + indent."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = pad + "  "
+    row = _ROWS.get((type(value), pad))
+    if row is not None:
+        template, fields = row
+        return template % tuple([
+            f(v) if (f := _SCALARS.get(type(v))) else _json(v, inner)
+            for v in fields(value)
+        ])
+    if dataclasses.is_dataclass(type(value)):
+        _ROWS[type(value), pad] = _row(type(value), pad)
+    elif isinstance(value, enum.Enum):
+        _SCALARS[type(value)] = {m: _json(m.value) for m in type(value)}.__getitem__
+    elif isinstance(value, (np.generic, np.ndarray)):
+        return _json(value.tolist(), pad)
+    elif isinstance(value, dict):
+        items = sorted({str(k): v for k, v in value.items()}.items())
+        return _block("{}", [f"{_str(k)}: {_json(v, inner)}" for k, v in items], pad)
+    elif isinstance(value, (list, tuple)):
+        return _block("[]", [_json(v, inner) for v in value], pad)
+    else:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return _json(value, pad)
 
 
 def emit_report(report, path=None) -> str:
     """Serialize a report to deterministic JSON; optionally write it.
 
-    Dataclasses and enums flatten to plain objects and value strings;
-    infinities become the string "infinite" so the output stays valid
-    JSON. Keys are sorted and floats use their shortest exact repr, which
-    makes equal reports byte-identical.
+    The text is ``json.dumps(..., indent=2, sort_keys=True)`` of the report
+    with dataclasses and enums flattened to plain objects and their values,
+    numpy values to lists and numbers, and infinities and NaN to the strings
+    "infinite"/"-infinite" and null, so it stays valid JSON. Floats use
+    their shortest exact repr, which makes equal reports byte-identical.
     """
-    payload = _jsonable(report)
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = _json(report) + "\n"
     if path is not None:
         _atomic_write_text(path, text)
     return text

@@ -36,7 +36,8 @@ class S4DParams:
     Poles must have strictly negative real part; the materialized kernel
     is then a damped sum of complex exponentials. Callers wanting
     conjugate-pair semantics double the coefficient instead of listing
-    the conjugate mode.
+    the conjugate mode. Parameters are refused when step * pole or the
+    kernel bound sum |c * (exp(step * pole) - 1) / pole| overflows float64.
     """
 
     poles: ComplexArray
@@ -58,6 +59,12 @@ class S4DParams:
             )
         if not 0 < self.step < np.inf:
             raise ValueError(f"step must be positive and finite, got {self.step}")
+        with np.errstate(all="ignore"):  # an overflow is reported below
+            sa = self.step * poles
+            bound = np.abs(coeffs * np.expm1(sa) / poles).sum()  # of |kernel|
+        if not (np.isfinite(sa).all() and np.isfinite(bound)):
+            raise ValueError("kernel overflows float64: step * pole or "
+                             "sum |c * (exp(step * pole) - 1) / pole| is not finite")
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "coefficients", coeffs)
 

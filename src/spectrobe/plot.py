@@ -57,10 +57,10 @@ def emit_plot(
     if peak <= 0.0:
         raise ValueError("spectrum has no energy to plot")
 
-    points = " ".join(
-        f"{_fmt(frequency_to_x(f))},{_fmt(magnitude_to_y(m, peak))}"
-        for f, m in zip(freqs.tolist(), mags.tolist())
-    )
+    # the functions are element-wise IEEE arithmetic, and "%.2f" rounds as
+    # _fmt does, so this is the per-point text in one formatting pass
+    xy = np.stack((frequency_to_x(freqs), magnitude_to_y(mags, peak)), axis=1)
+    points = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
     dom_f = summary.dominant_frequency
     dom_mag = float(mags[int(np.argmax(mags))])
     cx = frequency_to_x(dom_f)

@@ -1,3 +1,10 @@
+from hypothesis import settings
+
+# the same examples on every run, and no example database left on disk
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One PASS/FAIL line per acceptance test at the end of the run."""
     tr = terminalreporter

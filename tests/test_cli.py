@@ -362,6 +362,31 @@ class TestMaterialize:
         assert expected in capsys.readouterr().err
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "mode, step, expected",
+        [
+            ({"a": [-1.0, 0.0], "c": [1e308, 0.0]}, 0.5,
+             "layer 1 backward kernel 0: value 3.93469e+307 at element 0 "
+             "overflows float32"),
+            ({"a": [-1e308, 0.0], "c": [1.0, 0.0]}, 10.0,
+             "params.json: layers[0].backward[0]: kernel overflows float64"),
+        ],
+        ids=["beyond-float32", "beyond-float64"],
+    )
+    def test_overflow_exits_one_naming_the_kernel(self, params_file, tmp_path, capsys,
+                                                  mode, step, expected):
+        doc = json.loads(params_file.read_text())
+        doc["layers"][0]["backward"][0] = {"modes": [mode], "step": step}
+        params_file.write_text(json.dumps(doc))
+        out = tmp_path / "b"
+        rc = cli.main(["materialize", "--params", str(params_file),
+                       "--length", "16", "--out", str(out)])
+        assert rc == 1
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSynth:
     def test_band_bundle_is_readable_and_paired(self, band_bundle_dir):
         bundle = read_bundle(band_bundle_dir)

@@ -97,6 +97,17 @@ class TestBundleRoundTrip:
             loaded.layers[1][FWD][0].values, expected
         )
 
+    @pytest.mark.filterwarnings("error")
+    def test_value_beyond_float32_is_refused_before_writing(self, tmp_path):
+        bundle = small_bundle(np.random.default_rng(63))
+        values = bundle.values.copy()
+        values[1, 1, 0, 3] = -3.5e38  # float32 max is about 3.4028e38
+        values[1, 1, 0, 4] = 3.4028235e38  # rounds to float32 max, no overflow
+        with pytest.raises(ValueError, match="layer 2 backward kernel 0: value "
+                           "-3.5e[+]38 at element 3 overflows float32"):
+            write_bundle(KernelBundle("big", values), tmp_path / "b")
+        assert not (tmp_path / "b").exists()
+
     def test_no_temp_files_left_behind(self, tmp_path):
         rng = np.random.default_rng(62)
         write_bundle(small_bundle(rng), tmp_path / "b")

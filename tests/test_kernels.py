@@ -54,6 +54,17 @@ class TestS4DParams:
             with pytest.raises(ValueError, match="step must be positive and finite"):
                 S4DParams(np.array([-1.0 + 0j]), np.array([1.0 + 0j]), step)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "pole, coefficient, step",
+        [(-1e308, 1.0, 10.0), (-1.0 + 1e308j, 1.0, 10.0), (-1e-3, 1e308, 10.0)],
+        ids=["step-times-pole", "step-times-imaginary-part", "coefficient"],
+    )
+    def test_overflowing_params_rejected_without_warnings(self, pole, coefficient,
+                                                          step):
+        with pytest.raises(ValueError, match="kernel overflows float64"):
+            S4DParams(np.array([pole]), np.array([coefficient]), step)
+
     def test_state_size(self):
         params = S4DParams(np.array([-1.0, -2.0]), np.array([1.0, 1.0]), 0.1)
         assert params.state_size == 2

@@ -82,6 +82,32 @@ class TestSvgShape:
             emit_plot(spec, summarize_stub())
 
 
+def per_point_polyline(spectrum):
+    """The polyline text as emit_plot built it one point at a time."""
+    peak = float(spectrum.magnitudes.max())
+    return " ".join(
+        f"{frequency_to_x(f):.2f},{magnitude_to_y(m, peak):.2f}"
+        for f, m in zip(spectrum.frequencies.tolist(), spectrum.magnitudes.tolist())
+    )
+
+
+class TestPolyline:
+    @pytest.mark.parametrize("n", [2, 3, 7, 1023, 1024, 4096])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_per_point_text(self, n, seed):
+        from spectrobe import Spectrum
+
+        rng = np.random.default_rng([n, seed])
+        freqs = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 0.5, n - 1))))
+        # one chart spanning 1e-300..1e300, one at a single random scale
+        for mags in (10.0 ** rng.uniform(-300, 300, n),
+                     10.0 ** rng.uniform(-300, 300) * rng.random(n)):
+            spectrum = Spectrum(freqs, mags, 2 * (n - 1))
+            svg = emit_plot(spectrum, summarize_stub())
+            polyline = re.search(r'<polyline[^>]+points="([^"]+)"', svg).group(1)
+            assert polyline == per_point_polyline(spectrum)
+
+
 def summarize_stub():
     from spectrobe import SpectralSummary
 
