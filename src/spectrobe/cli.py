@@ -116,16 +116,17 @@ def _cmd_redundancy(args) -> int:
 
 def _cmd_materialize(args) -> int:
     model_tag, entries = read_s4d_params(args.params)
-    kernels = [
-        materialize_s4d(
-            entry.params,
-            args.length,
-            layer=entry.layer,
-            direction=entry.direction,
-            kernel_index=entry.kernel_index,
-        )
-        for entry in entries
-    ]
+    kernels = []
+    for entry in entries:
+        try:  # read_s4d_params bounds each kernel, but not at every length
+            kernels.append(materialize_s4d(
+                entry.params, args.length, layer=entry.layer,
+                direction=entry.direction, kernel_index=entry.kernel_index))
+        except ValueError as exc:
+            raise ValueError(
+                f"{args.params}: layer {entry.layer} {entry.direction.value} "
+                f"kernel {entry.kernel_index} at length {args.length}: {exc}"
+            ) from None
     write_bundle(KernelBundle.from_kernels(model_tag, kernels), args.out)
     return 0
 
@@ -151,7 +152,7 @@ def _cmd_probe(args) -> int:
     train = build_pairs(*read_pair_dataset(args.train), task)
     heldout = build_pairs(*read_pair_dataset(args.eval), task)
     result = run_directprobe(train.points)
-    evaluation = evaluate(result, heldout.points) if result.converged else None
+    evaluation = evaluate(result, heldout.points)
     emit_report(probe_payload(task, result, train, heldout, evaluation), args.out)
     return 0
 

@@ -8,24 +8,13 @@ import numpy as np
 import numpy.typing as npt
 
 from .classify import FilterClass
-from .spectral import Direction, Kernel
+from .spectral import Direction, Kernel, as_vector
 
 ComplexArray = npt.NDArray[np.complex128]
 
 
 class StabilityError(ValueError):
     """A state-space pole sits on or right of the imaginary axis."""
-
-
-def _as_complex_vector(values, name: str) -> ComplexArray:
-    arr = np.asarray(values, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D sequence, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains a non-finite value")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -45,8 +34,8 @@ class S4DParams:
     step: float
 
     def __post_init__(self):
-        poles = _as_complex_vector(self.poles, "poles")
-        coeffs = _as_complex_vector(self.coefficients, "coefficients")
+        poles = as_vector(self.poles, "poles", 0, np.complex128)
+        coeffs = as_vector(self.coefficients, "coefficients", 0, np.complex128)
         if poles.size != coeffs.size:
             raise ValueError(
                 f"got {poles.size} poles but {coeffs.size} coefficients"
@@ -123,9 +112,9 @@ def materialize_s4d(
     """
     if length < 2:
         raise ValueError(f"length must be >= 2, got {length}")
-    if params.state_size == 0:
-        values = np.zeros(length)
-    else:
+    # finite params can still overflow at this length; Kernel refuses the
+    # non-finite samples that leaves
+    with np.errstate(all="ignore"):
         sa = params.step * params.poles
         b = np.arange(int(np.ceil(np.sqrt(length))))  # r runs over it too
         weights = params.coefficients * np.expm1(sa) / params.poles

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .spectral import FloatArray
+from .spectral import FloatArray, as_vector
 
 SEPARABILITY_TOLERANCE = 1e-6
 
@@ -28,14 +28,7 @@ class LabeledPoint:
     label: str
 
     def __post_init__(self):
-        arr = np.asarray(self.vector, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError(f"vector must be 1-D and nonempty, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("vector contains a non-finite value")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "vector", arr)
+        object.__setattr__(self, "vector", as_vector(self.vector, "vector"))
         if not isinstance(self.label, str) or not self.label:
             raise ValueError("label must be a nonempty string")
 
@@ -67,9 +60,9 @@ class MergeRecord:
 class ProbeResult:
     """Final clustering over the training points.
 
-    ``converged`` is False when the merge-attempt budget ran out first;
-    such a result must not be used for evaluation. Clusters are ordered
-    by their smallest member index.
+    Clusters are ordered by their smallest member index. ``run_directprobe``
+    always runs to completion and sets ``converged``; ``evaluate`` refuses
+    a result built by hand with it False.
     """
 
     points: tuple[LabeledPoint, ...]
@@ -113,18 +106,7 @@ class EvalResult:
 
 
 def _as_point_matrix(points, name: str) -> FloatArray:
-    if isinstance(points, np.ndarray):
-        arr = np.asarray(points, dtype=np.float64)
-    else:
-        rows = [
-            p.vector if isinstance(p, LabeledPoint) else np.asarray(p, dtype=np.float64)
-            for p in points
-        ]
-        if not rows:
-            raise ValueError(f"{name} is empty")
-        arr = np.stack(rows).astype(np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
+    arr = np.asarray(points, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ValueError(f"{name} must be a nonempty set of vectors")
     if not np.all(np.isfinite(arr)):
@@ -159,7 +141,8 @@ def _best_margin(a: FloatArray, b: FloatArray) -> float:
 
 
 def separable(set_a, set_b) -> bool:
-    """True iff a hyperplane strictly separates the two point sets.
+    """True iff a hyperplane strictly separates the two point sets, each
+    a 2-D array-like with one point per row.
 
     Equivalent to their convex hulls being disjoint. Decided by the
     maximal separating margin: separable when it exceeds
@@ -179,11 +162,7 @@ def separable(set_a, set_b) -> bool:
     return _best_margin(a, b) > SEPARABILITY_TOLERANCE
 
 
-def run_directprobe(
-    dataset: Sequence[LabeledPoint],
-    *,
-    merge_budget: int | None = None,
-) -> ProbeResult:
+def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
     """Constrained agglomerative clustering of the dataset.
 
     Each step takes the same-label cluster pair with the smallest centroid
@@ -191,9 +170,9 @@ def run_directprobe(
     union stays separable from every different-label cluster; otherwise
     the pair is set aside. Different-label hulls only ever grow, so a
     rejected pair can never become mergeable again and is not retried.
-    The loop ends when no candidate pair remains, or once ``merge_budget``
-    candidate evaluations (default 10 * n^2) have been spent, in which
-    case the result is flagged as not converged.
+    The loop ends when no candidate pair remains. Each pair is pushed and
+    popped once, so the loop needs no budget and always runs to
+    completion: the result is always converged.
     """
     points = tuple(dataset)
     if not points:
@@ -207,10 +186,6 @@ def run_directprobe(
                 f"expected {points[0].dimension}"
             )
     n = len(points)
-    if merge_budget is None:
-        merge_budget = 10 * n * n
-    if merge_budget < 0:
-        raise ValueError(f"merge_budget must be nonnegative, got {merge_budget}")
 
     x = np.stack([p.vector for p in points])
     members: dict[int, tuple[int, ...]] = {i: (i,) for i in range(n)}
@@ -229,18 +204,12 @@ def run_directprobe(
 
     log: list[MergeRecord] = []
     next_id = n
-    attempts = 0
-    converged = True
 
     while heap:
         dist, ia, ib = heapq.heappop(heap)
         # each pair is pushed once, so a popped pair never comes back
         if ia not in members or ib not in members:
             continue
-        if attempts >= merge_budget:
-            converged = False
-            break
-        attempts += 1
         merged = tuple(sorted(members[ia] + members[ib]))
         merged_points = x[list(merged)]
         ok = all(
@@ -263,7 +232,7 @@ def run_directprobe(
 
     order = sorted(members, key=lambda cid: members[cid][0])
     clusters = tuple(Cluster(members[cid], label_of[cid]) for cid in order)
-    return ProbeResult(points, clusters, tuple(log), converged)
+    return ProbeResult(points, clusters, tuple(log), converged=True)
 
 
 def _nearest_labels(result: ProbeResult, queries) -> list[str]:
@@ -280,11 +249,9 @@ def _nearest_labels(result: ProbeResult, queries) -> list[str]:
                   for c in result.clusters for i in c.member_indices])
     labels = []
     for query in queries:
-        q = np.asarray(query, dtype=np.float64)
-        if q.ndim != 1 or q.size != x.shape[1]:
+        q = as_vector(query, "query")
+        if q.size != x.shape[1]:
             raise ValueError(f"query must be a vector of dimension {x.shape[1]}")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("query contains a non-finite value")
         nearest = owner[np.argmin(np.linalg.norm(x - q, axis=1))]
         labels.append(result.clusters[nearest].label)
     return labels
@@ -327,11 +294,7 @@ def _checked_representations(representations) -> dict[str, FloatArray]:
     vectors: dict[str, FloatArray] = {}
     dim = 0
     for token_id, rep in representations.items():
-        arr = vectors[token_id] = np.asarray(rep, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError(f"representation {token_id!r} must be a nonempty vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"representation {token_id!r} has a non-finite value")
+        arr = vectors[token_id] = as_vector(rep, f"representation {token_id!r}")
         dim = dim or arr.size
         if arr.size != dim:
             raise ValueError(

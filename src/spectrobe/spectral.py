@@ -33,15 +33,20 @@ class Direction(enum.Enum):
     BACKWARD = "backward"
 
 
-def _as_float_vector(values, minimum_length: int) -> FloatArray:
-    arr = np.asarray(values, dtype=np.float64)
+def as_vector(values, what: str, minimum_length: int = 1,
+              dtype=np.float64) -> np.ndarray:
+    """Read-only 1-D copy of ``values`` as ``dtype``, at least
+    ``minimum_length`` long and finite; errors name ``what`` and the
+    first non-finite index."""
+    arr = np.asarray(values, dtype=dtype)
     if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D sequence, got shape {arr.shape}")
+        raise ValueError(f"{what} must be 1-D, got shape {arr.shape}")
     if arr.size < minimum_length:
-        raise ValueError(f"need at least {minimum_length} samples, got {arr.size}")
+        raise ValueError(f"{what} must be nonempty with at least "
+                         f"{minimum_length} values, got {arr.size}")
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
-        raise ValueError(f"non-finite value at index {bad[0]}")
+        raise ValueError(f"{what} has a non-finite value at index {bad[0]}")
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
@@ -61,7 +66,7 @@ class Kernel:
     kernel_index: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_float_vector(self.values, 2))
+        object.__setattr__(self, "values", as_vector(self.values, "kernel", 2))
         object.__setattr__(self, "direction", Direction(self.direction))
         if self.layer < 1:
             raise ValueError(f"layer must be >= 1, got {self.layer}")
@@ -82,8 +87,8 @@ class Spectrum:
     source_length: int
 
     def __post_init__(self):
-        freqs = _as_float_vector(self.frequencies, 1)
-        mags = _as_float_vector(self.magnitudes, 1)
+        freqs = as_vector(self.frequencies, "frequencies")
+        mags = as_vector(self.magnitudes, "magnitudes")
         n = self.source_length
         if n < 2:
             raise ValueError(f"source_length must be >= 2, got {n}")

@@ -364,26 +364,32 @@ class TestMaterialize:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "mode, step, expected",
+        "mode, step, length, expected",
         [
-            ({"a": [-1.0, 0.0], "c": [1e308, 0.0]}, 0.5,
+            ({"a": [-1.0, 0.0], "c": [1e308, 0.0]}, 0.5, 16,
              "layer 1 backward kernel 0: value 3.93469e+307 at element 0 "
              "overflows float32"),
-            ({"a": [-1e308, 0.0], "c": [1.0, 0.0]}, 10.0,
+            ({"a": [-1e308, 0.0], "c": [1.0, 0.0]}, 10.0, 16,
              "params.json: layers[0].backward[0]: kernel overflows float64"),
+            # step * pole is finite, so the file reads; the kernel's
+            # blocked powers overflow only at this length
+            ({"a": [-1e307, 0.0], "c": [1.0, 0.0]}, 10.0, 16384,
+             "params.json: layer 1 backward kernel 0 at length 16384: "
+             "kernel has a non-finite value at index 0"),
         ],
-        ids=["beyond-float32", "beyond-float64"],
+        ids=["beyond-float32", "beyond-float64", "beyond-float64-at-length"],
     )
     def test_overflow_exits_one_naming_the_kernel(self, params_file, tmp_path, capsys,
-                                                  mode, step, expected):
+                                                  mode, step, length, expected):
         doc = json.loads(params_file.read_text())
         doc["layers"][0]["backward"][0] = {"modes": [mode], "step": step}
         params_file.write_text(json.dumps(doc))
         out = tmp_path / "b"
         rc = cli.main(["materialize", "--params", str(params_file),
-                       "--length", "16", "--out", str(out)])
+                       "--length", str(length), "--out", str(out)])
         assert rc == 1
-        assert expected in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert expected in err and err.count("\n") == 1
         assert not out.exists()
 
 

@@ -89,9 +89,6 @@ class TestSeparable:
                 disagreements += 1
         assert disagreements == 0
 
-    def test_accepts_labeled_points(self):
-        assert separable([lp([0.0], "x")], [lp([5.0], "y")])
-
     def test_validation(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             separable(np.zeros((1, 2)), np.zeros((1, 3)))
@@ -164,26 +161,6 @@ class TestRunDirectprobe:
             assert result.converged
             assert_probe_invariants(result)
 
-    def test_budget_exhaustion_is_flagged(self):
-        line = [lp([float(i)], "same") for i in range(3)]
-        full = run_directprobe(line)
-        assert full.converged and len(full.clusters) == 1
-        cut = run_directprobe(line, merge_budget=1)
-        assert not cut.converged
-        assert len(cut.clusters) == 2
-        with pytest.raises(ValueError, match="converge"):
-            evaluate(cut, line)
-
-    def test_zero_budget_with_no_candidates_still_converges(self):
-        result = run_directprobe([lp([1.0], "a")], merge_budget=0)
-        assert result.converged and len(result.clusters) == 1
-
-    def test_zero_budget_with_candidates_does_not(self):
-        result = run_directprobe(
-            [lp([0.0], "a"), lp([1.0], "a")], merge_budget=0
-        )
-        assert not result.converged
-
     def test_validation(self):
         with pytest.raises(ValueError, match="empty"):
             run_directprobe([])
@@ -191,8 +168,6 @@ class TestRunDirectprobe:
             run_directprobe([np.zeros(2)])
         with pytest.raises(ValueError, match="dimension"):
             run_directprobe([lp([0.0], "a"), lp([0.0, 1.0], "a")])
-        with pytest.raises(ValueError, match="merge_budget"):
-            run_directprobe([lp([0.0], "a")], merge_budget=-1)
 
 
 class TestPredictEvaluate:
@@ -248,6 +223,13 @@ class TestPredictEvaluate:
         outcome = evaluate(result, heldout)
         assert outcome.per_label == {"a": 1.0, "b": 0.0}
         assert outcome.mean_accuracy == 0.5
+
+    def test_non_converged_result_is_refused(self):
+        line = [lp([float(i)], "same") for i in range(3)]
+        full = run_directprobe(line)
+        cut = ProbeResult(full.points, full.clusters, full.merge_log, converged=False)
+        with pytest.raises(ValueError, match="converge"):
+            evaluate(cut, line)
 
     def test_empty_heldout_rejected(self):
         result = run_directprobe([lp([0.0], "a")])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,9 +11,15 @@ from spectrobe import (
     DegenerateKernelError,
     Direction,
     Kernel,
+    LabeledPoint,
+    PairTask,
     RunConfig,
+    S4DParams,
     Spectrum,
+    build_pairs,
     compute_spectrum,
+    predict,
+    run_directprobe,
     summarize,
 )
 from spectrobe.spectral import summary_fields
@@ -243,3 +250,30 @@ class TestSummarize:
         kern = Kernel(np.ones(8), layer=2, direction=Direction.BACKWARD)
         assert kern.layer == 2
         assert kern.direction is Direction.BACKWARD
+
+
+# Every entry point that takes a vector goes through spectral.as_vector:
+# (name the error gives the input, constructor from a candidate vector)
+_FIVE_D = run_directprobe([LabeledPoint(np.zeros(5), "a")])
+VECTOR_INPUTS = {
+    "kernel": lambda v: Kernel(v),
+    "magnitudes": lambda v: Spectrum(np.arange(5) / 8, v, source_length=8),
+    "poles": lambda v: S4DParams(-v, np.ones(5), 0.1),
+    "vector": lambda v: LabeledPoint(v, "a"),
+    "representation 't'": lambda v: build_pairs({"t": v}, [], PairTask.DISTANCE),
+    "query": lambda v: predict(_FIVE_D, v),
+}
+
+
+@pytest.mark.parametrize("what", sorted(VECTOR_INPUTS))
+def test_vector_inputs_share_one_check(what):
+    make = VECTOR_INPUTS[what]
+    good = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    make(good)
+    with pytest.raises(ValueError, match=re.escape(f"{what} must be 1-D")):
+        make(good[None, :])
+    bad = good.copy()
+    bad[2] = np.nan
+    with pytest.raises(ValueError, match=re.escape(
+            f"{what} has a non-finite value at index 2")):
+        make(bad)
