@@ -283,7 +283,7 @@ def read_pair_dataset(path) -> tuple[dict[str, FloatArray], list[tuple[str, str,
     for lineno, line in enumerate(ppath.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        parts = line.split(maxsplit=2)
+        parts = line.strip().split(maxsplit=2)
         if len(parts) != 3:
             raise FormatError(
                 f"{ppath}:{lineno}: expected 'id_i id_j label', got {line!r}"

@@ -114,22 +114,41 @@ def _as_point_matrix(points, name: str) -> FloatArray:
     return arr
 
 
-def _best_margin(a: FloatArray, b: FloatArray) -> float:
-    """Largest t such that some w in [-1, 1]^d, offset b0 satisfy
-    x.w <= b0 - t on one side and x.w >= b0 + t on the other."""
+def _frames(lo_a, hi_a, lo_b, hi_b):
+    """Per pair of boxes (rows): the gap margin, half the widest coordinate
+    gap, and the frame x -> (x - center) / unit that maps the joint box's
+    longest side onto [-1, 1]. Every margin is measured in that frame;
+    unit == 0 means all points are one point.
+    """
+    lo = np.minimum(lo_a, lo_b)
+    hi = np.maximum(hi_a, hi_b)
+    # halves first, so no difference of finite coordinates overflows
+    unit = (hi / 2 - lo / 2).max(axis=-1)
+    half_gap = np.maximum(lo_b / 2 - hi_a / 2, lo_a / 2 - hi_b / 2).max(axis=-1)
+    margin = np.divide(half_gap, unit, out=np.zeros_like(unit), where=unit > 0)
+    return margin, lo / 2 + hi / 2, unit
+
+
+def _direction(a, b, center, unit, stored=()):
+    """A w in [-1, 1]^d putting a below b with a margin above the
+    tolerance in the frame (center, unit), or None. A stored w that still
+    clears it proves the best margin does; else the LP for the largest t
+    with x.w <= b0 - t on a, x.w >= b0 + t on b decides.
+    """
+    if unit == 0:
+        return None
+    za = (a - center) / unit
+    zb = (b - center) / unit
+    for w in stored:
+        if (np.min(zb @ w) - np.max(za @ w)) / 2 > SEPARABILITY_TOLERANCE:
+            return w
     # imported here: only the probe solves LPs, and scipy.optimize is slow to import
     from scipy.optimize import linprog
 
-    na, d = a.shape
-    nb = b.shape[0]
+    (na, d), nb = za.shape, zb.shape[0]
     # variables: w (d), b0, t
-    a_ub = np.zeros((na + nb, d + 2))
-    a_ub[:na, :d] = a
-    a_ub[:na, d] = -1.0
-    a_ub[:na, d + 1] = 1.0
-    a_ub[na:, :d] = -b
-    a_ub[na:, d] = 1.0
-    a_ub[na:, d + 1] = 1.0
+    ones_a, ones_b = np.ones((na, 1)), np.ones((nb, 1))
+    a_ub = np.block([[za, -ones_a, ones_a], [-zb, ones_b, ones_b]])
     cost = np.zeros(d + 2)
     cost[d + 1] = -1.0
     bounds = [(-1.0, 1.0)] * d + [(None, None), (0.0, None)]
@@ -137,7 +156,9 @@ def _best_margin(a: FloatArray, b: FloatArray) -> float:
                   method="highs")
     if not res.success:
         raise RuntimeError(f"separability program failed: {res.message}")
-    return float(res.x[d + 1])
+    if res.x[d + 1] <= SEPARABILITY_TOLERANCE:
+        return None
+    return res.x[:d] / np.abs(res.x[:d]).max()
 
 
 def separable(set_a, set_b) -> bool:
@@ -145,8 +166,11 @@ def separable(set_a, set_b) -> bool:
     a 2-D array-like with one point per row.
 
     Equivalent to their convex hulls being disjoint. Decided by the
-    maximal separating margin: separable when it exceeds
-    ``SEPARABILITY_TOLERANCE``. Symmetric in its arguments.
+    maximal margin with w in [-1, 1]^d, measured once the joint bounding
+    box is centered and its longest side spans [-1, 1]: separable when it
+    exceeds ``SEPARABILITY_TOLERANCE``, at any common scale and offset. A
+    coordinate gap above twice the tolerance settles it without an LP.
+    Symmetric in its arguments.
     """
     a = _as_point_matrix(set_a, "set_a")
     b = _as_point_matrix(set_b, "set_b")
@@ -154,12 +178,10 @@ def separable(set_a, set_b) -> bool:
         raise ValueError(
             f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
         )
-    # a single-coordinate gap certifies a margin of half the gap without
-    # touching the solver; never used to declare inseparability
-    gap = np.maximum(b.min(axis=0) - a.max(axis=0), a.min(axis=0) - b.max(axis=0))
-    if float(gap.max(initial=-np.inf)) > 2.0 * SEPARABILITY_TOLERANCE:
+    margin, center, unit = _frames(a.min(0), a.max(0), b.min(0), b.max(0))
+    if margin > SEPARABILITY_TOLERANCE:
         return True
-    return _best_margin(a, b) > SEPARABILITY_TOLERANCE
+    return _direction(a, b, center, unit) is not None
 
 
 def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
@@ -167,12 +189,18 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
 
     Each step takes the same-label cluster pair with the smallest centroid
     distance (ties broken toward lower cluster ids) and merges it if the
-    union stays separable from every different-label cluster; otherwise
-    the pair is set aside. Different-label hulls only ever grow, so a
-    rejected pair can never become mergeable again and is not retried.
-    The loop ends when no candidate pair remains. Each pair is pushed and
-    popped once, so the loop needs no budget and always runs to
-    completion: the result is always converged.
+    union stays ``separable`` from every different-label cluster;
+    otherwise the pair is set aside. Different-label hulls only ever grow,
+    so a rejected pair can never become mergeable again and is not
+    retried, nor is any pair of clusters that contain it. The loop ends
+    when no candidate pair remains. Each pair is pushed and popped once,
+    so the loop needs no budget and always runs to completion: the result
+    is always converged.
+
+    Each answer is ``separable``'s, mostly without an LP: one pass over
+    bounding boxes settles the clusters far enough from the union, and the
+    rest go smallest gap first, each settled by a stored direction against
+    either parent that still clears the tolerance, or else by the LP.
     """
     points = tuple(dataset)
     if not points:
@@ -189,21 +217,39 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
 
     x = np.stack([p.vector for p in points])
     members: dict[int, tuple[int, ...]] = {i: (i,) for i in range(n)}
-    label_of: dict[int, str] = {i: points[i].label for i in range(n)}
     centroid: dict[int, FloatArray] = {i: x[i] for i in range(n)}
+    # row i: bounding box, label code and liveness of cluster id i; the
+    # rows from n on are filled as merges mint their ids
+    lo, hi = np.vstack([x, x]), np.vstack([x, x])
+    codes: dict[str, int] = {}
+    label = np.array([codes.setdefault(p.label, len(codes)) for p in points] * 2)
+    live = np.arange(2 * n) < n
+    # directions[i][c]: a w that puts cluster i below cluster c
+    directions: dict[int, dict[int, FloatArray]] = {i: {} for i in range(n)}
+    # apart[i]: the clusters that cluster i may never merge with
+    apart: dict[int, set[int]] = {i: set() for i in range(n)}
 
-    def push_pair(heap, ia, ib):
-        d = float(np.linalg.norm(centroid[ia] - centroid[ib]))
-        heapq.heappush(heap, (d, ia, ib))
+    def union_directions(ia, ib, cid, union):
+        """Directions settling every other-label cluster the box gaps leave
+        open, or None at the first that the union is not separable from."""
+        others = np.flatnonzero(live & (label != label[cid]))
+        margin, center, unit = _frames(lo[cid], hi[cid], lo[others], hi[others])
+        pending = np.flatnonzero(margin <= SEPARABILITY_TOLERANCE)
+        found = {}
+        for j in pending[np.argsort(margin[pending], kind="stable")]:
+            c = int(others[j])
+            stored = [directions[i][c] for i in (ia, ib) if c in directions[i]]
+            w = _direction(union, x[list(members[c])], center[j], unit[j], stored)
+            if w is None:
+                return None
+            found[c] = w
+        return found
 
-    heap: list[tuple[float, int, int]] = []
-    for ia in range(n):
-        for ib in range(ia + 1, n):
-            if label_of[ia] == label_of[ib]:
-                push_pair(heap, ia, ib)
-
+    heap = [(float(np.linalg.norm(x[ia] - x[ib])), ia, ib)
+            for ia in range(n) for ib in range(ia + 1, n) if label[ia] == label[ib]]
+    heapq.heapify(heap)
     log: list[MergeRecord] = []
-    next_id = n
+    cid = n
 
     while heap:
         dist, ia, ib = heapq.heappop(heap)
@@ -211,27 +257,39 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
         if ia not in members or ib not in members:
             continue
         merged = tuple(sorted(members[ia] + members[ib]))
-        merged_points = x[list(merged)]
-        ok = all(
-            separable(merged_points, x[list(members[other])])
-            for other in members
-            if label_of[other] != label_of[ia]
-        )
-        if not ok:
+        union = x[list(merged)]
+        # the candidate takes the next id's row
+        lo[cid], hi[cid] = np.minimum(lo[ia], lo[ib]), np.maximum(hi[ia], hi[ib])
+        label[cid] = label[ia]
+        found = union_directions(ia, ib, cid, union)
+        if found is None:
+            apart[ia].add(ib)
+            apart[ib].add(ia)
             continue
         del members[ia], members[ib]
-        cid = next_id
-        next_id += 1
         members[cid] = merged
-        label_of[cid] = label_of[ia]
-        centroid[cid] = x[list(merged)].mean(axis=0)
+        centroid[cid] = union.mean(axis=0)
+        live[[ia, ib, cid]] = False, False, True
         log.append(MergeRecord(ia, ib, dist))
+        for i in (ia, ib):
+            for c in directions.pop(i):
+                del directions[c][i]
+        directions[cid] = found
+        for c, w in found.items():
+            directions[c][cid] = -w
+        # a pair that contains a rejected pair is rejected too
+        apart[cid] = apart.pop(ia) | apart.pop(ib)
+        for c in apart[cid]:
+            apart[c] -= {ia, ib}
+            apart[c].add(cid)
         for other in members:
-            if other != cid and label_of[other] == label_of[cid]:
-                push_pair(heap, other, cid)
+            if other != cid and label[other] == label[cid] and other not in apart[cid]:
+                d = float(np.linalg.norm(centroid[other] - centroid[cid]))
+                heapq.heappush(heap, (d, other, cid))
+        cid += 1
 
-    order = sorted(members, key=lambda cid: members[cid][0])
-    clusters = tuple(Cluster(members[cid], label_of[cid]) for cid in order)
+    order = sorted(members, key=lambda c: members[c][0])
+    clusters = tuple(Cluster(members[c], points[members[c][0]].label) for c in order)
     return ProbeResult(points, clusters, tuple(log), converged=True)
 
 

@@ -452,6 +452,21 @@ class TestProbe:
         assert rc == 0
         assert json.loads(out.read_text())["task"] == "siblings"
 
+    def test_huge_vectors_are_probed(self, tmp_path):
+        # near 1e30 the LP coefficients once made the solver refuse the model
+        reps = {k: np.array([v * 1e30]) for k, v in zip("abc", (0.0, 1.0, 2.0))}
+        pairs = [("a", "b", "yes"), ("b", "c", "yes"), ("a", "c", "no"),
+                 ("c", "a", "no")]
+        data_dir = tmp_path / "huge"
+        write_pair_dataset(reps, pairs, data_dir)
+        out = tmp_path / "probe.json"
+        rc = cli.main(["probe", "--train", str(data_dir), "--eval", str(data_dir),
+                       "--task", "siblings", "--out", str(out)])
+        assert rc == 0
+        data = json.loads(out.read_text())
+        assert data["cluster_count"] == 3
+        assert data["mean_accuracy"] == 1.0
+
     def test_label_rules_are_enforced(self, tmp_path, capsys):
         reps = {"a": np.array([0.0]), "b": np.array([1.0])}
         pairs = [("a", "b", "nope")]

@@ -345,6 +345,13 @@ class TestPairDataset:
         _, pairs = read_pair_dataset(tmp_path / "d")
         assert pairs == self.pairs
 
+    def test_label_loses_surrounding_whitespace(self, tmp_path):
+        write_pair_dataset(self.reps, [], tmp_path / "d")
+        (tmp_path / "d" / "pairs.txt").write_text(
+            "var:x var:y none \n fn:main var:x  comes from\t\nvar:y var:x none\n")
+        _, pairs = read_pair_dataset(tmp_path / "d")
+        assert [label for _, _, label in pairs] == ["none", "comes from", "none"]
+
     def test_feeds_build_pairs(self, tmp_path):
         write_pair_dataset(self.reps, self.pairs, tmp_path / "d")
         reps, pairs = read_pair_dataset(tmp_path / "d")

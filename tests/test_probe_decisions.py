@@ -1,0 +1,151 @@
+"""run_directprobe against the loop that asks ``separable`` about every
+cluster.
+
+``reference_directprobe`` is the merge loop as it was before the probe
+settled decisions from bounding boxes, stored separating directions and
+inherited rejections: it calls the public ``separable`` once per
+different-label cluster for every candidate merge. The probe must give
+the same merge log and clusters, bit for bit.
+"""
+import heapq
+
+import numpy as np
+import pytest
+import scipy.optimize
+from hypothesis import given, settings, strategies as st
+
+from spectrobe import LabeledPoint, run_directprobe, separable
+from spectrobe.probe import Cluster, MergeRecord
+
+
+def reference_directprobe(points):
+    """(merge_log, clusters) of the plain loop over ``separable``."""
+    n = len(points)
+    x = np.stack([p.vector for p in points])
+    members = {i: (i,) for i in range(n)}
+    label_of = {i: points[i].label for i in range(n)}
+    centroid = {i: x[i] for i in range(n)}
+
+    def push_pair(heap, ia, ib):
+        d = float(np.linalg.norm(centroid[ia] - centroid[ib]))
+        heapq.heappush(heap, (d, ia, ib))
+
+    heap = []
+    for ia in range(n):
+        for ib in range(ia + 1, n):
+            if label_of[ia] == label_of[ib]:
+                push_pair(heap, ia, ib)
+    log = []
+    next_id = n
+    while heap:
+        dist, ia, ib = heapq.heappop(heap)
+        if ia not in members or ib not in members:
+            continue
+        merged = tuple(sorted(members[ia] + members[ib]))
+        ok = all(
+            separable(x[list(merged)], x[list(members[other])])
+            for other in members
+            if label_of[other] != label_of[ia]
+        )
+        if not ok:
+            continue
+        del members[ia], members[ib]
+        cid = next_id
+        next_id += 1
+        members[cid] = merged
+        label_of[cid] = label_of[ia]
+        centroid[cid] = x[list(merged)].mean(axis=0)
+        log.append(MergeRecord(ia, ib, dist))
+        for other in members:
+            if other != cid and label_of[other] == label_of[cid]:
+                push_pair(heap, other, cid)
+    order = sorted(members, key=lambda cid: members[cid][0])
+    return tuple(log), tuple(Cluster(members[c], label_of[c]) for c in order)
+
+
+def outcome(result):
+    return result.merge_log, [(c.member_indices, c.label) for c in result.clusters]
+
+
+def make_dataset(x, labels):
+    return [LabeledPoint(v, "abcd"[k]) for v, k in zip(x, labels)]
+
+
+@st.composite
+def datasets(draw, lattice=None, scaled=True, max_points=60):
+    """Overlapping labeled points: Gaussian or on a small integer lattice,
+    with some rows repeated, then scaled by a power of two."""
+    n = draw(st.integers(2, max_points))
+    d = draw(st.integers(1, 8))
+    n_labels = draw(st.integers(1, 4))
+    on_lattice = draw(st.booleans()) if lattice is None else lattice
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if on_lattice:
+        x = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    else:
+        x = rng.normal(size=(n, d)) + rng.integers(0, 3, size=(n, 1))
+    repeats = rng.integers(0, n, size=draw(st.integers(0, n // 3)))
+    x[rng.integers(0, n, size=repeats.size)] = x[repeats]
+    scale = 2.0 ** draw(st.integers(-60, 60)) if scaled else 1.0
+    return x * scale, rng.integers(0, n_labels, size=n)
+
+
+@settings(max_examples=40)
+@given(datasets())
+def test_same_merges_as_the_loop_over_separable(data):
+    dataset = make_dataset(*data)
+    log, clusters = reference_directprobe(dataset)
+    assert outcome(run_directprobe(dataset)) == (
+        log, [(c.member_indices, c.label) for c in clusters])
+
+
+@settings(max_examples=12)
+@given(datasets(), st.integers(-40, 40))
+def test_clusters_ignore_power_of_two_scaling(data, exponent):
+    x, labels = data
+    base = run_directprobe(make_dataset(x, labels))
+    scaled = run_directprobe(make_dataset(x * 2.0 ** exponent, labels))
+    assert outcome(scaled)[1] == outcome(base)[1]
+    assert [(m.cluster_a, m.cluster_b) for m in scaled.merge_log] == [
+        (m.cluster_a, m.cluster_b) for m in base.merge_log]
+
+
+@settings(max_examples=20)
+@given(datasets(lattice=True, scaled=False, max_points=30),
+       st.lists(st.integers(-1000, 1000), min_size=8, max_size=8))
+def test_clusters_ignore_integer_translation_of_a_lattice(data, shift):
+    x, labels = data
+    base = run_directprobe(make_dataset(x, labels))
+    moved = run_directprobe(make_dataset(x + np.array(shift[:x.shape[1]]), labels))
+    assert outcome(moved)[1] == outcome(base)[1]
+
+
+def test_most_decisions_skip_the_solver(monkeypatch):
+    rng = np.random.default_rng(8)
+    labels = rng.permutation(np.arange(120) % 3)
+    means = np.zeros((3, 6))
+    means[1] = 0.35
+    means[2, 0] = 6.0
+    dataset = make_dataset(means[labels] + rng.normal(size=(120, 6)), labels)
+    calls = []
+    solve = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    log, clusters = reference_directprobe(dataset)
+    reference_calls = len(calls)
+    calls.clear()
+    result = run_directprobe(dataset)
+    assert outcome(result) == (log, [(c.member_indices, c.label) for c in clusters])
+    assert 0 < len(calls) <= reference_calls / 2
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-7, 1e-5, 1.0, 1e7, 1e30])
+def test_separable_is_relative_to_the_sets_extent(scale):
+    a = np.array([[0.0, 0.0], [1.0, 0.0]]) * scale
+    b = np.array([[0.0, 1.0], [1.0, 1.0]]) * scale
+    assert separable(a, b)
+    assert not separable(a, np.vstack([b, [[0.5 * scale, 0.0]]]))
