@@ -150,9 +150,8 @@ class KernelBundle:
 
 @dataclass(frozen=True, slots=True)
 class KernelAnalysis:
-    """Metrics and verdicts for one kernel; empty when it was all-zero."""
+    """One kernel of a LayerReport: metrics and verdicts, empty if all-zero."""
 
-    layer: int
     direction: Direction
     kernel_index: int
     summary: SpectralSummary | None
@@ -232,21 +231,20 @@ def _classify(
 
 
 def analyze_bundle(
-    bundle: KernelBundle, config: RunConfig | None = None
+    bundle: KernelBundle, config: RunConfig = DEFAULT_CONFIG
 ) -> list[LayerReport]:
     """Spectral summary and categorization for every kernel, layer by layer.
 
     All-zero kernels cannot be classified; their entries are marked
     degenerate and the rest of the bundle is still analyzed.
     """
-    cfg = config or DEFAULT_CONFIG
     reports = []
     for layer, slab in enumerate(bundle.values, start=1):
-        fields, verdicts = _classify(slab, cfg)
+        fields, verdicts = _classify(slab, config)
         columns = {name: column.tolist() for name, column in fields.items()}
         entries = []
         for d, k in np.ndindex(slab.shape[:2]):
-            slot = (layer, _DIRECTIONS[d], k)
+            slot = (_DIRECTIONS[d], k)
             if columns["total_magnitude"][d][k] > 0.0:
                 summary = SpectralSummary(
                     **{name: column[d][k] for name, column in columns.items()}
@@ -305,7 +303,7 @@ def _check_same_topology(before: KernelBundle, after: KernelBundle) -> None:
 
 
 def diff_bundles(
-    before: KernelBundle, after: KernelBundle, config: RunConfig | None = None
+    before: KernelBundle, after: KernelBundle, config: RunConfig = DEFAULT_CONFIG
 ) -> ShiftReport:
     """Centroid movement of every kernel between two same-topology bundles.
 
@@ -314,18 +312,18 @@ def diff_bundles(
     high order (which catches transitions smaller than the threshold).
     Kernels must carry energy in both checkpoints.
     """
-    cfg = config or DEFAULT_CONFIG
     _check_same_topology(before, after)
     entries = []
     flagged = []
     early_limit = (before.layer_count + 1) // 2
     for layer in range(before.layer_count):
-        (fb, vb), (fa, va) = (_classify(b.values[layer], cfg) for b in (before, after))
+        (fb, vb), (fa, va) = (_classify(b.values[layer], config)
+                              for b in (before, after))
         if (fb["total_magnitude"] <= 0.0).any() or (fa["total_magnitude"] <= 0.0).any():
             raise DegenerateKernelError("all-zero spectrum cannot be summarized")
         delta = fa["centroid"] - fb["centroid"]
         climbed = (_RANKS[vb] >= 0) & (_RANKS[va] > _RANKS[vb])
-        shifted = (delta > cfg.shift_threshold) | climbed
+        shifted = (delta > config.shift_threshold) | climbed
         for d, k in np.ndindex(delta.shape):
             entries.append(
                 ShiftEntry(
@@ -342,11 +340,11 @@ def diff_bundles(
             )
         if layer < early_limit and shifted[0].any():  # row 0 is forward
             flagged.append(layer + 1)
-    return ShiftReport(tuple(entries), tuple(flagged), cfg.shift_threshold)
+    return ShiftReport(tuple(entries), tuple(flagged), config.shift_threshold)
 
 
 def analyze_redundancy(
-    bundle: KernelBundle, config: RunConfig | None = None
+    bundle: KernelBundle, config: RunConfig = DEFAULT_CONFIG
 ) -> list[RedundancyPair]:
     """Cosine similarity of magnitude spectra for every same-slot kernel pair.
 
@@ -355,7 +353,6 @@ def analyze_redundancy(
     with its similarity. Cosine over magnitudes is scale-invariant and
     insensitive to time shifts of the kernels.
     """
-    cfg = config or DEFAULT_CONFIG
     if bundle.kernel_count_per_direction < 2:
         raise ValueError(
             "bundle has a single kernel per direction; nothing to compare"
@@ -379,7 +376,7 @@ def analyze_redundancy(
                         kernel_index_a=ia,
                         kernel_index_b=ib,
                         similarity=similarity,
-                        redundant=similarity >= cfg.redundancy_cutoff,
+                        redundant=similarity >= config.redundancy_cutoff,
                     )
                 )
     return pairs

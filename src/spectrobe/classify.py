@@ -59,25 +59,24 @@ def _by_lhfr(ratio, config: RunConfig):
                     np.where(ratio < config.lhfr_high_pass_max, 2, 1))
 
 
-def classify_by_centroid(sc: float, config: RunConfig | None = None) -> FilterClass:
-    """Class by centroid position under ``config`` (default DEFAULT_CONFIG):
-    low-pass below sc_low_bound, high-pass above sc_high_bound. Comparisons
-    are strict, so a centroid sitting exactly on a bound is band-pass.
+def classify_by_centroid(sc: float, config: RunConfig = DEFAULT_CONFIG) -> FilterClass:
+    """Class by centroid position under ``config``: low-pass below
+    sc_low_bound, high-pass above sc_high_bound. Comparisons are strict,
+    so a centroid sitting exactly on a bound is band-pass.
     """
     if not 0.0 <= sc <= 0.5:
         raise ValueError(f"centroid {sc!r} outside [0, 0.5]")
-    return CLASSES[_by_centroid(sc, config or DEFAULT_CONFIG)]
+    return CLASSES[_by_centroid(sc, config)]
 
 
-def classify_by_lhfr(ratio: float, config: RunConfig | None = None) -> FilterClass:
-    """Class by band ratio under ``config`` (default DEFAULT_CONFIG):
-    low-pass above lhfr_low_pass_min, high-pass below lhfr_high_pass_max;
-    boundary values are band-pass. An infinite ratio (empty high band) is
-    low-pass.
+def classify_by_lhfr(ratio: float, config: RunConfig = DEFAULT_CONFIG) -> FilterClass:
+    """Class by band ratio under ``config``: low-pass above
+    lhfr_low_pass_min, high-pass below lhfr_high_pass_max; boundary values
+    are band-pass. An infinite ratio (empty high band) is low-pass.
     """
     if math.isnan(ratio) or ratio < 0:
         raise ValueError(f"band ratio must be nonnegative, got {ratio!r}")
-    return CLASSES[_by_lhfr(ratio, config or DEFAULT_CONFIG)]
+    return CLASSES[_by_lhfr(ratio, config)]
 
 
 def _combine(by_sc: FilterClass, by_ratio: FilterClass) -> Categorization:
@@ -101,10 +100,9 @@ def verdict_indices(centroid, ratio, config: RunConfig) -> np.ndarray:
 
 
 def categorize(
-    summary: SpectralSummary, config: RunConfig | None = None
+    summary: SpectralSummary, config: RunConfig = DEFAULT_CONFIG
 ) -> Categorization:
-    """Run both rules under ``config`` (default DEFAULT_CONFIG) and
-    combine them.
+    """Run both rules under ``config`` and combine them.
 
     Agreement keeps the shared class. When exactly one rule says
     band-pass, the other rule's committed tail preference wins with WEAK

@@ -12,10 +12,8 @@ defaults for a run. The probe's separability tolerance is fixed (see
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 
 def finite_float(value, what: str) -> float:
@@ -91,11 +89,9 @@ def config_from_mapping(data) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     """RunConfig from a JSON file of threshold overrides."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+    from .io import _load_json  # io imports this module
+
+    data = _load_json(path)
     try:
         return config_from_mapping(data)
     except ValueError as exc:

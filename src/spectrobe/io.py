@@ -81,13 +81,26 @@ def _require(mapping, key, kind, where):
     return value
 
 
+def _read_text(path: Path) -> str:
+    """A file's text; FormatError naming the file unless it is UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _load_json(path) -> object:
+    """A JSON file's value; FormatError naming the file when it is missing,
+    not UTF-8, not JSON, or nested too deeply to parse."""
     path = Path(path)
     if not path.is_file():
         raise FormatError(f"{path}: file not found")
+    text = _read_text(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nested too deeply to parse") from None
+    except ValueError as exc:  # bad syntax, or an integer too long to convert
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -113,20 +126,25 @@ def _read_payload(path: Path, out: FloatArray) -> None:
         raise FormatError(f"{path}: non-finite value at element {bad[0]}")
 
 
+def _float32(values, row_name) -> np.ndarray:
+    """``values`` as the payload dtype. A value beyond the float32 range is
+    a ValueError naming its row, by ``row_name(*index)``, and its element."""
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        payload = values.astype(_PAYLOAD_DTYPE)
+    overflow = np.argwhere(np.isinf(payload))
+    if overflow.size:
+        *row, i = first = tuple(overflow[0])
+        raise ValueError(f"{row_name(*row)}: value {values[first]:.6g} at "
+                         f"element {i} overflows float32")
+    return payload
+
+
 def write_bundle(bundle: KernelBundle, path) -> None:
     """Write a bundle directory; payloads are quantized to float32, and a
     value beyond the float32 range is refused before any file is written."""
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        payloads = bundle.values.astype(_PAYLOAD_DTYPE)
-    overflow = np.argwhere(np.isinf(payloads))
-    if overflow.size:
-        layer, d, k, i = overflow[0]
-        raise ValueError(
-            f"layer {layer + 1} {tuple(Direction)[d].value} kernel {k}: value "
-            f"{bundle.values[layer, d, k, i]:.6g} at element {i} overflows float32"
-        )
+    payloads = _float32(bundle.values, lambda layer, d, k: (
+        f"layer {layer + 1} {tuple(Direction)[d].value} kernel {k}"))
     root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
     entries = []
     for layer, d, k in np.ndindex(bundle.values.shape[:3]):
         direction = tuple(Direction)[d].value
@@ -223,10 +241,10 @@ def write_pair_dataset(
 
     Token ids must be whitespace-free; labels must be nonempty, with no
     newlines and no leading or trailing blanks, so the text format stays
-    unambiguous.
+    unambiguous. A value beyond the float32 range is refused before any
+    file is written.
     """
     root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
     for token_id in representations:
         _check_token_id(token_id, root)
     vectors = _checked_representations(representations)
@@ -243,9 +261,10 @@ def write_pair_dataset(
                 "surrounding whitespace"
             )
         lines.append(f"{id_i} {id_j} {label}")
-    matrix = np.stack(list(vectors.values())).astype(_PAYLOAD_DTYPE)
-    manifest = {"count": len(vectors), "dimension": matrix.shape[1],
-                "token_ids": list(vectors)}
+    ids = list(vectors)
+    matrix = _float32(np.stack(list(vectors.values())),
+                      lambda row: f"representation {ids[row]!r}")
+    manifest = {"count": len(ids), "dimension": matrix.shape[1], "token_ids": ids}
     _atomic_write_text(root / "manifest.json", _json(manifest) + "\n")
     _atomic_write_bytes(root / "vectors.f32", matrix.tobytes())
     _atomic_write_text(root / "pairs.txt", "".join(line + "\n" for line in lines))
@@ -280,7 +299,7 @@ def read_pair_dataset(path) -> tuple[dict[str, FloatArray], list[tuple[str, str,
     if not ppath.is_file():
         raise FormatError(f"{ppath}: missing pair list")
     pairs = []
-    for lineno, line in enumerate(ppath.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_text(ppath).splitlines(), 1):
         if not line.strip():
             continue
         parts = line.strip().split(maxsplit=2)
@@ -448,20 +467,7 @@ def analysis_payload(bundle: KernelBundle, reports: Sequence[LayerReport]) -> di
         "layer_count": bundle.layer_count,
         "kernel_count_per_direction": bundle.kernel_count_per_direction,
         "layers": [
-            {
-                "layer": report.layer,
-                "kernels": [
-                    {
-                        "direction": entry.direction,
-                        "kernel_index": entry.kernel_index,
-                        "degenerate": entry.degenerate,
-                        "summary": entry.summary,
-                        "categorization": entry.categorization,
-                    }
-                    for entry in report.entries
-                ],
-            }
-            for report in reports
+            {"layer": report.layer, "kernels": report.entries} for report in reports
         ],
     }
 

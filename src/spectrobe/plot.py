@@ -23,6 +23,11 @@ BOTTOM = 310.0
 _CURVE = "#3465a4"
 _DOMINANT = "#cc0000"
 _CENTROID = "#2e9e47"
+# a title as XML character data: markup escaped, and U+FFFD for each
+# character that XML 1.0 cannot carry, not even as a reference
+_XML_TEXT = {38: "&amp;", 60: "&lt;", 62: "&gt;", **dict.fromkeys(
+    [*range(9), 11, 12, *range(14, 32), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF],
+    "\ufffd")}
 
 
 def frequency_to_x(frequency: float) -> float:
@@ -35,12 +40,6 @@ def magnitude_to_y(magnitude: float, peak: float) -> float:
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
 
 
 def emit_plot(
@@ -105,7 +104,7 @@ def emit_plot(
     if title:
         parts.append(
             f'<text x="{_fmt(LEFT)}" y="{_fmt(TOP - 8.0)}" font-size="14" '
-            f'fill="#111111">{_escape(title)}</text>'
+            f'fill="#111111">{title.translate(_XML_TEXT)}</text>'
         )
     parts.append(
         f'<polyline fill="none" stroke="{_CURVE}" stroke-width="1.5" '

@@ -216,18 +216,18 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
     n = len(points)
 
     x = np.stack([p.vector for p in points])
-    members: dict[int, tuple[int, ...]] = {i: (i,) for i in range(n)}
-    centroid: dict[int, FloatArray] = {i: x[i] for i in range(n)}
-    # row i: bounding box, label code and liveness of cluster id i; the
-    # rows from n on are filled as merges mint their ids
-    lo, hi = np.vstack([x, x]), np.vstack([x, x])
+    # per cluster id, as rows or list items: member indices, centroid,
+    # bounding box, label code and liveness; the rows from n on are filled
+    # as merges mint their ids, and an id is never reused
+    members = [(i,) for i in range(n)]
+    centroid, lo, hi = (np.vstack([x, x]) for _ in range(3))
     codes: dict[str, int] = {}
     label = np.array([codes.setdefault(p.label, len(codes)) for p in points] * 2)
     live = np.arange(2 * n) < n
-    # directions[i][c]: a w that puts cluster i below cluster c
-    directions: dict[int, dict[int, FloatArray]] = {i: {} for i in range(n)}
-    # apart[i]: the clusters that cluster i may never merge with
-    apart: dict[int, set[int]] = {i: set() for i in range(n)}
+    # directions[i, c]: a w that puts cluster i below cluster c
+    directions: dict[tuple[int, int], FloatArray] = {}
+    # apart[i], for a live i: the live clusters it may never merge with
+    apart: list[set[int]] = [set() for _ in range(n)]
 
     def union_directions(ia, ib, cid, union):
         """Directions settling every other-label cluster the box gaps leave
@@ -238,7 +238,7 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
         found = {}
         for j in pending[np.argsort(margin[pending], kind="stable")]:
             c = int(others[j])
-            stored = [directions[i][c] for i in (ia, ib) if c in directions[i]]
+            stored = [directions[i, c] for i in (ia, ib) if (i, c) in directions]
             w = _direction(union, x[list(members[c])], center[j], unit[j], stored)
             if w is None:
                 return None
@@ -254,7 +254,7 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
     while heap:
         dist, ia, ib = heapq.heappop(heap)
         # each pair is pushed once, so a popped pair never comes back
-        if ia not in members or ib not in members:
+        if not (live[ia] and live[ib]):
             continue
         merged = tuple(sorted(members[ia] + members[ib]))
         union = x[list(merged)]
@@ -266,29 +266,24 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
             apart[ia].add(ib)
             apart[ib].add(ia)
             continue
-        del members[ia], members[ib]
-        members[cid] = merged
+        members.append(merged)
         centroid[cid] = union.mean(axis=0)
         live[[ia, ib, cid]] = False, False, True
         log.append(MergeRecord(ia, ib, dist))
-        for i in (ia, ib):
-            for c in directions.pop(i):
-                del directions[c][i]
-        directions[cid] = found
         for c, w in found.items():
-            directions[c][cid] = -w
+            directions[cid, c], directions[c, cid] = w, -w
         # a pair that contains a rejected pair is rejected too
-        apart[cid] = apart.pop(ia) | apart.pop(ib)
+        apart.append(apart[ia] | apart[ib])
         for c in apart[cid]:
             apart[c] -= {ia, ib}
             apart[c].add(cid)
-        for other in members:
-            if other != cid and label[other] == label[cid] and other not in apart[cid]:
+        for other in np.flatnonzero(live & (label == label[cid])).tolist():
+            if other != cid and other not in apart[cid]:
                 d = float(np.linalg.norm(centroid[other] - centroid[cid]))
                 heapq.heappush(heap, (d, other, cid))
         cid += 1
 
-    order = sorted(members, key=lambda c: members[c][0])
+    order = sorted(np.flatnonzero(live).tolist(), key=lambda c: members[c][0])
     clusters = tuple(Cluster(members[c], points[members[c][0]].label) for c in order)
     return ProbeResult(points, clusters, tuple(log), converged=True)
 

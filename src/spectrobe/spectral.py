@@ -177,9 +177,11 @@ def summary_fields(
     }
 
 
-def summarize(spectrum: Spectrum, config: RunConfig | None = None) -> SpectralSummary:
-    """All scalar metrics of a spectrum in one pass, under ``config``
-    (default DEFAULT_CONFIG): the one-row case of summary_fields.
+def summarize(
+    spectrum: Spectrum, config: RunConfig = DEFAULT_CONFIG
+) -> SpectralSummary:
+    """All scalar metrics of a spectrum in one pass, under ``config``: the
+    one-row case of summary_fields.
 
     The centroid is the magnitude-weighted mean frequency, DC included;
     the dominant frequency is the strongest bin's, the lowest on ties.
@@ -189,9 +191,7 @@ def summarize(spectrum: Spectrum, config: RunConfig | None = None) -> SpectralSu
     reads the kernel as mid-band. Raises DegenerateKernelError when the
     spectrum carries no energy.
     """
-    fields = summary_fields(
-        spectrum.frequencies, spectrum.magnitudes, config or DEFAULT_CONFIG
-    )
+    fields = summary_fields(spectrum.frequencies, spectrum.magnitudes, config)
     if not fields["total_magnitude"] > 0.0:
         raise DegenerateKernelError("all-zero spectrum cannot be summarized")
     return SpectralSummary(**{name: value.item() for name, value in fields.items()})

@@ -6,6 +6,7 @@ from spectrobe import (
     Categorization,
     Complementarity,
     Confidence,
+    DEFAULT_CONFIG,
     Direction,
     FilterClass,
     Kernel,
@@ -161,9 +162,9 @@ class TestAnalyzeBundle:
                           lhfr_low_pass_min=0.6, lhfr_high_pass_max=0.4,
                           low_band_fraction=0.15, high_band_fraction=0.3)
         seen = {}
-        for cfg in (None, moved):
+        for cfg in (DEFAULT_CONFIG, moved):
             by_slot = {
-                (e.layer, e.direction, e.kernel_index): e
+                (report.layer, e.direction, e.kernel_index): e
                 for report in analyze_bundle(bundle, cfg)
                 for e in report.entries
             }
@@ -174,7 +175,7 @@ class TestAnalyzeBundle:
                 assert entry.categorization == categorize(summary, cfg)
                 assert not entry.degenerate
             seen[cfg] = [e.categorization for e in by_slot.values()]
-        assert sum(a != b for a, b in zip(seen[None], seen[moved])) == 11
+        assert sum(a != b for a, b in zip(seen[DEFAULT_CONFIG], seen[moved])) == 11
 
     def test_insertion_order_does_not_matter(self):
         rng = np.random.default_rng(41)
@@ -214,7 +215,7 @@ def single_report(layer, fwd_class, bwd_class):
             cat = Categorization(LOW, HIGH, None, Confidence.OUTLIER)
         else:
             cat = Categorization(cls, cls, cls, Confidence.AGREE)
-        return KernelAnalysis(layer, direction, 0, None, cat)
+        return KernelAnalysis(direction, 0, None, cat)
 
     return LayerReport(layer, (entry(FWD, fwd_class), entry(BWD, bwd_class)))
 

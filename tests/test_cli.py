@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -533,6 +534,63 @@ class TestPlot:
         rc = cli.main(["plot", "--bundle", str(band_bundle_dir), "--layer", "1",
                        "--direction", "sideways", "--out", str(tmp_path / "c.svg")])
         assert rc == 1
+
+
+class TestHostileFiles:
+    """Every JSON input and the pair list exit 1 naming the file."""
+
+    @pytest.fixture
+    def argv_for(self, band_bundle_dir, pair_dataset_dir, tmp_path):
+        """argv reading the given kind of file, and the path it reads."""
+        out = str(tmp_path / "out")
+
+        def argv(kind):
+            if kind == "config":
+                path = tmp_path / "config.json"
+                return ["analyze", "--bundle", str(band_bundle_dir), "--out", out,
+                        "--config", str(path)], path
+            if kind == "params":
+                path = tmp_path / "params.json"
+                return ["materialize", "--params", str(path), "--length", "8",
+                        "--out", out], path
+            if kind == "bundle manifest":
+                return (["analyze", "--bundle", str(band_bundle_dir), "--out", out],
+                        band_bundle_dir / "manifest.json")
+            return (["probe", "--train", str(pair_dataset_dir), "--eval",
+                     str(pair_dataset_dir), "--task", "distance", "--out", out],
+                    pair_dataset_dir / kind)
+
+        return argv
+
+    @pytest.mark.parametrize(
+        "kind", ["config", "params", "bundle manifest", "manifest.json"])
+    def test_deep_nesting_exits_one(self, argv_for, kind, capsys):
+        argv, path = argv_for(kind)
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert cli.main(argv) == 1
+        assert f"{path}: JSON nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind", ["config", "params", "bundle manifest", "manifest.json", "pairs.txt"])
+    def test_non_utf8_exits_one_naming_the_file(self, argv_for, kind, capsys):
+        argv, path = argv_for(kind)
+        path.write_bytes(b'{"model_tag": "\xff"}')
+        assert cli.main(argv) == 1
+        assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_chart_titles_parse_as_xml(self, band_bundle_dir, tmp_path):
+        bundle = read_bundle(band_bundle_dir)
+        write_bundle(KernelBundle("tag\x01", bundle.values), tmp_path / "b")
+        svg = tmp_path / "k.svg"
+        assert cli.main(["plot", "--bundle", str(tmp_path / "b"), "--layer", "1",
+                         "--direction", "forward", "--out", str(svg)]) == 0
+        assert cli.main(["analyze", "--bundle", str(tmp_path / "b"),
+                         "--out", str(tmp_path / "r.json"),
+                         "--plots", str(tmp_path / "plots")]) == 0
+        for path in [svg, *(tmp_path / "plots").iterdir()]:
+            root = ElementTree.parse(path).getroot()
+            texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+            assert any(text.startswith("tag\ufffd layer 1") for text in texts)
 
 
 class TestExitCodes:

@@ -140,7 +140,7 @@ class TestWriterMatchesTheGenericDump:
 
     def test_a_real_report_row(self):
         entry = KernelAnalysis(
-            2, Direction.FORWARD, 3,
+            Direction.FORWARD, 3,
             SpectralSummary(0.1, 2.5, 0.0, math.inf, 0.0625, 7.0, True),
             Categorization(FilterClass.LOW_PASS, FilterClass.BAND_PASS, None,
                            Confidence.WEAK),

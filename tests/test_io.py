@@ -301,6 +301,14 @@ class TestPairDataset:
         with pytest.raises(ValueError, match="at least one"):
             write_pair_dataset({}, [], tmp_path / "d")
 
+    @pytest.mark.filterwarnings("error")
+    def test_value_beyond_float32_is_refused_before_writing(self, tmp_path):
+        reps = dict(self.reps, **{"var:z": np.array([1.0, 3.5e38])})
+        with pytest.raises(ValueError, match="representation 'var:z': value "
+                           "3.5e[+]38 at element 1 overflows float32"):
+            write_pair_dataset(reps, self.pairs, tmp_path / "d")
+        assert not (tmp_path / "d").exists()
+
     def test_duplicate_token_id_rejected(self, tmp_path):
         write_pair_dataset(self.reps, self.pairs, tmp_path / "d")
         mpath = tmp_path / "d" / "manifest.json"

@@ -1,10 +1,13 @@
 import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
 from spectrobe import FilterClass, Kernel, SynthSpec, compute_spectrum, summarize, synth_kernel
 from spectrobe.plot import LEFT, RIGHT, emit_plot, frequency_to_x, magnitude_to_y
+
+SVG_TEXT = "{http://www.w3.org/2000/svg}text"
 
 
 def render(values, **kwargs):
@@ -73,6 +76,12 @@ class TestSvgShape:
         _, svg = render(np.ones(16), title="layer <1> & friends")
         assert "layer &lt;1&gt; &amp; friends" in svg
         assert "<1>" not in svg
+
+    def test_title_is_well_formed_xml(self):
+        # control characters and lone surrogates cannot appear in XML 1.0
+        _, svg = render(np.ones(16), title="m\x01\x1f\ud800\ufffe\tk0 & <b>")
+        texts = [t.text for t in ElementTree.fromstring(svg).iter(SVG_TEXT)]
+        assert "m\ufffd\ufffd\ufffd\ufffd\tk0 & <b>" in texts
 
     def test_zero_spectrum_is_rejected(self):
         from spectrobe import Spectrum

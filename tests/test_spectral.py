@@ -138,7 +138,7 @@ class TestSpectralCentroid:
             centroid_of(spec)
 
 
-def bands_of(spec, config=None):
+def bands_of(spec, config=DEFAULT_CONFIG):
     summary = summarize(spec, config)
     return summary.e_low, summary.e_high
 
