@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .classify import (
 )
 from .config import DEFAULT_CONFIG, RunConfig
 from .spectral import (
+    DIRECTIONS,
     DegenerateKernelError,
     Direction,
     FloatArray,
@@ -27,55 +28,33 @@ from .spectral import (
     summary_fields,
 )
 
-# the order of a bundle's second axis
-_DIRECTIONS = tuple(Direction)
 # combined class of every verdict as its CLASSES index, -1 for outliers
 _RANKS = np.array(
     [-1 if v.combined is None else CLASSES.index(v.combined) for v in VERDICTS]
 )
 
 
-def bundle_shape(slots: Iterable[tuple[int, Direction, int, int]]) -> tuple[int, ...]:
-    """The (layers, 2, kernels per direction, N) array shape of a bundle
-    whose kernels sit at the given (layer, direction, kernel_index,
-    length) slots.
-
-    Layers must run contiguously from 1 and each must carry both
-    directions with the same number of kernels, indexed from 0 without
-    gaps; all kernels must share one length of at least 2.
+def slot_grid(slots: Sequence[tuple[int, Direction, int]]) -> tuple[int, int]:
+    """The (layers, kernels per direction) grid that ``slots``, a list of
+    (layer, direction, kernel_index), fills: each slot of layers 1..L, both
+    directions and kernel indices 0..K-1 exactly once. A ValueError names
+    the first slot that is out of range, listed twice or missing.
     """
-    indices: dict[int, dict[Direction, list[int]]] = {}
-    length = None
-    for layer, direction, kernel_index, n in slots:
-        indices.setdefault(layer, {}).setdefault(direction, []).append(kernel_index)
-        if length is None:
-            length = n
-        elif n != length:
-            raise ValueError(f"kernel lengths differ: {n} vs {length}")
-    if not indices:
-        raise ValueError("bundle has no layers")
-    if length < 2:
-        raise ValueError(f"kernels need at least 2 samples, got {length}")
-    layers = sorted(indices)
-    if layers != list(range(1, len(layers) + 1)):
-        raise ValueError(f"layer indices must be contiguous from 1, got {layers}")
-    per_direction = len(indices[1].get(Direction.FORWARD, ()))
-    for layer in layers:
-        for direction in _DIRECTIONS:
-            got = sorted(indices[layer].get(direction, ()))
-            if not got:
-                raise ValueError(f"layer {layer} is missing {direction.value} kernels")
-            if got != list(range(len(got))):
-                raise ValueError(
-                    f"layer {layer} {direction.value}: kernel_index values "
-                    f"must be 0..{len(got) - 1} without gaps, got {got}"
-                )
-            if len(got) != per_direction:
-                raise ValueError(
-                    f"layer {layer} {direction.value} has {len(got)} kernels, "
-                    f"expected {per_direction}"
-                )
-    return len(layers), 2, per_direction, length
+    if not slots:
+        raise ValueError("no kernels given")
+    seen = set()
+    for layer, direction, k in slots:
+        if layer < 1 or k < 0 or (layer, direction, k) in seen:
+            problem = "out of range" if layer < 1 or k < 0 else "listed twice"
+            raise ValueError(f"layer {layer} {direction.value} kernel {k} is {problem}")
+        seen.add((layer, direction, k))
+    layers, count = max(s[0] for s in slots), max(s[2] for s in slots) + 1
+    if len(seen) < layers * 2 * count:  # the walk stops within len(seen) + 1 slots
+        grid = ((layer, d, k) for layer in range(1, layers + 1)
+                for d in DIRECTIONS for k in range(count))
+        layer, direction, k = next(s for s in grid if s not in seen)
+        raise ValueError(f"layer {layer} {direction.value} kernel {k} is missing")
+    return layers, count
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,11 +89,14 @@ class KernelBundle:
     def from_kernels(cls, model_tag: str, kernels) -> "KernelBundle":
         """Place loose kernels in a bundle by their own metadata."""
         kernels = list(kernels)
-        values = np.empty(bundle_shape(
-            (k.layer, k.direction, k.kernel_index, k.length) for k in kernels
-        ))
+        layers, count = slot_grid([(k.layer, k.direction, k.kernel_index)
+                                   for k in kernels])
+        lengths = {k.length for k in kernels}
+        if len(lengths) > 1:
+            raise ValueError(f"kernel lengths differ: {sorted(lengths)}")
+        values = np.empty((layers, 2, count, *lengths))
         for k in kernels:
-            d = _DIRECTIONS.index(k.direction)
+            d = DIRECTIONS.index(k.direction)
             values[k.layer - 1, d, k.kernel_index] = k.values
         values.flags.writeable = False
         return cls(model_tag, values)
@@ -135,7 +117,7 @@ class KernelBundle:
         """All kernels ordered by (layer, forward-then-backward, index)."""
         for layer, d, k in np.ndindex(self.values.shape[:3]):
             yield Kernel(self.values[layer, d, k], layer=layer + 1,
-                         direction=_DIRECTIONS[d], kernel_index=k)
+                         direction=DIRECTIONS[d], kernel_index=k)
 
     @property
     def layers(self) -> dict[int, dict[Direction, tuple[Kernel, ...]]]:
@@ -143,7 +125,7 @@ class KernelBundle:
         kernels = self.iter_kernels()
         count = self.kernel_count_per_direction
         return {
-            layer: {d: tuple(islice(kernels, count)) for d in _DIRECTIONS}
+            layer: {d: tuple(islice(kernels, count)) for d in DIRECTIONS}
             for layer in range(1, self.layer_count + 1)
         }
 
@@ -244,7 +226,7 @@ def analyze_bundle(
         columns = {name: column.tolist() for name, column in fields.items()}
         entries = []
         for d, k in np.ndindex(slab.shape[:2]):
-            slot = (_DIRECTIONS[d], k)
+            slot = (DIRECTIONS[d], k)
             if columns["total_magnitude"][d][k] > 0.0:
                 summary = SpectralSummary(
                     **{name: column[d][k] for name, column in columns.items()}
@@ -328,7 +310,7 @@ def diff_bundles(
             entries.append(
                 ShiftEntry(
                     layer=layer + 1,
-                    direction=_DIRECTIONS[d],
+                    direction=DIRECTIONS[d],
                     kernel_index=k,
                     sc_before=fb["centroid"][d, k].item(),
                     sc_after=fa["centroid"][d, k].item(),
@@ -359,7 +341,7 @@ def analyze_redundancy(
         )
     pairs = []
     for layer, slab in enumerate(bundle.values, start=1):
-        for direction, spectra in zip(_DIRECTIONS, magnitude_spectra(slab)[1]):
+        for direction, spectra in zip(DIRECTIONS, magnitude_spectra(slab)[1]):
             # a norm per kernel, a dot per pair: a Gram matrix would round
             # differently and change the report's bytes
             norms = [float(np.linalg.norm(s)) for s in spectra]

@@ -34,7 +34,7 @@ from .io import (
 from .kernels import SynthSpec, materialize_s4d, synth_kernel
 from .plot import emit_plot
 from .probe import PairTask, build_pairs, evaluate, run_directprobe
-from .spectral import Direction, Kernel, compute_spectrum, summarize
+from .spectral import DIRECTIONS, Direction, Kernel, compute_spectrum, summarize
 
 
 class _UsageError(Exception):
@@ -64,7 +64,7 @@ def _config_from(args):
 
 def _plot_kernel(bundle, layer: int, direction: Direction, k: int, path) -> None:
     """Chart of kernel ``k`` of ``direction`` in 1-based ``layer``."""
-    d = tuple(Direction).index(direction)
+    d = DIRECTIONS.index(direction)
     spectrum = compute_spectrum(Kernel(bundle.values[layer - 1, d, k]))
     title = f"{bundle.model_tag} layer {layer} {direction.value} k{k}"
     emit_plot(spectrum, summarize(spectrum), path, title=title)
@@ -119,14 +119,13 @@ def _cmd_materialize(args) -> int:
     kernels = []
     for entry in entries:
         try:  # read_s4d_params bounds each kernel, but not at every length
-            kernels.append(materialize_s4d(
-                entry.params, args.length, layer=entry.layer,
-                direction=entry.direction, kernel_index=entry.kernel_index))
+            values = materialize_s4d(entry.params, args.length).values
         except ValueError as exc:
             raise ValueError(
                 f"{args.params}: layer {entry.layer} {entry.direction.value} "
                 f"kernel {entry.kernel_index} at length {args.length}: {exc}"
             ) from None
+        kernels.append(Kernel(values, entry.layer, entry.direction, entry.kernel_index))
     write_bundle(KernelBundle.from_kernels(model_tag, kernels), args.out)
     return 0
 
@@ -138,12 +137,10 @@ def _cmd_synth(args) -> int:
         cutoff_high=args.cutoff_high,
         length=args.length,
     )
-    tag = f"synth-{args.target_class}"
-    kernels = [
-        synth_kernel(spec, layer=1, direction=direction)
-        for direction in (Direction.FORWARD, Direction.BACKWARD)
-    ]
-    write_bundle(KernelBundle.from_kernels(tag, kernels), args.out)
+    values = synth_kernel(spec).values  # one layer, the same kernel both ways
+    kernels = [Kernel(values, direction=direction) for direction in DIRECTIONS]
+    write_bundle(KernelBundle.from_kernels(f"synth-{args.target_class}", kernels),
+                 args.out)
     return 0
 
 
@@ -268,7 +265,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return int(args.handler(args))
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"spectrobe: error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # anything else is a bug, not a usage problem

@@ -13,14 +13,21 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import reprlib
 from dataclasses import dataclass
+
+_SHORT = reprlib.Repr()
+_SHORT.maxstring = _SHORT.maxother = 60
+_SHORT.maxlist = _SHORT.maxdict = 4
+# repr cut to a few dozen characters: how every error quotes an outside value
+quoted = _SHORT.repr
 
 
 def finite_float(value, what: str) -> float:
     """A JSON number as a finite float; ValueError naming ``what`` for
     anything else, an integer too large for a float included."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
+        raise ValueError(f"{what} must be a number, got {quoted(value)}")
     try:
         number = float(value)
     except OverflowError:
@@ -80,7 +87,7 @@ def config_from_mapping(data) -> RunConfig:
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     unknown = sorted(set(data) - _FIELD_NAMES)
     if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        raise ValueError(f"unknown config keys: {quoted(unknown)}")
     overrides = {
         key: finite_float(value, f"config key {key!r}") for key, value in data.items()
     }

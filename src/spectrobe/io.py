@@ -27,12 +27,12 @@ from .analysis import (
     LayerReport,
     RedundancyPair,
     ShiftReport,
-    bundle_shape,
+    slot_grid,
 )
-from .config import finite_float
+from .config import finite_float, quoted
 from .kernels import S4DParams
 from .probe import BuiltPairs, EvalResult, ProbeResult, _checked_representations
-from .spectral import Direction, FloatArray
+from .spectral import DIRECTIONS, Direction, FloatArray
 
 _PAYLOAD_DTYPE = "<f4"
 
@@ -143,11 +143,11 @@ def write_bundle(bundle: KernelBundle, path) -> None:
     """Write a bundle directory; payloads are quantized to float32, and a
     value beyond the float32 range is refused before any file is written."""
     payloads = _float32(bundle.values, lambda layer, d, k: (
-        f"layer {layer + 1} {tuple(Direction)[d].value} kernel {k}"))
+        f"layer {layer + 1} {DIRECTIONS[d].value} kernel {k}"))
     root = Path(path)
     entries = []
     for layer, d, k in np.ndindex(bundle.values.shape[:3]):
-        direction = tuple(Direction)[d].value
+        direction = DIRECTIONS[d].value
         rel = f"layer{layer + 1:03d}_{direction}_k{k:02d}.f32"
         _atomic_write_bytes(root / rel, payloads[layer, d, k].tobytes())
         entries.append(
@@ -178,6 +178,8 @@ def read_bundle(path) -> KernelBundle:
     manifest = _load_json(mpath)
     model_tag = _require(manifest, "model_tag", str, mpath)
     n = _require(manifest, "N", int, mpath)
+    if n < 2:
+        raise FormatError(f"{mpath}: N must be >= 2, got {n}")
     layer_count = _require(manifest, "layer_count", int, mpath)
     entries = _require(manifest, "kernels", list, mpath)
     base = os.path.realpath(root)
@@ -191,7 +193,7 @@ def read_bundle(path) -> KernelBundle:
         except ValueError:
             raise FormatError(
                 f"{where}: direction must be forward or backward, "
-                f"got {direction_name!r}"
+                f"got {quoted(direction_name)}"
             ) from None
         kernel_index = _require(entry, "kernel_index", int, where)
         rel = _require(entry, "path", str, where)
@@ -204,22 +206,22 @@ def read_bundle(path) -> KernelBundle:
         if os.path.isabs(rel) or (
             os.path.commonpath([base, os.path.realpath(payload)]) != base
         ):
-            raise FormatError(f"{where}: path {rel!r} leaves the bundle directory")
+            raise FormatError(
+                f"{where}: path {quoted(rel)} leaves the bundle directory")
         _check_payload(payload, element_count)
-        slots.append((layer, direction, kernel_index, element_count, payload))
+        slots.append((layer, direction, kernel_index, payload))
     try:
-        values = np.empty(bundle_shape(slot[:4] for slot in slots))
+        layers, count = slot_grid([slot[:3] for slot in slots])
     except ValueError as exc:
-        raise FormatError(f"{mpath}: {exc}") from exc
-    if len(values) != layer_count:
+        raise FormatError(f"{mpath}: {exc}") from None
+    if layers != layer_count:
         raise FormatError(
             f"{mpath}: layer_count says {layer_count} but entries span "
-            f"{len(values)} layers"
+            f"{layers} layers"
         )
-    directions = tuple(Direction)
-    for layer, direction, kernel_index, _, payload in slots:
-        d = directions.index(direction)
-        _read_payload(payload, values[layer - 1, d, kernel_index])
+    values = np.empty((layers, 2, count, n))
+    for layer, direction, k, payload in slots:
+        _read_payload(payload, values[layer - 1, DIRECTIONS.index(direction), k])
     values.flags.writeable = False
     return KernelBundle(model_tag, values)
 
@@ -228,7 +230,7 @@ def _check_token_id(token_id, where) -> str:
     if not isinstance(token_id, str) or not token_id:
         raise FormatError(f"{where}: token ids must be nonempty strings")
     if any(ch.isspace() for ch in token_id):
-        raise FormatError(f"{where}: token id {token_id!r} contains whitespace")
+        raise FormatError(f"{where}: token id {quoted(token_id)} contains whitespace")
     return token_id
 
 
@@ -254,16 +256,16 @@ def write_pair_dataset(
     for i, (id_i, id_j, label) in enumerate(pairs):
         for token_id in (id_i, id_j):
             if token_id not in representations:
-                raise ValueError(f"pairs[{i}]: unknown token id {token_id!r}")
+                raise ValueError(f"pairs[{i}]: unknown token id {quoted(token_id)}")
         if not label or label != label.strip() or "\n" in label:
             raise ValueError(
-                f"pairs[{i}]: label {label!r} must be nonempty with no "
+                f"pairs[{i}]: label {quoted(label)} must be nonempty with no "
                 "surrounding whitespace"
             )
         lines.append(f"{id_i} {id_j} {label}")
     ids = list(vectors)
     matrix = _float32(np.stack(list(vectors.values())),
-                      lambda row: f"representation {ids[row]!r}")
+                      lambda row: f"representation {quoted(ids[row])}")
     manifest = {"count": len(ids), "dimension": matrix.shape[1], "token_ids": ids}
     _atomic_write_text(root / "manifest.json", _json(manifest) + "\n")
     _atomic_write_bytes(root / "vectors.f32", matrix.tobytes())
@@ -288,7 +290,7 @@ def read_pair_dataset(path) -> tuple[dict[str, FloatArray], list[tuple[str, str,
     for token_id in ids:
         _check_token_id(token_id, mpath)
         if token_id in seen:
-            raise FormatError(f"{mpath}: duplicate token id {token_id!r}")
+            raise FormatError(f"{mpath}: duplicate token id {quoted(token_id)}")
         seen.add(token_id)
     vpath = root / "vectors.f32"
     _check_payload(vpath, count * dim)
@@ -305,13 +307,13 @@ def read_pair_dataset(path) -> tuple[dict[str, FloatArray], list[tuple[str, str,
         parts = line.strip().split(maxsplit=2)
         if len(parts) != 3:
             raise FormatError(
-                f"{ppath}:{lineno}: expected 'id_i id_j label', got {line!r}"
+                f"{ppath}:{lineno}: expected 'id_i id_j label', got {quoted(line)}"
             )
         id_i, id_j, label = parts
         for token_id in (id_i, id_j):
             if token_id not in representations:
                 raise FormatError(
-                    f"{ppath}:{lineno}: unknown token id {token_id!r}"
+                    f"{ppath}:{lineno}: unknown token id {quoted(token_id)}"
                 )
         pairs.append((id_i, id_j, label))
     return representations, pairs
@@ -350,7 +352,9 @@ def read_s4d_params(path) -> tuple[str, list[ParamsEntry]]:
     JSON layout: {"model_tag": ..., "step": ..., "layers": [{"layer": 1,
     "forward": [{"modes": [{"a": [re, im], "c": [re, im]}, ...],
     "step": ...}, ...], "backward": [...]}, ...]}. The per-kernel step is
-    optional and falls back to the file-level one.
+    optional and falls back to the file-level one. The entries must fill a
+    bundle's slot grid (see slot_grid): layers 1..L once each, with equal
+    forward and backward list lengths.
     """
     path = Path(path)
     data = _load_json(path)
@@ -363,7 +367,7 @@ def read_s4d_params(path) -> tuple[str, list[ParamsEntry]]:
     for li, layer_spec in enumerate(layers):
         where_layer = f"{path}: layers[{li}]"
         layer = _require(layer_spec, "layer", int, where_layer)
-        for direction in (Direction.FORWARD, Direction.BACKWARD):
+        for direction in DIRECTIONS:
             kernel_specs = _require(layer_spec, direction.value, list, where_layer)
             for ki, kernel_spec in enumerate(kernel_specs):
                 where = f"{where_layer}.{direction.value}[{ki}]"
@@ -389,6 +393,10 @@ def read_s4d_params(path) -> tuple[str, list[ParamsEntry]]:
                 except ValueError as exc:
                     raise FormatError(f"{where}: {exc}") from exc
                 entries.append(ParamsEntry(layer, direction, ki, params))
+    try:
+        slot_grid([(e.layer, e.direction, e.kernel_index) for e in entries])
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     return model_tag, entries
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .classify import FilterClass
-from .spectral import Direction, Kernel, as_vector
+from .spectral import Kernel, as_vector
 
 ComplexArray = npt.NDArray[np.complex128]
 
@@ -96,15 +96,9 @@ class SynthSpec:
             raise ValueError("cutoff_high only applies to band-pass synthesis")
 
 
-def materialize_s4d(
-    params: S4DParams,
-    length: int,
-    *,
-    layer: int = 1,
-    direction: Direction = Direction.FORWARD,
-    kernel_index: int = 0,
-) -> Kernel:
-    """Kernel of a diagonal state-space system under zero-order hold.
+def materialize_s4d(params: S4DParams, length: int) -> Kernel:
+    """Kernel of a diagonal state-space system under zero-order hold, at
+    the default slot; Kernel(values, layer=..., ...) places it.
 
     With abar = exp(step * a), bbar = (abar - 1) / a and B = ceil(sqrt(length)),
     K[l] = Re(sum_n c_n * bbar_n * abar_n**l), l = 0..length-1, is evaluated as
@@ -120,8 +114,7 @@ def materialize_s4d(
         weights = params.coefficients * np.expm1(sa) / params.poles
         outer = weights * np.exp(sa * b.size * b[:, None])
         values = (outer @ np.exp(sa[:, None] * b)).real.reshape(-1)[:length]
-    return Kernel(values, layer=layer, direction=direction,
-                  kernel_index=kernel_index)
+    return Kernel(values)
 
 
 def _low_pass_taps(cutoff: float, length: int) -> np.ndarray:
@@ -162,14 +155,9 @@ def _band_pass_taps(low: float, high: float, length: int) -> np.ndarray:
     return np.fft.irfft(gain * phase, n=length)
 
 
-def synth_kernel(
-    spec: SynthSpec,
-    *,
-    layer: int = 1,
-    direction: Direction = Direction.FORWARD,
-    kernel_index: int = 0,
-) -> Kernel:
-    """Ideal filter kernel for exercising the classification pipeline.
+def synth_kernel(spec: SynthSpec) -> Kernel:
+    """Ideal filter kernel, at the default slot, for exercising the
+    classification pipeline.
 
     Low-pass is a Hamming-windowed sinc normalized to unit DC gain.
     High-pass is its spectral inversion (a centered unit impulse minus
@@ -183,6 +171,5 @@ def synth_kernel(
         values = _high_pass_taps(spec.cutoff_low, spec.length)
     else:
         values = _band_pass_taps(spec.cutoff_low, spec.cutoff_high, spec.length)
-    return Kernel(values, layer=layer, direction=direction,
-                  kernel_index=kernel_index)
+    return Kernel(values)
 

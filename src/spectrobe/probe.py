@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import quoted
 from .spectral import FloatArray, as_vector
 
 SEPARABILITY_TOLERANCE = 1e-6
@@ -347,12 +348,11 @@ def _checked_representations(representations) -> dict[str, FloatArray]:
     vectors: dict[str, FloatArray] = {}
     dim = 0
     for token_id, rep in representations.items():
-        arr = vectors[token_id] = as_vector(rep, f"representation {token_id!r}")
+        what = f"representation {quoted(token_id)}"
+        arr = vectors[token_id] = as_vector(rep, what)
         dim = dim or arr.size
         if arr.size != dim:
-            raise ValueError(
-                f"representation {token_id!r} has dimension {arr.size}, expected {dim}"
-            )
+            raise ValueError(f"{what} has dimension {arr.size}, expected {dim}")
     return vectors
 
 
@@ -381,13 +381,13 @@ def build_pairs(
     for id_i, id_j, label in pairs:
         for token_id in (id_i, id_j):
             if token_id not in vectors:
-                raise ValueError(f"unknown token id {token_id!r}")
+                raise ValueError(f"unknown token id {quoted(token_id)}")
         if task is PairTask.DISTANCE:
             try:
                 distance = int(label)
             except ValueError:
                 raise ValueError(
-                    f"label {label!r} is not an integer tree distance"
+                    f"label {quoted(label)} is not an integer tree distance"
                 ) from None
             if distance < DISTANCE_MIN:
                 raise ValueError(
@@ -405,7 +405,7 @@ def build_pairs(
             if len(seen_labels) > cap:
                 raise ValueError(
                     f"{task.value} allows at most {cap} distinct labels; "
-                    f"got {sorted(seen_labels)}"
+                    f"got {quoted(sorted(seen_labels))}"
                 )
             points.append(
                 LabeledPoint(np.concatenate([vectors[id_i], vectors[id_j]]), label)

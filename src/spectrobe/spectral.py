@@ -33,6 +33,10 @@ class Direction(enum.Enum):
     BACKWARD = "backward"
 
 
+# the order of a bundle's second axis: 0 forward, 1 backward
+DIRECTIONS = Direction.FORWARD, Direction.BACKWARD
+
+
 def as_vector(values, what: str, minimum_length: int = 1,
               dtype=np.float64) -> np.ndarray:
     """Read-only 1-D copy of ``values`` as ``dtype``, at least

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from spectrobe import Direction, FilterClass, KernelBundle, SynthSpec, synth_kernel
+from spectrobe import Direction, FilterClass, Kernel, KernelBundle, SynthSpec, synth_kernel
 
 # Cutoffs that land each class comfortably inside its regime at any N >= 16.
 CLASS_CUTOFFS = {
@@ -15,12 +15,7 @@ CLASS_CUTOFFS = {
 def synth_for(target, layer, direction, length=256, kernel_index=0):
     lo, hi = CLASS_CUTOFFS[target]
     spec = SynthSpec(target, lo, cutoff_high=hi, length=length)
-    return synth_kernel(
-        spec,
-        layer=layer,
-        direction=direction,
-        kernel_index=kernel_index,
-    )
+    return Kernel(synth_kernel(spec).values, layer, direction, kernel_index)
 
 
 def class_pair_bundle(tag, layer_classes, length=256):
@@ -34,8 +29,6 @@ def class_pair_bundle(tag, layer_classes, length=256):
 
 def random_bundle(tag, rng, layer_count=3, kernel_count=1, length=64):
     """Bundle of seeded Gaussian kernels, kernel_count per direction per layer."""
-    from spectrobe import Kernel
-
     kernels = []
     for layer in range(1, layer_count + 1):
         for direction in (Direction.FORWARD, Direction.BACKWARD):

@@ -40,13 +40,8 @@ def band_bundle(tag, layer_edges, length=256):
     kernels = []
     for layer, (lo, hi) in enumerate(layer_edges, start=1):
         for direction in (FWD, BWD):
-            kernels.append(
-                synth_kernel(
-                    SynthSpec(BAND, lo, cutoff_high=hi, length=length),
-                    layer=layer,
-                    direction=direction,
-                )
-            )
+            spec = SynthSpec(BAND, lo, cutoff_high=hi, length=length)
+            kernels.append(Kernel(synth_kernel(spec).values, layer, direction))
     return KernelBundle.from_kernels(tag, kernels)
 
 
@@ -62,7 +57,7 @@ class TestKernelBundle:
             synth_for(LOW, 3, FWD),
             synth_for(LOW, 3, BWD),
         ]
-        with pytest.raises(ValueError, match="contiguous"):
+        with pytest.raises(ValueError, match="layer 2 forward kernel 0 is missing"):
             KernelBundle.from_kernels("m", kernels)
 
     def test_length_mismatch_rejected(self):
@@ -80,7 +75,7 @@ class TestKernelBundle:
             synth_for(LOW, 1, BWD, kernel_index=0),
             synth_for(LOW, 1, BWD, kernel_index=1),
         ]
-        with pytest.raises(ValueError, match="without gaps"):
+        with pytest.raises(ValueError, match="layer 1 forward kernel 1 is missing"):
             KernelBundle.from_kernels("m", kernels)
 
     def test_uneven_kernel_counts_rejected(self):
@@ -89,7 +84,7 @@ class TestKernelBundle:
             synth_for(LOW, 1, FWD, kernel_index=1),
             synth_for(LOW, 1, BWD, kernel_index=0),
         ]
-        with pytest.raises(ValueError, match="expected"):
+        with pytest.raises(ValueError, match="layer 1 backward kernel 1 is missing"):
             KernelBundle.from_kernels("m", kernels)
 
     def test_iteration_order_is_canonical(self):

@@ -1,7 +1,9 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -285,7 +287,7 @@ def test_every_analysis_command_reads_the_config(command, band_bundle_dir,
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 1}))
         assert cli.main(argv + ["--config", str(cfg)]) == 1
-        assert f"unknown config keys: {key}" in capsys.readouterr().err
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
 
 class TestMaterialize:
@@ -392,6 +394,36 @@ class TestMaterialize:
         err = capsys.readouterr().err
         assert expected in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "patch, refusal",
+        [
+            (lambda layers: layers.append(copy.deepcopy(layers[0])),
+             "layer 1 forward kernel 0 is listed twice"),
+            (lambda layers: layers.append(dict(copy.deepcopy(layers[0]), layer=3)),
+             "layer 2 forward kernel 0 is missing"),
+            (lambda layers: layers[0].update(layer=0),
+             "layer 0 forward kernel 0 is out of range"),
+            (lambda layers: layers[0]["forward"].append(layers[0]["forward"][0]),
+             "layer 1 backward kernel 1 is missing"),
+        ],
+        ids=["repeated-layer", "layer-gap", "layer-zero", "uneven-lists"],
+    )
+    def test_bad_grid_is_refused_before_any_kernel(self, params_file, tmp_path,
+                                                   capsys, monkeypatch, patch,
+                                                   refusal):
+        made = []
+        real = cli.materialize_s4d
+        monkeypatch.setattr(cli, "materialize_s4d",
+                            lambda *args: made.append(args) or real(*args))
+        doc = json.loads(params_file.read_text())
+        patch(doc["layers"])
+        params_file.write_text(json.dumps(doc))
+        rc = cli.main(["materialize", "--params", str(params_file),
+                       "--length", "16", "--out", str(tmp_path / "b")])
+        assert rc == 1
+        assert f"{params_file}: {refusal}\n" in capsys.readouterr().err
+        assert made == []
 
 
 class TestSynth:
@@ -578,6 +610,51 @@ class TestHostileFiles:
         assert cli.main(argv) == 1
         assert f"{path}: not UTF-8 text" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, missing", [
+        ("layer", "layer 1 backward kernel 0"),
+        ("kernel_index", "layer 1 forward kernel 1"),
+    ])
+    def test_huge_claimed_slot_names_a_missing_one(self, argv_for, key, missing,
+                                                   capsys):
+        argv, path = argv_for("bundle manifest")
+        manifest = json.loads(path.read_text())
+        manifest["kernels"][1][key] = 10**9
+        path.write_text(json.dumps(manifest))
+        start = time.perf_counter()
+        assert cli.main(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        assert f"{path}: {missing} is missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, hostile, expected",
+        [
+            ("config", lambda path: path.write_text(json.dumps({"k" * 100_000: 1})),
+             ": unknown config keys: ['kkk"),
+            ("config",
+             lambda path: path.write_text(json.dumps({"sc_low_bound": "v" * 100_000})),
+             ": config key 'sc_low_bound' must be a number, got 'vvv"),
+            ("params",
+             lambda path: path.write_text(json.dumps({"model_tag": "m",
+                                                      "step": "9" * 100_000})),
+             ": field 'step' must be a number, got '999"),
+            ("pairs.txt", lambda path: path.write_text("a" * 100_000 + "\n"),
+             ":1: expected 'id_i id_j label', got 'aaa"),
+            ("manifest.json",
+             lambda path: path.write_text(json.dumps(
+                 {"count": 1, "dimension": 2, "token_ids": ["z" * 100_000 + " a"]})),
+             ": token id 'zzz"),
+        ],
+        ids=["config-key", "config-value", "params-number", "pairs-line", "token-id"],
+    )
+    def test_hostile_values_are_quoted_short(self, argv_for, kind, hostile,
+                                             expected, capsys):
+        argv, path = argv_for(kind)
+        hostile(path)
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{path}{expected}" in err
+        assert len(err) < 300 + len(str(path))
+
     def test_chart_titles_parse_as_xml(self, band_bundle_dir, tmp_path):
         bundle = read_bundle(band_bundle_dir)
         write_bundle(KernelBundle("tag\x01", bundle.values), tmp_path / "b")
@@ -627,6 +704,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error" in captured.err
+
+    def test_key_errors_are_internal_errors(self, band_bundle_dir, tmp_path,
+                                            monkeypatch, capsys):
+        # no input reaches a KeyError, so one is a bug, not bad input
+        monkeypatch.setattr(cli, "analyze_bundle", lambda *args: {}["verdict"])
+        rc = cli.main(["analyze", "--bundle", str(band_bundle_dir),
+                       "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert "internal error: KeyError('verdict')" in capsys.readouterr().err
 
     def test_internal_errors_exit_two(self, band_bundle_dir, tmp_path,
                                       monkeypatch, capsys):

@@ -23,6 +23,8 @@ from spectrobe import (
 LOW = FilterClass.LOW_PASS
 BAND = FilterClass.BAND_PASS
 HIGH = FilterClass.HIGH_PASS
+FWD = Direction.FORWARD
+BWD = Direction.BACKWARD
 
 
 def classify_values(values):
@@ -182,15 +184,13 @@ class TestMaterialize:
             materialize_s4d(params, 1)
 
     def test_metadata_passthrough(self):
+        # the kernel comes unplaced; Kernel places its values unchanged
         params = S4DParams(np.array([-1.0 + 0j]), np.array([1.0 + 0j]), 0.1)
-        kern = materialize_s4d(
-            params, 16, layer=3, direction=Direction.BACKWARD, kernel_index=2
-        )
-        assert (kern.layer, kern.direction, kern.kernel_index) == (
-            3,
-            Direction.BACKWARD,
-            2,
-        )
+        kern = materialize_s4d(params, 16)
+        assert (kern.layer, kern.direction, kern.kernel_index) == (1, FWD, 0)
+        placed = Kernel(kern.values, layer=3, direction=BWD, kernel_index=2)
+        assert (placed.layer, placed.direction, placed.kernel_index) == (3, BWD, 2)
+        np.testing.assert_array_equal(placed.values, kern.values)
 
 
 class TestSynth:
@@ -247,7 +247,9 @@ class TestSynth:
             SynthSpec(LOW, 0.1, length=8)
 
     def test_metadata_passthrough(self):
-        kern = synth_kernel(
-            SynthSpec(LOW, 0.03), layer=4, direction=Direction.BACKWARD
-        )
-        assert (kern.layer, kern.direction) == (4, Direction.BACKWARD)
+        # the kernel comes unplaced; Kernel places its values unchanged
+        kern = synth_kernel(SynthSpec(LOW, 0.03))
+        assert (kern.layer, kern.direction, kern.kernel_index) == (1, FWD, 0)
+        placed = Kernel(kern.values, layer=4, direction=BWD)
+        assert (placed.layer, placed.direction) == (4, BWD)
+        np.testing.assert_array_equal(placed.values, kern.values)

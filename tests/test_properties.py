@@ -2,12 +2,14 @@
 
 A kernel's class must not depend on its scale, sign or time direction; a
 bundle must come back from disk as the float32 rounding of what was
-written; and no malformed input file may make the CLI exit 2.
+written; a slot list is a bundle's exactly when it fills a grid; and no
+malformed input file may make the CLI exit 2.
 """
 import contextlib
 import copy
 import io
 import json
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -20,6 +22,7 @@ from hypothesis.extra import numpy as hnp
 import spectrobe.cli as cli
 from spectrobe import (
     DEFAULT_CONFIG,
+    Direction,
     Kernel,
     KernelBundle,
     categorize,
@@ -29,7 +32,8 @@ from spectrobe import (
     write_bundle,
     write_pair_dataset,
 )
-from spectrobe.spectral import ZERO_BAND_FLOOR
+from spectrobe.analysis import slot_grid
+from spectrobe.spectral import DIRECTIONS, ZERO_BAND_FLOOR
 
 FLOAT32_MAX = float(np.finfo(np.float32).max)
 
@@ -90,6 +94,69 @@ def test_bundle_round_trip_is_the_float32_rounding(values, model_tag):
     assert back.model_tag == model_tag
     rounded = values.astype("<f4").astype(np.float64)
     assert back.values.tobytes() == rounded.tobytes()
+
+
+# ------------------------------------------------------------------ grid
+
+slots = st.tuples(st.integers(-1, 4), st.sampled_from(DIRECTIONS),
+                  st.integers(-1, 3))
+
+
+@st.composite
+def slot_lists(draw):
+    """A full L x 2 x K grid in any order, then up to three edits: a slot
+    dropped, repeated, replaced or added."""
+    layers, count = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    got = draw(st.permutations([(layer, d, k) for layer in range(1, layers + 1)
+                                for d in DIRECTIONS for k in range(count)]))
+    for edit in draw(st.lists(st.sampled_from("drop repeat replace add".split()),
+                              max_size=3)):
+        i = draw(st.integers(0, max(len(got) - 1, 0)))
+        if edit == "drop" and got:
+            del got[i]
+        elif edit == "repeat" and got:
+            got.insert(draw(st.integers(0, len(got))), got[i])
+        elif edit == "replace" and got:
+            got[i] = draw(slots)
+        elif edit == "add":
+            got.insert(i, draw(slots))
+    return got
+
+
+def full_grid(got):
+    """(layers, kernels per direction) when ``got`` lists each slot of a
+    grid exactly once, else None."""
+    if not got or len(set(got)) != len(got):
+        return None
+    layers, count = max(s[0] for s in got), max(s[2] for s in got) + 1
+    grid = {(layer, d, k) for layer in range(1, layers + 1) for d in DIRECTIONS
+            for k in range(count)}
+    return (layers, count) if set(got) == grid else None
+
+
+@settings(max_examples=400)
+@given(slot_lists())
+def test_slot_grid_accepts_exactly_the_full_grids(got):
+    expected = full_grid(got)
+    if expected is not None:
+        assert slot_grid(got) == expected
+        return
+    with pytest.raises(ValueError) as refusal:
+        slot_grid(got)
+    message = str(refusal.value)
+    if not got:
+        assert message == "no kernels given"
+        return
+    match = re.fullmatch(r"layer (-?\d+) (\w+) kernel (-?\d+) is (.+)", message)
+    slot = int(match[1]), Direction(match[2]), int(match[3])
+    if match[4] == "out of range":
+        assert slot in got and (slot[0] < 1 or slot[2] < 0)
+    elif match[4] == "listed twice":
+        assert got.count(slot) >= 2
+    else:
+        assert match[4] == "missing" and slot not in got
+        assert 1 <= slot[0] <= max(s[0] for s in got)
+        assert 0 <= slot[2] <= max(s[2] for s in got)
 
 
 # ---------------------------------------------------------------- hostile
