@@ -26,6 +26,14 @@ from spectrobe import (
 )
 
 
+def flagged(pairs) -> list[tuple[str, str]]:
+    """The distinct kernel pairs marked redundant, as ("k<a>", "k<b>")."""
+    return sorted({
+        (f"k{a}", f"k{b}") for a, b in zip(
+            pairs.kernel_index_a[pairs.redundant], pairs.kernel_index_b[pairs.redundant])
+    })
+
+
 def main() -> None:
     rng = np.random.default_rng(11)
     low = np.asarray(synth_kernel(SynthSpec(FilterClass.LOW_PASS, 0.04)).values)
@@ -48,34 +56,31 @@ def main() -> None:
     ]
     bundle = KernelBundle.from_kernels("demo-redundancy", kernels)
 
+    # one column per field, one row per kernel pair
     pairs = analyze_redundancy(bundle)
     print(f"similarity cutoff: {DEFAULT_CONFIG.redundancy_cutoff}")
     print()
     print("layer  dir       pair     similarity  redundant")
     print("-" * 50)
-    for row in pairs:
-        mark = "yes" if row.redundant else ""
+    for layer, direction, a, b, similarity, redundant in zip(
+        pairs.layer, pairs.direction, pairs.kernel_index_a,
+        pairs.kernel_index_b, pairs.similarity, pairs.redundant,
+    ):
+        mark = "yes" if redundant else ""
         print(
-            f"{row.layer:<6} {row.direction.value:<9} "
-            f"k{row.kernel_index_a}/k{row.kernel_index_b}    "
-            f"{row.similarity:<11.6f} {mark}"
+            f"{layer:<6} {direction.value:<9} "
+            f"k{a}/k{b}    "
+            f"{similarity:<11.6f} {mark}"
         )
 
-    flagged = sorted({
-        (f"k{r.kernel_index_a}", f"k{r.kernel_index_b}")
-        for r in pairs if r.redundant
-    })
     print()
-    print(f"flagged at cutoff {DEFAULT_CONFIG.redundancy_cutoff}: {flagged}")
+    print(f"flagged at cutoff {DEFAULT_CONFIG.redundancy_cutoff}: {flagged(pairs)}")
     print("The negated copy scores a flat 1.0 because magnitudes ignore sign")
     print("and scale; the light retraining noise on k2 barely dents the")
     print("similarity. Only a genuinely different filter (k3) drops it.")
 
     strict = replace(DEFAULT_CONFIG, redundancy_cutoff=0.9999)
-    survivors = sorted({
-        (f"k{r.kernel_index_a}", f"k{r.kernel_index_b}")
-        for r in analyze_redundancy(bundle, strict) if r.redundant
-    })
+    survivors = flagged(analyze_redundancy(bundle, strict))
     print()
     print(f"flagged at cutoff {strict.redundancy_cutoff}: {survivors}")
     print("A near-1 cutoff keeps only the exact twin, so the knob trades")

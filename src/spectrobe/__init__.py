@@ -16,7 +16,7 @@ from .analysis import (
     KernelBundle,
     LayerComplementarity,
     LayerReport,
-    RedundancyPair,
+    RedundancyColumns,
     ShiftEntry,
     ShiftReport,
     analyze_bundle,
@@ -100,7 +100,7 @@ __all__ = [
     "PairTask",
     "ParamsEntry",
     "ProbeResult",
-    "RedundancyPair",
+    "RedundancyColumns",
     "RunConfig",
     "S4DParams",
     "ShiftEntry",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -192,14 +192,20 @@ class ShiftReport:
     shift_threshold: float
 
 
-@dataclass(frozen=True, slots=True)
-class RedundancyPair:
-    layer: int
-    direction: Direction
-    kernel_index_a: int
-    kernel_index_b: int
-    similarity: float
-    redundant: bool
+@dataclass(frozen=True, eq=False)
+class RedundancyColumns:
+    """Every same-slot kernel pair as equal-length columns, one row per pair
+    in (layer, direction, kernel_index_a, kernel_index_b) order."""
+
+    layer: np.ndarray
+    direction: np.ndarray  # Direction members, dtype object
+    kernel_index_a: np.ndarray
+    kernel_index_b: np.ndarray
+    similarity: np.ndarray
+    redundant: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.similarity)
 
 
 def _classify(
@@ -327,7 +333,7 @@ def diff_bundles(
 
 def analyze_redundancy(
     bundle: KernelBundle, config: RunConfig = DEFAULT_CONFIG
-) -> list[RedundancyPair]:
+) -> RedundancyColumns:
     """Cosine similarity of magnitude spectra for every same-slot kernel pair.
 
     Covers each layer and direction with at least two kernels; pairs at or
@@ -335,30 +341,26 @@ def analyze_redundancy(
     with its similarity. Cosine over magnitudes is scale-invariant and
     insensitive to time shifts of the kernels.
     """
-    if bundle.kernel_count_per_direction < 2:
-        raise ValueError(
-            "bundle has a single kernel per direction; nothing to compare"
-        )
-    pairs = []
-    for layer, slab in enumerate(bundle.values, start=1):
-        for direction, spectra in zip(DIRECTIONS, magnitude_spectra(slab)[1]):
-            # a norm per kernel, a dot per pair: a Gram matrix would round
-            # differently and change the report's bytes
-            norms = [float(np.linalg.norm(s)) for s in spectra]
-            for ia, ib in combinations(range(len(spectra)), 2):
-                na, nb = norms[ia], norms[ib]
-                similarity = (
-                    float(np.dot(spectra[ia], spectra[ib]) / (na * nb))
-                    if na != 0.0 and nb != 0.0 else 0.0
-                )
-                pairs.append(
-                    RedundancyPair(
-                        layer=layer,
-                        direction=direction,
-                        kernel_index_a=ia,
-                        kernel_index_b=ib,
-                        similarity=similarity,
-                        redundant=similarity >= config.redundancy_cutoff,
-                    )
-                )
-    return pairs
+    layers, _, count, _ = bundle.values.shape
+    if count < 2:
+        raise ValueError("bundle has a single kernel per direction; nothing to compare")
+    ia, ib = np.triu_indices(count, 1)  # itertools.combinations order
+    similarity = []
+    for slab in bundle.values:
+        for spectra in magnitude_spectra(slab)[1]:
+            # one row-broadcast vecdot per anchor has the bits of np.dot for
+            # each pair, and sqrt(vecdot(s, s)) those of np.linalg.norm; a
+            # Gram matrix would round differently and change the report
+            norms = np.sqrt(np.vecdot(spectra, spectra))
+            dots = [np.vecdot(spectra[a], spectra[a + 1:]) for a in range(count - 1)]
+            with np.errstate(all="ignore"):  # pairs with a zero norm score 0
+                sims = np.concatenate(dots) / (norms[ia] * norms[ib])
+            sims[(norms[ia] == 0.0) | (norms[ib] == 0.0)] = 0.0
+            similarity.append(sims)
+    similarity = np.concatenate(similarity)
+    return RedundancyColumns(
+        np.repeat(np.arange(1, layers + 1), 2 * len(ia)),
+        np.tile(np.repeat(np.array(DIRECTIONS, dtype=object), len(ia)), layers),
+        np.tile(ia, 2 * layers), np.tile(ib, 2 * layers),
+        similarity, similarity >= config.redundancy_cutoff,
+    )

@@ -110,6 +110,7 @@ def _cmd_redundancy(args) -> int:
     bundle = read_bundle(args.bundle)
     pairs = analyze_redundancy(bundle, cfg)
     payload = redundancy_payload(pairs, bundle.model_tag, cfg.redundancy_cutoff)
+    del bundle  # its kernels are not needed to write the report
     sys.stdout.write(emit_report(payload))
     return 0
 
@@ -193,17 +194,13 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="report file to write")
     p.set_defaults(handler=_cmd_diff)
 
-    p = sub.add_parser(
-        "complementary", parents=[config],
-        help="forward/backward band complementarity per layer",
-    )
+    p = sub.add_parser("complementary", parents=[config],
+                       help="forward/backward band complementarity per layer")
     p.add_argument("--bundle", required=True, help="bundle directory")
     p.set_defaults(handler=_cmd_complementary)
 
-    p = sub.add_parser(
-        "redundancy", parents=[config],
-        help="pairwise spectral similarity in multi-kernel layers",
-    )
+    p = sub.add_parser("redundancy", parents=[config],
+                       help="pairwise spectral similarity in multi-kernel layers")
     p.add_argument("--bundle", required=True, help="bundle directory")
     p.set_defaults(handler=_cmd_redundancy)
 

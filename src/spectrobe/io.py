@@ -25,7 +25,7 @@ from .analysis import (
     ComplementarityReport,
     KernelBundle,
     LayerReport,
-    RedundancyPair,
+    RedundancyColumns,
     ShiftReport,
     slot_grid,
 )
@@ -104,15 +104,17 @@ def _load_json(path) -> object:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _check_payload(path: Path, count: int) -> None:
-    """Raise unless ``path`` is a file of exactly ``count`` float32 values."""
-    if not path.is_file():
-        raise FormatError(f"{path}: missing payload file")
-    size = path.stat().st_size
+def _check_payload(path: Path, count: int, where) -> None:
+    """Raise, naming ``where``, unless ``path`` holds exactly ``count`` float32s."""
+    try:
+        size = path.stat().st_size if path.is_file() else None
+    except OSError as exc:  # a name too long, a permission denied, ...
+        raise FormatError(f"{where}: cannot read payload ({exc.strerror})") from None
+    if size is None:
+        raise FormatError(f"{where}: missing payload file")
     if size != count * 4:
-        raise FormatError(
-            f"{path}: expected {count * 4} bytes ({count} float32 values), got {size}"
-        )
+        raise FormatError(f"{where}: expected {count * 4} bytes "
+                          f"({count} float32 values), got {size}")
 
 
 def _read_payload(path: Path, out: FloatArray) -> None:
@@ -208,7 +210,7 @@ def read_bundle(path) -> KernelBundle:
         ):
             raise FormatError(
                 f"{where}: path {quoted(rel)} leaves the bundle directory")
-        _check_payload(payload, element_count)
+        _check_payload(payload, element_count, f"{where}: path {quoted(rel)}")
         slots.append((layer, direction, kernel_index, payload))
     try:
         layers, count = slot_grid([slot[:3] for slot in slots])
@@ -293,7 +295,7 @@ def read_pair_dataset(path) -> tuple[dict[str, FloatArray], list[tuple[str, str,
             raise FormatError(f"{mpath}: duplicate token id {quoted(token_id)}")
         seen.add(token_id)
     vpath = root / "vectors.f32"
-    _check_payload(vpath, count * dim)
+    _check_payload(vpath, count * dim, vpath)
     matrix = np.empty((count, dim))
     _read_payload(vpath, matrix)
     representations = {token_id: matrix[i] for i, token_id in enumerate(ids)}
@@ -419,8 +421,26 @@ def _row(kind, pad: str):
 
 
 def _block(brackets: str, parts: list, pad: str) -> str:
-    joined = f",{pad}  ".join(parts)
-    return f"{brackets[0]}{pad}  {joined}{pad}{brackets[1]}" if parts else brackets
+    if not parts:
+        return brackets
+    # brackets into the fresh list's end items: the join is the one full copy
+    parts[0] = f"{brackets[0]}{pad}  {parts[0]}"
+    parts[-1] = f"{parts[-1]}{pad}{brackets[1]}"
+    return f",{pad}  ".join(parts)
+
+
+def _rows(record, pad: str) -> str:
+    """A record of equal-length columns as the list of its rows, each row
+    written as an object with the record's fields would be."""
+    template, fields = _row(type(record), pad + "  ")
+    columns = []
+    for column in fields(record):
+        values = column.tolist()
+        if values:
+            _json(values[0])  # adds an enum type to _SCALARS when first met
+            values = map(_SCALARS[type(values[0])], values)
+        columns.append(values)
+    return _block("[]", [template % row for row in zip(*columns)], pad)
 
 
 def _json(value, pad: str = "\n") -> str:
@@ -436,7 +456,9 @@ def _json(value, pad: str = "\n") -> str:
             f(v) if (f := _SCALARS.get(type(v))) else _json(v, inner)
             for v in fields(value)
         ])
-    if dataclasses.is_dataclass(type(value)):
+    if isinstance(value, RedundancyColumns):
+        return _rows(value, pad)
+    elif dataclasses.is_dataclass(type(value)):
         _ROWS[type(value), pad] = _row(type(value), pad)
     elif isinstance(value, enum.Enum):
         _SCALARS[type(value)] = {m: _json(m.value) for m in type(value)}.__getitem__
@@ -457,7 +479,8 @@ def emit_report(report, path=None) -> str:
 
     The text is ``json.dumps(..., indent=2, sort_keys=True)`` of the report
     with dataclasses and enums flattened to plain objects and their values,
-    numpy values to lists and numbers, and infinities and NaN to the strings
+    RedundancyColumns to a list of row objects, numpy values to lists and
+    numbers, and infinities and NaN to the strings
     "infinite"/"-infinite" and null, so it stays valid JSON. Floats use
     their shortest exact repr, which makes equal reports byte-identical.
     """
@@ -499,14 +522,12 @@ def complementarity_payload(report: ComplementarityReport, model_tag: str) -> di
     }
 
 
-def redundancy_payload(
-    pairs: Sequence[RedundancyPair], model_tag: str, cutoff: float
-) -> dict:
+def redundancy_payload(pairs: RedundancyColumns, model_tag: str, cutoff: float) -> dict:
     return {
         "report": "redundancy",
         "model_tag": model_tag,
         "cutoff": cutoff,
-        "pairs": list(pairs),
+        "pairs": pairs,
     }
 
 

@@ -80,60 +80,39 @@ def emit_plot(
     ]
     for tick in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
         x = frequency_to_x(tick)
-        parts.append(
+        parts += [
             f'<line x1="{_fmt(x)}" y1="{_fmt(BOTTOM)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(BOTTOM + 5.0)}" stroke="#888888"/>'
-        )
-        parts.append(
+            f'y2="{_fmt(BOTTOM + 5.0)}" stroke="#888888"/>',
             f'<text x="{_fmt(x)}" y="{_fmt(BOTTOM + 20.0)}" font-size="12" '
-            f'text-anchor="middle" fill="#333333">{tick:.1f}</text>'
-        )
-    parts.append(
+            f'text-anchor="middle" fill="#333333">{tick:.1f}</text>',
+        ]
+    legend_x = RIGHT - 150.0
+    parts += [
         f'<text x="{_fmt((LEFT + RIGHT) / 2)}" y="{_fmt(BOTTOM + 38.0)}" '
         f'font-size="13" text-anchor="middle" fill="#333333">'
-        "frequency (cycles/sample)</text>"
-    )
-    parts.append(
+        "frequency (cycles/sample)</text>",
         f'<text x="{_fmt(LEFT - 8.0)}" y="{_fmt(BOTTOM)}" font-size="12" '
-        f'text-anchor="end" fill="#333333">0</text>'
-    )
-    parts.append(
+        f'text-anchor="end" fill="#333333">0</text>',
         f'<text x="{_fmt(LEFT - 8.0)}" y="{_fmt(TOP + 4.0)}" font-size="12" '
-        f'text-anchor="end" fill="#333333">{peak:.4g}</text>'
-    )
-    if title:
-        parts.append(
-            f'<text x="{_fmt(LEFT)}" y="{_fmt(TOP - 8.0)}" font-size="14" '
-            f'fill="#111111">{title.translate(_XML_TEXT)}</text>'
-        )
-    parts.append(
+        f'text-anchor="end" fill="#333333">{peak:.4g}</text>',
+        *([f'<text x="{_fmt(LEFT)}" y="{_fmt(TOP - 8.0)}" font-size="14" '
+           f'fill="#111111">{title.translate(_XML_TEXT)}</text>'] if title else []),
         f'<polyline fill="none" stroke="{_CURVE}" stroke-width="1.5" '
-        f'points="{points}"/>'
-    )
-    parts.append(
+        f'points="{points}"/>',
         f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="5" fill="none" '
-        f'stroke="{_DOMINANT}" stroke-width="2"/>'
-    )
-    parts.append(f'<polygon points="{triangle}" fill="{_CENTROID}"/>')
-    legend_x = RIGHT - 150.0
-    parts.append(
+        f'stroke="{_DOMINANT}" stroke-width="2"/>',
+        f'<polygon points="{triangle}" fill="{_CENTROID}"/>',
         f'<circle cx="{_fmt(legend_x)}" cy="{_fmt(TOP + 12.0)}" r="5" '
-        f'fill="none" stroke="{_DOMINANT}" stroke-width="2"/>'
-    )
-    parts.append(
+        f'fill="none" stroke="{_DOMINANT}" stroke-width="2"/>',
         f'<text x="{_fmt(legend_x + 12.0)}" y="{_fmt(TOP + 16.0)}" '
-        f'font-size="12" fill="#333333">dominant frequency</text>'
-    )
-    parts.append(
+        f'font-size="12" fill="#333333">dominant frequency</text>',
         f'<polygon points="{_fmt(legend_x)},{_fmt(TOP + 25.0)} '
         f'{_fmt(legend_x - 6.0)},{_fmt(TOP + 37.0)} '
-        f'{_fmt(legend_x + 6.0)},{_fmt(TOP + 37.0)}" fill="{_CENTROID}"/>'
-    )
-    parts.append(
+        f'{_fmt(legend_x + 6.0)},{_fmt(TOP + 37.0)}" fill="{_CENTROID}"/>',
         f'<text x="{_fmt(legend_x + 12.0)}" y="{_fmt(TOP + 35.0)}" '
-        f'font-size="12" fill="#333333">spectral centroid</text>'
-    )
-    parts.append("</svg>")
+        f'font-size="12" fill="#333333">spectral centroid</text>',
+        "</svg>",
+    ]
     svg = "\n".join(parts) + "\n"
     if path is not None:
         from .io import _atomic_write_text

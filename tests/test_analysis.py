@@ -356,47 +356,80 @@ class TestAnalyzeRedundancy:
         values = rng.standard_normal(64)
         pairs = analyze_redundancy(self.multi_bundle([values, values.copy()]))
         assert len(pairs) == 2  # one pair per direction
-        for pair in pairs:
-            assert pair.similarity == pytest.approx(1.0, abs=1e-12)
-            assert pair.redundant
+        np.testing.assert_allclose(pairs.similarity, 1.0, rtol=0, atol=1e-12)
+        assert pairs.redundant.all()
 
     def test_scaling_does_not_hide_redundancy(self):
         rng = np.random.default_rng(10)
         values = rng.standard_normal(64)
         pairs = analyze_redundancy(self.multi_bundle([values, -3.0 * values]))
         # time-domain negation leaves the magnitude spectrum untouched
-        assert all(p.similarity == pytest.approx(1.0, abs=1e-12) for p in pairs)
+        np.testing.assert_allclose(pairs.similarity, 1.0, rtol=0, atol=1e-12)
 
     def test_disjoint_spectra_score_zero(self):
         dc = np.ones(64)
         nyquist = np.array([1.0, -1.0] * 32)
         pairs = analyze_redundancy(self.multi_bundle([dc, nyquist]))
-        for pair in pairs:
-            assert pair.similarity == pytest.approx(0.0, abs=1e-12)
-            assert not pair.redundant
+        np.testing.assert_allclose(pairs.similarity, 0.0, rtol=0, atol=1e-12)
+        assert not pairs.redundant.any()
 
     def test_every_pair_is_reported_once(self):
         rng = np.random.default_rng(12)
         rows = [rng.standard_normal(32) for _ in range(3)]
         pairs = analyze_redundancy(self.multi_bundle(rows))
-        keys = {(p.layer, p.direction, p.kernel_index_a, p.kernel_index_b)
-                for p in pairs}
-        assert len(pairs) == 6 and len(keys) == 6
-        assert all(p.kernel_index_a < p.kernel_index_b for p in pairs)
-        assert all(0.0 <= p.similarity <= 1.0 for p in pairs)
+        keys = list(zip(pairs.layer.tolist(), pairs.direction.tolist(),
+                        pairs.kernel_index_a.tolist(), pairs.kernel_index_b.tolist()))
+        assert len(pairs) == 6 and keys == [
+            (1, d, a, b) for d in (FWD, BWD) for a, b in ((0, 1), (0, 2), (1, 2))]
+        assert ((0.0 <= pairs.similarity) & (pairs.similarity <= 1.0)).all()
+
+    def test_columns_match_a_dot_per_pair(self):
+        """Bit for bit, the similarities are what a norm per kernel and a
+        dot per pair give, zero for a pair with an all-zero kernel."""
+        values = np.random.default_rng(14).standard_normal((3, 2, 5, 48))
+        values[1, 0, 2] = 0.0
+        pairs = analyze_redundancy(KernelBundle("m", values))
+        expected = []
+        for slab in values:
+            for spectra in np.abs(np.fft.rfft(slab, axis=-1)):
+                norms = [float(np.linalg.norm(s)) for s in spectra]
+                for a in range(5):
+                    for b in range(a + 1, 5):
+                        expected.append(
+                            float(np.dot(spectra[a], spectra[b]) / (norms[a] * norms[b]))
+                            if norms[a] and norms[b] else 0.0)
+        assert pairs.similarity.tolist() == expected
+        assert (pairs.redundant == (pairs.similarity >= 0.95)).all()
+
+    @pytest.mark.parametrize("count, length", [(2, 16), (7, 255), (33, 1024),
+                                               (64, 4096)])
+    def test_vecdot_has_the_bits_of_dot_and_norm(self, count, length):
+        """The identity analyze_redundancy relies on to keep the report's
+        bytes: a row-broadcast vecdot rounds as np.dot does for each pair,
+        and sqrt(vecdot(s, s)) as np.linalg.norm does for each row."""
+        values = np.random.default_rng([15, count, length]).standard_normal(
+            (count, length))
+        values[count // 2] = 0.0
+        spectra = np.abs(np.fft.rfft(values, axis=-1))
+        for a in range(count - 1):
+            row = np.vecdot(spectra[a], spectra[a + 1:]).tolist()
+            assert row == [float(np.dot(spectra[a], spectra[b]))
+                           for b in range(a + 1, count)], f"anchor {a}"
+        assert np.sqrt(np.vecdot(spectra, spectra)).tolist() == [
+            float(np.linalg.norm(s)) for s in spectra]
 
     def test_cutoff_override(self):
         rng = np.random.default_rng(13)
         base = rng.standard_normal(64)
         near = base + 0.05 * rng.standard_normal(64)
         default_pairs = analyze_redundancy(self.multi_bundle([base, near]))
-        sim = default_pairs[0].similarity
+        sim = default_pairs.similarity[0]
         assert 0.95 <= sim < 1.0
         strict = analyze_redundancy(
             self.multi_bundle([base, near]),
             RunConfig(redundancy_cutoff=min(1.0, sim + 1e-6)),
         )
-        assert not strict[0].redundant
+        assert not strict.redundant[0]
 
     def test_single_kernel_bundles_are_refused(self):
         bundle = class_pair_bundle("m", [(LOW, LOW)])

@@ -655,6 +655,19 @@ class TestHostileFiles:
         assert f"{path}{expected}" in err
         assert len(err) < 300 + len(str(path))
 
+    @pytest.mark.parametrize("length", [3_000, 100_000])
+    def test_hostile_payload_path_names_the_entry(self, argv_for, length, capsys):
+        """A missing payload path, or one too long for the file system, is
+        refused naming its manifest entry, with the path quoted short."""
+        argv, path = argv_for("bundle manifest")
+        manifest = json.loads(path.read_text())
+        manifest["kernels"][0]["path"] = "a" * length
+        path.write_text(json.dumps(manifest))
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: kernels[0]: path 'aaa" in err
+        assert len(err) < 300 + len(str(path))
+
     def test_chart_titles_parse_as_xml(self, band_bundle_dir, tmp_path):
         bundle = read_bundle(band_bundle_dir)
         write_bundle(KernelBundle("tag\x01", bundle.values), tmp_path / "b")

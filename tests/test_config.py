@@ -171,8 +171,8 @@ class TestOverridesReachThePipeline:
             kernels.append(Kernel(base, layer=1, direction=direction, kernel_index=0))
             kernels.append(Kernel(near, layer=1, direction=direction, kernel_index=1))
         bundle = KernelBundle.from_kernels("m", kernels)
-        assert analyze_redundancy(bundle)[0].redundant
-        sim = analyze_redundancy(bundle)[0].similarity
+        assert analyze_redundancy(bundle).redundant[0]
+        sim = analyze_redundancy(bundle).similarity[0]
         assert not analyze_redundancy(
             bundle, RunConfig(redundancy_cutoff=min(1.0, sim + 1e-9))
-        )[0].redundant
+        ).redundant[0]

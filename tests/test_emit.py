@@ -22,7 +22,7 @@ from spectrobe.analysis import (
     KernelBundle,
     LayerComplementarity,
     LayerReport,
-    RedundancyPair,
+    RedundancyColumns,
     ShiftEntry,
     ShiftReport,
 )
@@ -70,7 +70,7 @@ def reference_text(value) -> str:
 REPORT_TYPES = (
     SpectralSummary, Categorization, KernelAnalysis, LayerReport,
     LayerComplementarity, ComplementarityReport, ShiftEntry, ShiftReport,
-    RedundancyPair, Cluster, MergeRecord, ProbeResult, BuiltPairs, EvalResult,
+    Cluster, MergeRecord, ProbeResult, BuiltPairs, EvalResult,
 )
 ENUMS = (Direction, FilterClass, Confidence, Complementarity, PairTask)
 
@@ -118,6 +118,26 @@ values = st.recursive(
 )
 
 
+@st.composite
+def redundancy_columns(draw):
+    """A RedundancyColumns record of any length with any column values."""
+    n = draw(st.integers(0, 4))
+    ints = hnp.arrays(np.int64, n)
+    directions = st.lists(st.sampled_from(list(Direction)), min_size=n, max_size=n)
+    return RedundancyColumns(
+        draw(ints), np.array(draw(directions), dtype=object),
+        draw(ints), draw(ints), draw(hnp.arrays(np.float64, n, elements=floats)),
+        draw(hnp.arrays(np.bool_, n)),
+    )
+
+
+def column_rows(record):
+    """The rows of a RedundancyColumns record, one field dict per pair."""
+    names = [f.name for f in dataclasses.fields(record)]
+    columns = [getattr(record, name).tolist() for name in names]
+    return [dict(zip(names, row)) for row in zip(*columns)]
+
+
 class TestWriterMatchesTheGenericDump:
     @given(values)
     def test_any_value(self, value):
@@ -134,9 +154,19 @@ class TestWriterMatchesTheGenericDump:
 
     def test_empty_containers_and_nesting(self):
         for value in ([], (), {}, [[]], {"a": {}}, [(), {}], np.zeros((0, 3)),
-                      ComplementarityReport(()), {"x": [RedundancyPair(
-                          1, Direction.BACKWARD, 0, 1, -0.0, False)]}):
+                      ComplementarityReport(())):
             assert emit_report(value) == reference_text(value)
+        empty = RedundancyColumns(*[np.zeros(0)] * 6)
+        assert emit_report({"x": [empty]}) == reference_text({"x": [[]]})
+
+    @given(redundancy_columns(), st.sampled_from([0, 1, 2]))
+    def test_redundancy_columns_are_written_as_rows(self, record, depth):
+        """A column record gives the bytes of the list of its rows, as the
+        per-pair dataclass it replaced gave, at any nesting depth."""
+        value, rows = record, column_rows(record)
+        for _ in range(depth):
+            value, rows = {"pairs": value}, {"pairs": rows}
+        assert emit_report(value) == reference_text(rows)
 
     def test_a_real_report_row(self):
         entry = KernelAnalysis(

@@ -553,7 +553,10 @@ class TestPayloadBuilders:
                 )
         pairs = analyze_redundancy(KernelBundle.from_kernels("m", kernels))
         data = json.loads(emit_report(redundancy_payload(pairs, "m", 0.95)))
-        assert data["pairs"][0]["redundant"] is True
+        assert [(p["layer"], p["direction"], p["kernel_index_a"], p["kernel_index_b"],
+                 p["redundant"]) for p in data["pairs"]] == [
+            (1, "forward", 0, 1, True), (1, "backward", 0, 1, True)]
+        assert [p["similarity"] for p in data["pairs"]] == pairs.similarity.tolist()
 
     def test_probe_payload_with_and_without_evaluation(self):
         reps = {"a": np.array([0.0]), "b": np.array([5.0])}
