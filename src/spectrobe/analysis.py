@@ -28,11 +28,6 @@ from .spectral import (
     summary_fields,
 )
 
-# combined class of every verdict as its CLASSES index, -1 for outliers
-_RANKS = np.array(
-    [-1 if v.combined is None else CLASSES.index(v.combined) for v in VERDICTS]
-)
-
 
 def slot_grid(slots: Sequence[tuple[int, Direction, int]]) -> tuple[int, int]:
     """The (layers, kernels per direction) grid that ``slots``, a list of
@@ -208,16 +203,6 @@ class RedundancyColumns:
         return len(self.similarity)
 
 
-def _classify(
-    values: FloatArray, cfg: RunConfig
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Summary fields (see summary_fields) and VERDICTS indices, under
-    ``cfg``, of every kernel in ``values``, an array of shape (..., N).
-    All-zero kernels have a zero ``total_magnitude`` and no verdict."""
-    fields = summary_fields(*magnitude_spectra(values), cfg)
-    return fields, verdict_indices(fields["centroid"], fields["lhfr"], cfg)
-
-
 def analyze_bundle(
     bundle: KernelBundle, config: RunConfig = DEFAULT_CONFIG
 ) -> list[LayerReport]:
@@ -228,7 +213,8 @@ def analyze_bundle(
     """
     reports = []
     for layer, slab in enumerate(bundle.values, start=1):
-        fields, verdicts = _classify(slab, config)
+        fields = summary_fields(*magnitude_spectra(slab), config)
+        verdicts = verdict_indices(fields["centroid"], fields["lhfr"], config)
         columns = {name: column.tolist() for name, column in fields.items()}
         entries = []
         for d, k in np.ndindex(slab.shape[:2]):
@@ -298,36 +284,28 @@ def diff_bundles(
     A kernel counts as shifted high when its centroid moved up by more
     than the threshold, or its combined class climbed the low < band <
     high order (which catches transitions smaller than the threshold).
-    Kernels must carry energy in both checkpoints.
+    Centroids and classes are those of analyze_bundle under ``config``; a
+    kernel it marks degenerate in either bundle raises DegenerateKernelError.
     """
     _check_same_topology(before, after)
     entries = []
-    flagged = []
+    for rb, ra in zip(analyze_bundle(before, config), analyze_bundle(after, config)):
+        for eb, ea in zip(rb.entries, ra.entries):
+            if eb.degenerate or ea.degenerate:
+                raise DegenerateKernelError("all-zero spectrum cannot be summarized")
+            sb, sa = eb.summary.centroid, ea.summary.centroid
+            cb, ca = eb.categorization.combined, ea.categorization.combined
+            climbed = None not in (cb, ca) and CLASSES.index(ca) > CLASSES.index(cb)
+            entries.append(ShiftEntry(
+                rb.layer, eb.direction, eb.kernel_index, sc_before=sb, sc_after=sa,
+                delta_sc=sa - sb, class_before=cb, class_after=ca,
+                shifted_high=sa - sb > config.shift_threshold or climbed,
+            ))
     early_limit = (before.layer_count + 1) // 2
-    for layer in range(before.layer_count):
-        (fb, vb), (fa, va) = (_classify(b.values[layer], config)
-                              for b in (before, after))
-        if (fb["total_magnitude"] <= 0.0).any() or (fa["total_magnitude"] <= 0.0).any():
-            raise DegenerateKernelError("all-zero spectrum cannot be summarized")
-        delta = fa["centroid"] - fb["centroid"]
-        climbed = (_RANKS[vb] >= 0) & (_RANKS[va] > _RANKS[vb])
-        shifted = (delta > config.shift_threshold) | climbed
-        for d, k in np.ndindex(delta.shape):
-            entries.append(
-                ShiftEntry(
-                    layer=layer + 1,
-                    direction=DIRECTIONS[d],
-                    kernel_index=k,
-                    sc_before=fb["centroid"][d, k].item(),
-                    sc_after=fa["centroid"][d, k].item(),
-                    delta_sc=delta[d, k].item(),
-                    class_before=VERDICTS[vb[d, k]].combined,
-                    class_after=VERDICTS[va[d, k]].combined,
-                    shifted_high=bool(shifted[d, k]),
-                )
-            )
-        if layer < early_limit and shifted[0].any():  # row 0 is forward
-            flagged.append(layer + 1)
+    flagged = dict.fromkeys(
+        e.layer for e in entries
+        if e.shifted_high and e.direction is Direction.FORWARD and e.layer <= early_limit
+    )
     return ShiftReport(tuple(entries), tuple(flagged), config.shift_threshold)
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .io import _atomic_write_text
 from .spectral import Spectrum, SpectralSummary
 
 WIDTH = 640
@@ -60,10 +61,7 @@ def emit_plot(
     # _fmt does, so this is the per-point text in one formatting pass
     xy = np.stack((frequency_to_x(freqs), magnitude_to_y(mags, peak)), axis=1)
     points = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
-    dom_f = summary.dominant_frequency
-    dom_mag = float(mags[int(np.argmax(mags))])
-    cx = frequency_to_x(dom_f)
-    cy = magnitude_to_y(dom_mag, peak)
+    cx = frequency_to_x(summary.dominant_frequency)  # on the peak, at y = TOP
     tx = frequency_to_x(summary.centroid)
     ty = magnitude_to_y(float(np.interp(summary.centroid, freqs, mags)), peak)
     triangle = (
@@ -99,7 +97,7 @@ def emit_plot(
            f'fill="#111111">{title.translate(_XML_TEXT)}</text>'] if title else []),
         f'<polyline fill="none" stroke="{_CURVE}" stroke-width="1.5" '
         f'points="{points}"/>',
-        f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="5" fill="none" '
+        f'<circle cx="{_fmt(cx)}" cy="{_fmt(TOP)}" r="5" fill="none" '
         f'stroke="{_DOMINANT}" stroke-width="2"/>',
         f'<polygon points="{triangle}" fill="{_CENTROID}"/>',
         f'<circle cx="{_fmt(legend_x)}" cy="{_fmt(TOP + 12.0)}" r="5" '
@@ -115,7 +113,5 @@ def emit_plot(
     ]
     svg = "\n".join(parts) + "\n"
     if path is not None:
-        from .io import _atomic_write_text
-
         _atomic_write_text(Path(path), svg)
     return svg

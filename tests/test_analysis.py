@@ -7,6 +7,7 @@ from spectrobe import (
     Complementarity,
     Confidence,
     DEFAULT_CONFIG,
+    DegenerateKernelError,
     Direction,
     FilterClass,
     Kernel,
@@ -338,6 +339,26 @@ class TestDiffBundles:
         short = class_pair_bundle("c", [(LOW, LOW), (LOW, LOW)], length=128)
         with pytest.raises(ValueError, match="lengths"):
             diff_bundles(two, short)
+        rng = np.random.default_rng(7)
+        wide = random_bundle("d", rng, layer_count=2, kernel_count=2, length=256)
+        with pytest.raises(ValueError, match="kernel counts per direction differ"):
+            diff_bundles(two, wide)
+
+    def test_kernels_analyze_marks_degenerate_stop_the_diff(self):
+        # values near the float64 limit overflow the rfft, so the spectrum
+        # total is NaN: analyze marks the kernel degenerate, and diff, which
+        # reads analyze's entries, refuses it instead of reporting NaN
+        kernels = [Kernel(np.full(64, 1e307), layer=1, direction=FWD),
+                   synth_for(LOW, 1, BWD, length=64)]
+        bundle = KernelBundle.from_kernels("m", kernels)
+        clean = class_pair_bundle("c", [(LOW, LOW)], length=64)
+        with pytest.warns(RuntimeWarning, match="encountered in rfft"):
+            entry = analyze_bundle(bundle)[0].entries[0]
+        assert entry.degenerate and entry.summary is None
+        for before, after in ((bundle, clean), (clean, bundle)):
+            with pytest.warns(RuntimeWarning, match="encountered in rfft"):
+                with pytest.raises(DegenerateKernelError, match="all-zero spectrum"):
+                    diff_bundles(before, after)
 
 
 class TestAnalyzeRedundancy:

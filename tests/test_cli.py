@@ -190,6 +190,23 @@ class TestAnalyze:
         assert rc == 1
         assert "leaves the bundle directory" in capsys.readouterr().err
 
+    def test_payload_growing_while_read_exits_one(self, band_bundle_dir, tmp_path,
+                                                  capsys, monkeypatch):
+        # a concurrent writer appends to each payload after its size check
+        check = spectrobe.io._check_payload
+
+        def check_then_grow(path, count, where):
+            check(path, count, where)
+            with open(path, "ab") as f:
+                f.write(b"\0" * 4)
+
+        monkeypatch.setattr(spectrobe.io, "_check_payload", check_then_grow)
+        out = tmp_path / "r.json"
+        rc = cli.main(["analyze", "--bundle", str(band_bundle_dir), "--out", str(out)])
+        assert rc == 1
+        assert "changed size while being read" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [band_bundle_dir]
+
     def test_missing_bundle(self, tmp_path, capsys):
         rc = cli.main(
             ["analyze", "--bundle", str(tmp_path / "ghost"), "--out",

@@ -143,6 +143,13 @@ class TestBundleReadErrors:
         with pytest.raises(FormatError, match="model_tag"):
             read_bundle(written)
 
+    def test_too_short_n(self, written):
+        m = self.manifest(written)
+        m["N"] = 1
+        self.rewrite(written, m)
+        with pytest.raises(FormatError, match="N must be >= 2, got 1"):
+            read_bundle(written)
+
     def test_wrong_field_type(self, written):
         m = self.manifest(written)
         m["N"] = "32"
@@ -346,6 +353,15 @@ class TestPairDataset:
         with pytest.raises(FormatError, match="expected 60 bytes"):
             read_pair_dataset(tmp_path / "d")
 
+    def test_dimension_below_one(self, tmp_path):
+        write_pair_dataset(self.reps, [], tmp_path / "d")
+        mpath = tmp_path / "d" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["dimension"] = 0
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="dimension must be >= 1, got 0"):
+            read_pair_dataset(tmp_path / "d")
+
     def test_blank_lines_are_skipped(self, tmp_path):
         write_pair_dataset(self.reps, self.pairs, tmp_path / "d")
         ppath = tmp_path / "d" / "pairs.txt"
@@ -464,6 +480,11 @@ class TestEmitReport:
     def test_no_temp_file_left(self, tmp_path):
         emit_report({"k": 1}, tmp_path / "out" / "r.json")
         assert not list((tmp_path / "out").glob("*.tmp"))
+
+    def test_unsupported_value_is_refused_before_writing(self, tmp_path):
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            emit_report({"k": object()}, tmp_path / "r.json")
+        assert not list(tmp_path.iterdir())
 
 
 class TestAtomicWrite:

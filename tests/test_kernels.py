@@ -241,6 +241,8 @@ class TestSynth:
             SynthSpec(BAND, 0.2)
         with pytest.raises(ValueError):
             SynthSpec(BAND, 0.3, cutoff_high=0.2)
+        with pytest.raises(ValueError, match="cutoff_high 0.5 outside"):
+            SynthSpec(BAND, 0.2, cutoff_high=0.5)
         with pytest.raises(ValueError):
             SynthSpec(LOW, 0.1, cutoff_high=0.2)
         with pytest.raises(ValueError):

@@ -168,6 +168,8 @@ class TestRunDirectprobe:
             run_directprobe([np.zeros(2)])
         with pytest.raises(ValueError, match="dimension"):
             run_directprobe([lp([0.0], "a"), lp([0.0, 1.0], "a")])
+        with pytest.raises(ValueError, match="label must be a nonempty string"):
+            lp([0.0], "")
 
 
 class TestPredictEvaluate:
@@ -194,6 +196,9 @@ class TestPredictEvaluate:
             predict(result, np.array([1.0]))
         with pytest.raises(ValueError):
             predict(result, np.array([np.inf, 0.0]))
+        empty = ProbeResult(result.points, (), (), converged=True)
+        with pytest.raises(ValueError, match="result has no clusters"):
+            predict(empty, np.array([1.0, 0.0]))
 
     def test_perfect_heldout(self):
         result = run_directprobe(xor_dataset())

@@ -89,11 +89,26 @@ class TestComputeSpectrum:
         with pytest.raises(ValueError):
             Kernel(np.ones((4, 4)))
 
+    def test_rejects_slots_out_of_range(self):
+        with pytest.raises(ValueError, match="layer must be >= 1, got 0"):
+            Kernel(np.ones(4), layer=0)
+        with pytest.raises(ValueError, match="kernel_index must be >= 0, got -1"):
+            Kernel(np.ones(4), kernel_index=-1)
+
     def test_spectrum_validates_shape(self):
         with pytest.raises(ValueError):
             Spectrum(np.arange(4) / 8, np.ones(5), source_length=8)
         with pytest.raises(ValueError):
             Spectrum(np.array([0.0, 0.3, 0.2]), np.ones(3), source_length=4)
+        grid = np.arange(3) / 4
+        with pytest.raises(ValueError, match="source_length must be >= 2, got 1"):
+            Spectrum(np.zeros(1), np.ones(1), source_length=1)
+        with pytest.raises(ValueError, match="must have equal length"):
+            Spectrum(grid, np.ones(4), source_length=4)
+        with pytest.raises(ValueError, match="must not exceed 0.5"):
+            Spectrum(np.array([0.0, 0.25, 0.6]), np.ones(3), source_length=4)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            Spectrum(grid, np.array([1.0, -1.0, 1.0]), source_length=4)
 
 
 def centroid_of(spec):
