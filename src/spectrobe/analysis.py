@@ -208,8 +208,8 @@ def analyze_bundle(
 ) -> list[LayerReport]:
     """Spectral summary and categorization for every kernel, layer by layer.
 
-    All-zero kernels cannot be classified; their entries are marked
-    degenerate and the rest of the bundle is still analyzed.
+    Kernels whose spectrum total is not positive and finite cannot be
+    classified; they are marked degenerate and the rest still analyzed.
     """
     reports = []
     for layer, slab in enumerate(bundle.values, start=1):
@@ -219,7 +219,7 @@ def analyze_bundle(
         entries = []
         for d, k in np.ndindex(slab.shape[:2]):
             slot = (DIRECTIONS[d], k)
-            if columns["total_magnitude"][d][k] > 0.0:
+            if 0.0 < columns["total_magnitude"][d][k] < np.inf:
                 summary = SpectralSummary(
                     **{name: column[d][k] for name, column in columns.items()}
                 )

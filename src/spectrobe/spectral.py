@@ -153,7 +153,7 @@ def summary_fields(
     fractions are of the representable range [0, 0.5], not of the bin
     count. Each reduction runs along the last axis and the bands are
     contiguous slices, so a row of a batch gets bit-for-bit what it gets
-    alone. Rows without energy have a zero ``total_magnitude`` and
+    alone. Rows whose ``total_magnitude`` is zero or not finite have
     meaningless other fields; callers must check it.
     """
     # the grid ascends, so each band is a prefix or a suffix of the bins
@@ -192,10 +192,10 @@ def summarize(
     Band sums below ZERO_BAND_FLOOR of the total are treated as empty.
     When both tails are empty but the spectrum is not, the ratio is
     reported as 1.0 with ``tail_free`` set, so downstream classification
-    reads the kernel as mid-band. Raises DegenerateKernelError when the
-    spectrum carries no energy.
+    reads the kernel as mid-band. Raises DegenerateKernelError unless the
+    spectrum total is positive and finite.
     """
     fields = summary_fields(spectrum.frequencies, spectrum.magnitudes, config)
-    if not fields["total_magnitude"] > 0.0:
+    if not 0.0 < fields["total_magnitude"] < np.inf:
         raise DegenerateKernelError("all-zero spectrum cannot be summarized")
     return SpectralSummary(**{name: value.item() for name, value in fields.items()})

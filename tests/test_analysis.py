@@ -361,6 +361,23 @@ class TestDiffBundles:
                     diff_bundles(before, after)
 
 
+    def test_an_infinite_spectrum_total_is_degenerate(self):
+        # standard-normal values near the float64 limit: the rfft stays
+        # finite but the magnitudes sum to inf, which leaves no centroid
+        values = np.random.default_rng(0).standard_normal(64) * 1e307
+        kernels = [Kernel(values, layer=1, direction=FWD),
+                   synth_for(LOW, 1, BWD, length=64)]
+        bundle = KernelBundle.from_kernels("m", kernels)
+        clean = class_pair_bundle("c", [(LOW, LOW)], length=64)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in reduce"):
+            entry = analyze_bundle(bundle)[0].entries[0]
+        assert entry.degenerate and entry.summary is None
+        for before, after in ((bundle, clean), (clean, bundle)):
+            with pytest.warns(RuntimeWarning, match="overflow encountered in reduce"):
+                with pytest.raises(DegenerateKernelError, match="all-zero spectrum"):
+                    diff_bundles(before, after)
+
+
 class TestAnalyzeRedundancy:
     def multi_bundle(self, kernel_rows, tag="m"):
         """kernel_rows: list of value arrays per kernel_index; both directions."""

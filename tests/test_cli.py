@@ -190,6 +190,19 @@ class TestAnalyze:
         assert rc == 1
         assert "leaves the bundle directory" in capsys.readouterr().err
 
+    def test_payload_path_naming_a_directory_exits_one(self, band_bundle_dir, tmp_path,
+                                                      capsys):
+        mpath = band_bundle_dir / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        (band_bundle_dir / "sub").mkdir()
+        manifest["kernels"][0]["path"] = "sub"
+        mpath.write_text(json.dumps(manifest))
+        rc = cli.main(["analyze", "--bundle", str(band_bundle_dir),
+                       "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert (f"{mpath}: kernels[0]: path 'sub': missing payload file"
+                in capsys.readouterr().err)
+
     def test_payload_growing_while_read_exits_one(self, band_bundle_dir, tmp_path,
                                                   capsys, monkeypatch):
         # a concurrent writer appends to each payload after its size check

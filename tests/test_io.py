@@ -30,6 +30,7 @@ from spectrobe import (
     write_bundle,
     write_pair_dataset,
 )
+from spectrobe.config import quoted
 from spectrobe.io import (
     _atomic_write_bytes,
     analysis_payload,
@@ -191,6 +192,20 @@ class TestBundleReadErrors:
         with pytest.raises(FormatError, match="element 3"):
             read_bundle(written)
 
+    def test_first_non_finite_payload_in_manifest_order_is_named(self, written):
+        m = self.manifest(written)
+        m["kernels"].reverse()  # manifest order is no longer slot order
+        self.rewrite(written, m)
+        for entry, index in ((m["kernels"][1], 5), (m["kernels"][2], 3)):
+            victim = written / entry["path"]
+            data = np.frombuffer(victim.read_bytes(), dtype="<f4").copy()
+            data[index] = np.nan
+            victim.write_bytes(data.tobytes())
+        with pytest.raises(FormatError) as caught:
+            read_bundle(written)
+        assert str(caught.value) == (f"{written / m['kernels'][1]['path']}: "
+                                     "non-finite value at element 5")
+
     def test_bundle_invariants_reported_as_format_errors(self, written):
         m = self.manifest(written)
         m["kernels"] = [e for e in m["kernels"] if e["direction"] == "forward"]
@@ -208,6 +223,63 @@ class TestBundleReadErrors:
         self.rewrite(written, m)
         with pytest.raises(FormatError, match="leaves the bundle directory"):
             read_bundle(written)
+
+    # (path in the last manifest entry, expected error or None for a clean
+    # read). The tree around the bundle b: ../x.f32 and ../out/x.f32 outside,
+    # x.f32 and sub/x.f32 inside, and the symlinks link_out -> ../x.f32,
+    # link_in -> x.f32, dir_out -> ../out, dir_in -> sub and up -> ..
+    @pytest.mark.parametrize("rel, error", [
+        ("link_out", "leaves the bundle directory"),
+        ("link_in", None),
+        ("dir_out/x.f32", "leaves the bundle directory"),
+        ("dir_in/x.f32", None),
+        ("sub/../x.f32", None),
+        ("sub/../../x.f32", "leaves the bundle directory"),
+        ("dir_in/../x.f32", None),
+        ("dir_out/../x.f32", "leaves the bundle directory"),
+        ("up/x.f32", "leaves the bundle directory"),
+        ("up/b/x.f32", None),
+        ("up/b", "missing payload file"),  # the bundle directory itself
+        ("../b", "missing payload file"),
+        ("up", "leaves the bundle directory"),
+        ("..", "leaves the bundle directory"),
+        ("./x.f32", None),
+        ("", "missing payload file"),
+        (".", "missing payload file"),
+        ("sub/", "missing payload file"),
+        ("sub/x.f32/", None),  # the path is read as sub/x.f32
+        ("ghost/../x.f32", "missing payload file"),
+        ("ABSOLUTE", "leaves the bundle directory"),
+    ])
+    def test_containment_follows_symlinks(self, written, rel, error):
+        m = self.manifest(written)
+        last = m["kernels"][-1]
+        data = (written / last["path"]).read_bytes()
+        outside = -np.frombuffer(data, dtype="<f4")
+        (written.parent / "out").mkdir()
+        for path in (written.parent / "x.f32", written.parent / "out" / "x.f32"):
+            path.write_bytes(outside.tobytes())
+        (written / "sub").mkdir()
+        (written / "x.f32").write_bytes(data)
+        (written / "sub" / "x.f32").write_bytes(data)
+        for name, target in [("link_out", "../x.f32"), ("link_in", "x.f32"),
+                             ("dir_out", "../out"), ("dir_in", "sub"), ("up", "..")]:
+            (written / name).symlink_to(target)
+        if rel == "ABSOLUTE":
+            rel = str(written / "x.f32")
+        last["path"] = rel
+        self.rewrite(written, m)
+        if error is None:
+            bundle = read_bundle(written)
+            np.testing.assert_array_equal(bundle.values[-1, -1, -1],
+                                          np.frombuffer(data, dtype="<f4"))
+            return
+        i = len(m["kernels"]) - 1
+        message = (f"{written / 'manifest.json'}: kernels[{i}]: path {quoted(rel)}"
+                   + (": " if error.startswith("missing") else " ") + error)
+        with pytest.raises(FormatError) as caught:
+            read_bundle(written)
+        assert str(caught.value) == message
 
     def test_layer_count_cross_check(self, written):
         m = self.manifest(written)
@@ -352,6 +424,16 @@ class TestPairDataset:
         mpath.write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match="expected 60 bytes"):
             read_pair_dataset(tmp_path / "d")
+
+    def test_non_finite_vector_names_the_file_and_element(self, tmp_path):
+        write_pair_dataset(self.reps, [], tmp_path / "d")
+        vpath = tmp_path / "d" / "vectors.f32"
+        data = np.frombuffer(vpath.read_bytes(), dtype="<f4").copy()
+        data[[3, 5]] = -np.inf
+        vpath.write_bytes(data.tobytes())
+        with pytest.raises(FormatError) as caught:
+            read_pair_dataset(tmp_path / "d")
+        assert str(caught.value) == f"{vpath}: non-finite value at element 3"
 
     def test_dimension_below_one(self, tmp_path):
         write_pair_dataset(self.reps, [], tmp_path / "d")

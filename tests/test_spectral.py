@@ -152,6 +152,13 @@ class TestSpectralCentroid:
         with pytest.raises(DegenerateKernelError):
             centroid_of(spec)
 
+    def test_an_infinite_total_is_degenerate(self):
+        # finite magnitudes whose sum overflows: no centroid to report
+        spec = Spectrum(np.arange(5) / 8, np.full(5, 1e308), 8)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in reduce"):
+            with pytest.raises(DegenerateKernelError, match="all-zero spectrum"):
+                summarize(spec)
+
 
 def bands_of(spec, config=DEFAULT_CONFIG):
     summary = summarize(spec, config)
