@@ -32,11 +32,12 @@ from .classify import (
     classify_by_centroid,
     classify_by_lhfr,
 )
-from .config import DEFAULT_CONFIG, RunConfig, config_from_mapping, load_config
+from .config import DEFAULT_CONFIG, RunConfig, config_from_mapping
 from .io import (
     FormatError,
     ParamsEntry,
     emit_report,
+    load_config,
     read_bundle,
     read_pair_dataset,
     read_s4d_params,

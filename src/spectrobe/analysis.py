@@ -292,7 +292,7 @@ def diff_bundles(
     for rb, ra in zip(analyze_bundle(before, config), analyze_bundle(after, config)):
         for eb, ea in zip(rb.entries, ra.entries):
             if eb.degenerate or ea.degenerate:
-                raise DegenerateKernelError("all-zero spectrum cannot be summarized")
+                raise DegenerateKernelError()
             sb, sa = eb.summary.centroid, ea.summary.centroid
             cb, ca = eb.categorization.combined, ea.categorization.combined
             climbed = None not in (cb, ca) and CLASSES.index(ca) > CLASSES.index(cb)
@@ -329,9 +329,9 @@ def analyze_redundancy(
             # one row-broadcast vecdot per anchor has the bits of np.dot for
             # each pair, and sqrt(vecdot(s, s)) those of np.linalg.norm; a
             # Gram matrix would round differently and change the report
-            norms = np.sqrt(np.vecdot(spectra, spectra))
-            dots = [np.vecdot(spectra[a], spectra[a + 1:]) for a in range(count - 1)]
-            with np.errstate(all="ignore"):  # pairs with a zero norm score 0
+            with np.errstate(all="ignore"):  # zero norms score 0, overflowed ones NaN
+                norms = np.sqrt(np.vecdot(spectra, spectra))
+                dots = [np.vecdot(spectra[a], spectra[a + 1:]) for a in range(count - 1)]
                 sims = np.concatenate(dots) / (norms[ia] * norms[ib])
             sims[(norms[ia] == 0.0) | (norms[ib] == 0.0)] = 0.0
             similarity.append(sims)

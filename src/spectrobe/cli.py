@@ -18,11 +18,12 @@ from .analysis import (
     diff_bundles,
 )
 from .classify import FilterClass
-from .config import DEFAULT_CONFIG, load_config
+from .config import DEFAULT_CONFIG
 from .io import (
     analysis_payload,
     complementarity_payload,
     emit_report,
+    load_config,
     probe_payload,
     read_bundle,
     read_pair_dataset,
@@ -58,10 +59,6 @@ _PROBE_TASKS = {
 }
 
 
-def _config_from(args):
-    return load_config(args.config) if args.config else DEFAULT_CONFIG
-
-
 def _plot_kernel(bundle, layer: int, direction: Direction, k: int, path) -> None:
     """Chart of kernel ``k`` of ``direction`` in 1-based ``layer``."""
     d = DIRECTIONS.index(direction)
@@ -70,11 +67,9 @@ def _plot_kernel(bundle, layer: int, direction: Direction, k: int, path) -> None
     emit_plot(spectrum, summarize(spectrum), path, title=title)
 
 
-def _cmd_analyze(args) -> int:
-    cfg = _config_from(args)
+def _cmd_analyze(args, cfg) -> dict:
     bundle = read_bundle(args.bundle)
     reports = analyze_bundle(bundle, cfg)
-    emit_report(analysis_payload(bundle, reports), args.out)
     if args.plots:
         plots_dir = Path(args.plots)
         plots_dir.mkdir(parents=True, exist_ok=True)
@@ -85,37 +80,29 @@ def _cmd_analyze(args) -> int:
                 layer, direction, k = report.layer, entry.direction, entry.kernel_index
                 name = f"layer{layer:03d}_{direction.value}_k{k:02d}.svg"
                 _plot_kernel(bundle, layer, direction, k, plots_dir / name)
-    return 0
+    return analysis_payload(bundle, reports)
 
 
-def _cmd_diff(args) -> int:
-    cfg = _config_from(args)
+def _cmd_diff(args, cfg) -> dict:
     before = read_bundle(args.before)
     after = read_bundle(args.after)
     report = diff_bundles(before, after, cfg)
-    emit_report(shift_payload(report, before.model_tag, after.model_tag), args.out)
-    return 0
+    return shift_payload(report, before.model_tag, after.model_tag)
 
 
-def _cmd_complementary(args) -> int:
-    cfg = _config_from(args)
+def _cmd_complementary(args, cfg) -> dict:
     bundle = read_bundle(args.bundle)
     report = detect_complementary(analyze_bundle(bundle, cfg))
-    sys.stdout.write(emit_report(complementarity_payload(report, bundle.model_tag)))
-    return 0
+    return complementarity_payload(report, bundle.model_tag)
 
 
-def _cmd_redundancy(args) -> int:
-    cfg = _config_from(args)
+def _cmd_redundancy(args, cfg) -> dict:
     bundle = read_bundle(args.bundle)
     pairs = analyze_redundancy(bundle, cfg)
-    payload = redundancy_payload(pairs, bundle.model_tag, cfg.redundancy_cutoff)
-    del bundle  # its kernels are not needed to write the report
-    sys.stdout.write(emit_report(payload))
-    return 0
+    return redundancy_payload(pairs, bundle.model_tag, cfg.redundancy_cutoff)
 
 
-def _cmd_materialize(args) -> int:
+def _cmd_materialize(args, cfg) -> None:
     model_tag, entries = read_s4d_params(args.params)
     kernels = []
     for entry in entries:
@@ -128,10 +115,9 @@ def _cmd_materialize(args) -> int:
             ) from None
         kernels.append(Kernel(values, entry.layer, entry.direction, entry.kernel_index))
     write_bundle(KernelBundle.from_kernels(model_tag, kernels), args.out)
-    return 0
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args, cfg) -> None:
     spec = SynthSpec(
         target_class=_SYNTH_CLASSES[args.target_class],
         cutoff_low=args.cutoff,
@@ -142,20 +128,18 @@ def _cmd_synth(args) -> int:
     kernels = [Kernel(values, direction=direction) for direction in DIRECTIONS]
     write_bundle(KernelBundle.from_kernels(f"synth-{args.target_class}", kernels),
                  args.out)
-    return 0
 
 
-def _cmd_probe(args) -> int:
+def _cmd_probe(args, cfg) -> dict:
     task = _PROBE_TASKS[args.task]
     train = build_pairs(*read_pair_dataset(args.train), task)
     heldout = build_pairs(*read_pair_dataset(args.eval), task)
     result = run_directprobe(train.points)
     evaluation = evaluate(result, heldout.points)
-    emit_report(probe_payload(task, result, train, heldout, evaluation), args.out)
-    return 0
+    return probe_payload(task, result, train, heldout, evaluation)
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args, cfg) -> None:
     bundle = read_bundle(args.bundle)
     if not 1 <= args.layer <= bundle.layer_count:
         raise ValueError(
@@ -168,7 +152,6 @@ def _cmd_plot(args) -> int:
         )
     _plot_kernel(bundle, args.layer, Direction(args.direction), args.kernel_index,
                  args.out)
-    return 0
 
 
 def build_parser() -> _Parser:
@@ -261,7 +244,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help path
         return 0 if exc.code in (0, None) else 1
     try:
-        return int(args.handler(args))
+        # the config before any input is read, the report once the handler is done
+        config = getattr(args, "config", None)
+        report = args.handler(args, load_config(config) if config else DEFAULT_CONFIG)
+        if report is not None:
+            out = getattr(args, "out", None)
+            text = emit_report(report, out)
+            if out is None:
+                sys.stdout.write(text)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"spectrobe: error: {exc}", file=sys.stderr)
         return 1

@@ -6,8 +6,8 @@ class bounds, the band-edge fractions, the checkpoint-shift threshold
 and the redundancy cutoff. Every function that summarizes, classifies
 or compares kernels takes a ``RunConfig``; none takes a threshold of
 its own. A JSON file with any subset of the field names overrides the
-defaults for a run. The probe's separability tolerance is fixed (see
-``probe``).
+defaults for a run; ``io.load_config`` reads one, so this module imports
+no other. The probe's separability tolerance is fixed (see ``probe``).
 """
 from __future__ import annotations
 
@@ -93,13 +93,3 @@ def config_from_mapping(data) -> RunConfig:
     }
     return dataclasses.replace(DEFAULT_CONFIG, **overrides)
 
-
-def load_config(path) -> RunConfig:
-    """RunConfig from a JSON file of threshold overrides."""
-    from .io import _load_json  # io imports this module
-
-    data = _load_json(path)
-    try:
-        return config_from_mapping(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc

@@ -31,7 +31,7 @@ from .analysis import (
     ShiftReport,
     slot_grid,
 )
-from .config import finite_float, quoted
+from .config import RunConfig, config_from_mapping, finite_float, quoted
 from .kernels import S4DParams
 from .probe import BuiltPairs, EvalResult, ProbeResult, _checked_representations
 from .spectral import DIRECTIONS, Direction, FloatArray
@@ -420,6 +420,15 @@ def read_s4d_params(path) -> tuple[str, list[ParamsEntry]]:
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
     return model_tag, entries
+
+
+def load_config(path) -> RunConfig:
+    """RunConfig from a JSON file of threshold overrides."""
+    data = _load_json(path)
+    try:
+        return config_from_mapping(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 _SPECIAL_FLOATS = {"inf": '"infinite"', "-inf": '"-infinite"', "nan": "null"}

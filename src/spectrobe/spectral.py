@@ -25,7 +25,11 @@ ZERO_BAND_FLOOR = 1e-6
 
 
 class DegenerateKernelError(ValueError):
-    """The kernel, or a spectrum derived from it, carries no energy."""
+    """The spectrum total of a kernel is zero, or too large for a float64."""
+
+    def __init__(self, message="all-zero spectrum, or one whose total "
+                               "overflows, cannot be summarized"):
+        super().__init__(message)
 
 
 class Direction(enum.Enum):
@@ -132,8 +136,10 @@ class SpectralSummary:
 
 def magnitude_spectra(values) -> tuple[FloatArray, FloatArray]:
     """The grid f(n) = n/N and the one-sided magnitudes of every row of
-    ``values``, an array of shape (..., N)."""
-    mags = np.abs(np.fft.rfft(values, axis=-1))
+    ``values``, an array of shape (..., N). Rows near the float64 limit may
+    overflow to infinite or NaN magnitudes without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = np.abs(np.fft.rfft(values, axis=-1))
     return np.arange(mags.shape[-1], dtype=np.float64) / values.shape[-1], mags
 
 
@@ -153,20 +159,20 @@ def summary_fields(
     fractions are of the representable range [0, 0.5], not of the bin
     count. Each reduction runs along the last axis and the bands are
     contiguous slices, so a row of a batch gets bit-for-bit what it gets
-    alone. Rows whose ``total_magnitude`` is zero or not finite have
-    meaningless other fields; callers must check it.
+    alone. Rows whose ``total_magnitude`` is zero or not finite (an overflow
+    warns of nothing) have meaningless other fields; callers must check it.
     """
     # the grid ascends, so each band is a prefix or a suffix of the bins
     k_low = int(np.searchsorted(frequencies, config.low_band_fraction * 0.5,
                                 side="right"))
     k_high = int(np.searchsorted(frequencies, (1.0 - config.high_band_fraction) * 0.5,
                                  side="left"))
-    total = magnitudes.sum(-1)
-    e_low = magnitudes[..., :k_low].sum(-1)
-    e_high = magnitudes[..., k_high:].sum(-1)
-    floor = ZERO_BAND_FLOOR * total
-    tail_free = (e_low <= floor) & (e_high <= floor)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        total = magnitudes.sum(-1)
+        e_low = magnitudes[..., :k_low].sum(-1)
+        e_high = magnitudes[..., k_high:].sum(-1)
+        floor = ZERO_BAND_FLOOR * total
+        tail_free = (e_low <= floor) & (e_high <= floor)
         centroid = (frequencies * magnitudes).sum(-1) / total
         # e_low / e_high, inf for an empty high band, 1.0 where tail_free
         ratio = np.where(tail_free, 1.0, np.divide(e_low, e_high))
@@ -197,5 +203,5 @@ def summarize(
     """
     fields = summary_fields(spectrum.frequencies, spectrum.magnitudes, config)
     if not 0.0 < fields["total_magnitude"] < np.inf:
-        raise DegenerateKernelError("all-zero spectrum cannot be summarized")
+        raise DegenerateKernelError()
     return SpectralSummary(**{name: value.item() for name, value in fields.items()})

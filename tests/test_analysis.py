@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -347,17 +349,19 @@ class TestDiffBundles:
     def test_kernels_analyze_marks_degenerate_stop_the_diff(self):
         # values near the float64 limit overflow the rfft, so the spectrum
         # total is NaN: analyze marks the kernel degenerate, and diff, which
-        # reads analyze's entries, refuses it instead of reporting NaN
+        # reads analyze's entries, refuses it instead of reporting NaN;
+        # neither leaks the overflow as a warning
         kernels = [Kernel(np.full(64, 1e307), layer=1, direction=FWD),
                    synth_for(LOW, 1, BWD, length=64)]
         bundle = KernelBundle.from_kernels("m", kernels)
         clean = class_pair_bundle("c", [(LOW, LOW)], length=64)
-        with pytest.warns(RuntimeWarning, match="encountered in rfft"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             entry = analyze_bundle(bundle)[0].entries[0]
-        assert entry.degenerate and entry.summary is None
-        for before, after in ((bundle, clean), (clean, bundle)):
-            with pytest.warns(RuntimeWarning, match="encountered in rfft"):
-                with pytest.raises(DegenerateKernelError, match="all-zero spectrum"):
+            assert entry.degenerate and entry.summary is None
+            for before, after in ((bundle, clean), (clean, bundle)):
+                with pytest.raises(DegenerateKernelError,
+                                   match="all-zero spectrum, or one whose total overflows"):
                     diff_bundles(before, after)
 
 
@@ -369,12 +373,13 @@ class TestDiffBundles:
                    synth_for(LOW, 1, BWD, length=64)]
         bundle = KernelBundle.from_kernels("m", kernels)
         clean = class_pair_bundle("c", [(LOW, LOW)], length=64)
-        with pytest.warns(RuntimeWarning, match="overflow encountered in reduce"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             entry = analyze_bundle(bundle)[0].entries[0]
-        assert entry.degenerate and entry.summary is None
-        for before, after in ((bundle, clean), (clean, bundle)):
-            with pytest.warns(RuntimeWarning, match="overflow encountered in reduce"):
-                with pytest.raises(DegenerateKernelError, match="all-zero spectrum"):
+            assert entry.degenerate and entry.summary is None
+            for before, after in ((bundle, clean), (clean, bundle)):
+                with pytest.raises(DegenerateKernelError,
+                                   match="all-zero spectrum, or one whose total overflows"):
                     diff_bundles(before, after)
 
 
@@ -438,6 +443,16 @@ class TestAnalyzeRedundancy:
                             if norms[a] and norms[b] else 0.0)
         assert pairs.similarity.tolist() == expected
         assert (pairs.redundant == (pairs.similarity >= 0.95)).all()
+
+    def test_overflowing_norms_score_nan_without_a_warning(self):
+        # finite spectra whose norms overflow have no similarity to report:
+        # NaN (written null), never redundant
+        rows = np.random.default_rng(16).standard_normal((2, 64)) * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = analyze_redundancy(self.multi_bundle(list(rows)))
+        assert len(pairs) == 2 and np.isnan(pairs.similarity).all()
+        assert not pairs.redundant.any()
 
     @pytest.mark.parametrize("count, length", [(2, 16), (7, 255), (33, 1024),
                                                (64, 4096)])

@@ -130,6 +130,18 @@ class TestAnalyze:
         assert names == ["layer001_backward_k00.svg", "layer001_forward_k00.svg"]
         assert all((plots / n).read_text().startswith("<svg") for n in names)
 
+    def test_failed_plots_leave_no_report(self, band_bundle_dir, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        plots = tmp_path / "charts"
+        plots.write_text("a file where the chart directory should go")
+        rc = cli.main([
+            "analyze", "--bundle", str(band_bundle_dir), "--out", str(out),
+            "--plots", str(plots),
+        ])
+        assert rc == 1
+        assert str(plots) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_override_changes_the_verdict(self, impulse_bundle_dir, tmp_path):
         out = tmp_path / "report.json"
         cfg = tmp_path / "cfg.json"
@@ -318,6 +330,44 @@ def test_every_analysis_command_reads_the_config(command, band_bundle_dir,
         cfg.write_text(json.dumps({key: 1}))
         assert cli.main(argv + ["--config", str(cfg)]) == 1
         assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["analyze", "--bundle", "{bundle}", "--out", "{tmp}/r.json"],
+        ["diff", "--before", "{bundle}", "--after", "{bundle}",
+         "--out", "{tmp}/r.json"],
+        ["complementary", "--bundle", "{bundle}"],
+        ["redundancy", "--bundle", "{multi}"],
+        ["probe", "--train", "{pairs}", "--eval", "{pairs}", "--task", "distance",
+         "--out", "{tmp}/r.json"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_every_report_command_writes_its_report_once(
+    command, band_bundle_dir, multi_kernel_bundle_dir, pair_dataset_dir,
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+
+    def counted(report, path=None):
+        calls.append(path)
+        return spectrobe.emit_report(report, path)
+
+    monkeypatch.setattr(cli, "emit_report", counted)
+    argv = [arg.format(bundle=band_bundle_dir, multi=multi_kernel_bundle_dir,
+                       pairs=pair_dataset_dir, tmp=tmp_path) for arg in command]
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    report = tmp_path / "r.json"
+    assert len(calls) == 1
+    if "--out" in command:
+        assert stdout == ""
+        assert json.loads(report.read_text())["report"]
+    else:
+        assert not report.exists()
+        assert json.loads(stdout)["report"]
 
 
 class TestMaterialize:
