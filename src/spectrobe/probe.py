@@ -132,17 +132,25 @@ def _frames(lo_a, hi_a, lo_b, hi_b):
 
 def _direction(a, b, center, unit, stored=()):
     """A w in [-1, 1]^d putting a below b with a margin above the
-    tolerance in the frame (center, unit), or None. A stored w that still
-    clears it proves the best margin does; else the LP for the largest t
-    with x.w <= b0 - t on a, x.w >= b0 + t on b decides.
+    tolerance in the frame (center, unit), or None. A stored w, or else
+    the centroid gap scaled to max-abs 1, that clears it proves the best
+    margin does; else the LP for the largest t with x.w <= b0 - t on a,
+    x.w >= b0 + t on b decides.
     """
     if unit == 0:
         return None
     za = (a - center) / unit
     zb = (b - center) / unit
+
+    def clears(w):
+        return (np.min(zb @ w) - np.max(za @ w)) / 2 > SEPARABILITY_TOLERANCE
+
     for w in stored:
-        if (np.min(zb @ w) - np.max(za @ w)) / 2 > SEPARABILITY_TOLERANCE:
+        if clears(w):
             return w
+    gap = zb.mean(axis=0) - za.mean(axis=0)
+    if gap.any() and clears(w := gap / np.abs(gap).max()):
+        return w
     # imported here: only the probe solves LPs, and scipy.optimize is slow to import
     from scipy.optimize import linprog
 
@@ -170,8 +178,9 @@ def separable(set_a, set_b) -> bool:
     maximal margin with w in [-1, 1]^d, measured once the joint bounding
     box is centered and its longest side spans [-1, 1]: separable when it
     exceeds ``SEPARABILITY_TOLERANCE``, at any common scale and offset. A
-    coordinate gap above twice the tolerance settles it without an LP.
-    Symmetric in its arguments.
+    coordinate gap above twice the tolerance settles it without an LP, as
+    does the direction between the two centroids when its margin clears
+    the tolerance. Symmetric in its arguments.
     """
     a = _as_point_matrix(set_a, "set_a")
     b = _as_point_matrix(set_b, "set_b")
@@ -198,10 +207,13 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
     so the loop needs no budget and always runs to completion: the result
     is always converged.
 
-    Each answer is ``separable``'s, mostly without an LP: one pass over
-    bounding boxes settles the clusters far enough from the union, and the
-    rest go smallest gap first, each settled by a stored direction against
-    either parent that still clears the tolerance, or else by the LP.
+    Each answer is ``separable``'s, mostly without an LP. The decision
+    order is box gap, stored direction, centroid direction, LP: one pass
+    over bounding boxes settles the clusters far enough from the union,
+    and the rest go smallest gap first, each settled by a stored direction
+    against either parent that still clears the tolerance, else by the
+    direction between the two sets' centroids if it clears it, or else by
+    the LP. A direction is stored while both of its clusters are live.
     """
     points = tuple(dataset)
     if not points:
@@ -225,8 +237,8 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
     codes: dict[str, int] = {}
     label = np.array([codes.setdefault(p.label, len(codes)) for p in points] * 2)
     live = np.arange(2 * n) < n
-    # directions[i, c]: a w that puts cluster i below cluster c
-    directions: dict[tuple[int, int], FloatArray] = {}
+    # directions[i][c], for live i and c: a w that puts cluster i below c
+    directions: list[dict[int, FloatArray]] = [{} for _ in range(n)]
     # apart[i], for a live i: the live clusters it may never merge with
     apart: list[set[int]] = [set() for _ in range(n)]
 
@@ -239,15 +251,23 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
         found = {}
         for j in pending[np.argsort(margin[pending], kind="stable")]:
             c = int(others[j])
-            stored = [directions[i, c] for i in (ia, ib) if (i, c) in directions]
+            stored = [directions[i][c] for i in (ia, ib) if c in directions[i]]
             w = _direction(union, x[list(members[c])], center[j], unit[j], stored)
             if w is None:
                 return None
             found[c] = w
         return found
 
-    heap = [(float(np.linalg.norm(x[ia] - x[ib])), ia, ib)
-            for ia in range(n) for ib in range(ia + 1, n) if label[ia] == label[ib]]
+    def distances(rows, anchor):
+        """Each row's Euclidean distance to anchor, with the bits of
+        np.linalg.norm: both take the sqrt of the same BLAS dot."""
+        diff = rows - anchor
+        return np.sqrt(np.vecdot(diff, diff)).tolist()
+
+    heap = []
+    for ia in range(n):
+        ib = (ia + 1 + np.flatnonzero(label[ia + 1:n] == label[ia])).tolist()
+        heap += zip(distances(x[ib], x[ia]), [ia] * len(ib), ib)
     heapq.heapify(heap)
     log: list[MergeRecord] = []
     cid = n
@@ -271,17 +291,23 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
         centroid[cid] = union.mean(axis=0)
         live[[ia, ib, cid]] = False, False, True
         log.append(MergeRecord(ia, ib, dist))
+        # only pairs of live clusters are ever read again
+        for i in (ia, ib):
+            for c in directions[i]:
+                del directions[c][i]
+            directions[i] = {}
+        directions.append(found)
         for c, w in found.items():
-            directions[cid, c], directions[c, cid] = w, -w
+            directions[c][cid] = -w
         # a pair that contains a rejected pair is rejected too
         apart.append(apart[ia] | apart[ib])
         for c in apart[cid]:
             apart[c] -= {ia, ib}
             apart[c].add(cid)
-        for other in np.flatnonzero(live & (label == label[cid])).tolist():
-            if other != cid and other not in apart[cid]:
-                d = float(np.linalg.norm(centroid[other] - centroid[cid]))
-                heapq.heappush(heap, (d, other, cid))
+        partners = [c for c in np.flatnonzero(live & (label == label[cid])).tolist()
+                    if c != cid and c not in apart[cid]]
+        for d, other in zip(distances(centroid[partners], centroid[cid]), partners):
+            heapq.heappush(heap, (d, other, cid))
         cid += 1
 
     order = sorted(np.flatnonzero(live).tolist(), key=lambda c: members[c][0])

@@ -144,8 +144,13 @@ def magnitude_spectra(values) -> tuple[FloatArray, FloatArray]:
 
 
 def compute_spectrum(kernel: Kernel) -> Spectrum:
-    """One-sided magnitude spectrum of a kernel, unnormalized."""
-    return Spectrum(*magnitude_spectra(kernel.values), kernel.length)
+    """One-sided magnitude spectrum of a kernel, unnormalized. Raises
+    DegenerateKernelError for a kernel so near the float64 limit that a
+    magnitude overflows."""
+    frequencies, magnitudes = magnitude_spectra(kernel.values)
+    if not np.all(np.isfinite(magnitudes)):
+        raise DegenerateKernelError()
+    return Spectrum(frequencies, magnitudes, kernel.length)
 
 
 def summary_fields(

@@ -161,6 +161,18 @@ class TestRunDirectprobe:
             assert result.converged
             assert_probe_invariants(result)
 
+    @pytest.mark.parametrize("exponent", [-60, 0, 60])
+    @pytest.mark.parametrize("d", [1, 8, 64, 768])
+    def test_vecdot_distance_has_the_bits_of_norm(self, d, exponent):
+        """The identity run_directprobe relies on to keep its merge log:
+        a row-broadcast sqrt(vecdot(diff, diff)) rounds as np.linalg.norm
+        does for each row."""
+        x = np.random.default_rng([18, d]).standard_normal((200, d)) * 2.0 ** exponent
+        for anchor in range(0, 200, 40):
+            diff = x - x[anchor]
+            assert np.sqrt(np.vecdot(diff, diff)).tolist() == [
+                float(np.linalg.norm(row)) for row in diff], f"anchor {anchor}"
+
     def test_validation(self):
         with pytest.raises(ValueError, match="empty"):
             run_directprobe([])

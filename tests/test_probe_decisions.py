@@ -5,9 +5,12 @@ cluster.
 settled decisions from bounding boxes, stored separating directions and
 inherited rejections: it calls the public ``separable`` once per
 different-label cluster for every candidate merge. The probe must give
-the same merge log and clusters, bit for bit.
+the same merge log and clusters, bit for bit. ``separable`` itself tries
+the centroid direction before its LP, so its verdicts are checked against
+a max-margin LP written out here.
 """
 import heapq
+import itertools
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from spectrobe import LabeledPoint, run_directprobe, separable
-from spectrobe.probe import Cluster, MergeRecord
+from spectrobe.probe import SEPARABILITY_TOLERANCE, Cluster, MergeRecord
 
 
 def reference_directprobe(points):
@@ -149,3 +152,54 @@ def test_separable_is_relative_to_the_sets_extent(scale):
     b = np.array([[0.0, 1.0], [1.0, 1.0]]) * scale
     assert separable(a, b)
     assert not separable(a, np.vstack([b, [[0.5 * scale, 0.0]]]))
+
+
+def max_margin_separable(a, b):
+    """``separable``'s definition decided by the LP alone: the largest t
+    with z.w <= b0 - t on a and z.w >= b0 + t on b, w in [-1, 1]^d, where
+    z maps the joint bounding box's longest side onto [-1, 1]."""
+    lo, hi = np.minimum(a.min(0), b.min(0)), np.maximum(a.max(0), b.max(0))
+    unit = (hi / 2 - lo / 2).max()
+    if unit == 0:
+        return False
+    center = lo / 2 + hi / 2
+    za, zb = (a - center) / unit, (b - center) / unit
+    d = a.shape[1]
+    # variables: w (d), b0, t
+    rows = np.vstack([np.hstack([za, -np.ones((len(za), 1)), np.ones((len(za), 1))]),
+                      np.hstack([-zb, np.ones((len(zb), 1)), np.ones((len(zb), 1))])])
+    res = scipy.optimize.linprog(
+        -np.eye(d + 2)[d + 1], A_ub=rows, b_ub=np.zeros(len(rows)),
+        bounds=[(-1.0, 1.0)] * d + [(None, None), (0.0, None)], method="highs")
+    assert res.success, res.message
+    return res.x[d + 1] > SEPARABILITY_TOLERANCE
+
+
+@settings(max_examples=40)
+@given(datasets())
+def test_separable_agrees_with_the_max_margin_lp(data):
+    # the first 2, the first 4 and all points of each label: small sets
+    # are where the centroid gap settles most verdicts
+    x, labels = data
+    for ka, kb in itertools.combinations(np.unique(labels), 2):
+        for k in (2, 4, None):
+            a, b = x[labels == ka][:k], x[labels == kb][:k]
+            assert separable(a, b) == max_margin_separable(a, b), (ka, kb, k)
+
+
+def test_a_centroid_gap_settles_overlapping_boxes_without_the_solver(monkeypatch):
+    # the boxes [0, 2]^2 and [1.5, 4]^2 overlap, and no stored direction
+    # exists yet; the centroid gap, along (1, 1), separates the two labels
+    a = np.array([[0.0, 0.0], [2.0, 2.0]])
+    b = np.array([[1.5, 4.0], [4.0, 1.5]])
+    calls = []
+    solve = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    result = run_directprobe(make_dataset(np.vstack([a, b]), [0, 0, 1, 1]))
+    assert outcome(result)[1] == [((0, 1), "a"), ((2, 3), "b")]
+    assert not calls

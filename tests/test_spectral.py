@@ -84,6 +84,15 @@ class TestComputeSpectrum:
         with pytest.raises(ValueError, match="index 0"):
             Kernel(np.array([np.inf, 0.0]))
 
+    def test_an_overflowing_spectrum_is_degenerate(self):
+        # a finite kernel whose DC bin overflows: degenerate, as
+        # analyze_bundle marks it, and no overflow warning leaks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateKernelError,
+                               match="all-zero spectrum, or one whose total overflows"):
+                compute_spectrum(Kernel(np.full(64, 1e307)))
+
     def test_rejects_short_and_multidim(self):
         with pytest.raises(ValueError):
             Kernel(np.array([1.0]))
