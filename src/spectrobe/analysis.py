@@ -8,6 +8,7 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
+import numpy.typing as npt
 
 from .classify import (
     CLASSES,
@@ -21,7 +22,6 @@ from .spectral import (
     DIRECTIONS,
     DegenerateKernelError,
     Direction,
-    FloatArray,
     Kernel,
     SpectralSummary,
     magnitude_spectra,
@@ -54,19 +54,24 @@ def slot_grid(slots: Sequence[tuple[int, Direction, int]]) -> tuple[int, int]:
 
 @dataclass(frozen=True, eq=False)
 class KernelBundle:
-    """Every kernel of one model as one read-only float64 array.
+    """Every kernel of one model as one read-only array.
 
     ``values[layer - 1, d, k]`` holds kernel ``k`` of a layer in direction
     ``d`` (0 forward, 1 backward), so the shape is (layers, 2, kernels
-    per direction, N). A read-only float64 array that owns its data is
-    kept as given; any other input, views included, is copied.
+    per direction, N). A float32 array, as read_bundle reads, stays
+    float32 and every other input becomes float64; analyses widen float32
+    to float64 before the FFT, so both give the same reports. A read-only
+    array that owns its data is kept as given; any other input, views
+    included, is copied.
     """
 
     model_tag: str
-    values: FloatArray
+    values: npt.NDArray[np.float32 | np.float64]
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values)
+        if values.dtype != np.float32:
+            values = np.asarray(values, dtype=np.float64)
         if values.flags.writeable or not values.flags.owndata:
             values = values.copy()
             values.flags.writeable = False

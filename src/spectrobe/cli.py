@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: analyze, diff, complementary, redundancy, materialize,
-synth, probe, plot. Exit code 0 on success, 1 on bad input or a contract
-violation, 2 on an internal failure.
+synth, probe, plot. Exit code 0 on success, 1 on bad input, a contract
+violation or running out of memory, 2 on an internal failure.
 """
 from __future__ import annotations
 
@@ -255,6 +255,10 @@ def main(argv=None) -> int:
         return 0
     except (ValueError, OSError) as exc:
         print(f"spectrobe: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an input too large for this host, not a bug
+        detail = f": {exc}" if str(exc) else ""  # numpy's text gives the size
+        print(f"spectrobe: error: ran out of memory{detail}", file=sys.stderr)
         return 1
     except Exception as exc:  # anything else is a bug, not a usage problem
         print(f"spectrobe: internal error: {exc!r}", file=sys.stderr)

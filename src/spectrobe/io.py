@@ -14,6 +14,7 @@ import enum
 import errno
 import json
 import os
+import re
 import stat
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _str
@@ -34,9 +35,10 @@ from .analysis import (
 from .config import RunConfig, config_from_mapping, finite_float, quoted
 from .kernels import S4DParams
 from .probe import BuiltPairs, EvalResult, ProbeResult, _checked_representations
-from .spectral import DIRECTIONS, Direction, FloatArray
+from .spectral import DIRECTIONS, Direction
 
 _PAYLOAD_DTYPE = "<f4"
+_UNNAMEABLE = re.compile("[\0\ud800-\udfff]")  # NUL, or a surrogate JSON left unpaired
 
 
 class FormatError(ValueError):
@@ -196,7 +198,8 @@ def write_bundle(bundle: KernelBundle, path) -> None:
 
 
 def read_bundle(path) -> KernelBundle:
-    """Read a bundle directory back into a KernelBundle, bit-exactly.
+    """Read a bundle directory back into a KernelBundle, bit-exactly: its
+    values are one read-only float32 array, each payload read into its slot.
 
     Payload paths must stay inside the bundle directory.
     """
@@ -227,6 +230,10 @@ def read_bundle(path) -> KernelBundle:
         if element_count != n:
             raise FormatError(f"{where}: element_count {element_count} "
                               f"does not match N={n}")
+        bad = _UNNAMEABLE.search(rel)
+        if bad:
+            what = "a NUL byte" if bad[0] == "\0" else "a lone surrogate"
+            raise FormatError(f"{where}: path {quoted(rel)} has {what}")
         if os.path.isabs(rel) or not _inside(base, root, rel, real_dirs):
             raise FormatError(f"{where}: path {quoted(rel)} leaves the bundle directory")
         payload = root / rel
@@ -241,10 +248,9 @@ def read_bundle(path) -> KernelBundle:
             f"{mpath}: layer_count says {layer_count} but entries span "
             f"{layers} layers"
         )
-    values = np.empty((layers, 2, count, n))
-    buffer = np.empty(n, _PAYLOAD_DTYPE)
+    values = np.empty((layers, 2, count, n), _PAYLOAD_DTYPE)
     for layer, d, k, payload in slots:
-        values[layer - 1, DIRECTIONS.index(d), k] = _read_payload(payload, buffer)
+        _read_payload(payload, values[layer - 1, DIRECTIONS.index(d), k])
     values.flags.writeable = False
     return KernelBundle(model_tag, values)
 
@@ -295,8 +301,9 @@ def write_pair_dataset(
     _atomic_write_text(root / "pairs.txt", "".join(line + "\n" for line in lines))
 
 
-def read_pair_dataset(path) -> tuple[dict[str, FloatArray], list[tuple[str, str, str]]]:
-    """Read a pair-dataset directory: (representations, labeled id pairs)."""
+def read_pair_dataset(path) -> tuple[dict[str, np.ndarray], list[tuple[str, str, str]]]:
+    """Read a pair-dataset directory: (representations, labeled id pairs);
+    each representation is a float32 row of the one matrix read."""
     root = Path(path)
     mpath = root / "manifest.json"
     manifest = _load_json(mpath)
@@ -317,7 +324,7 @@ def read_pair_dataset(path) -> tuple[dict[str, FloatArray], list[tuple[str, str,
         seen.add(token_id)
     vpath = root / "vectors.f32"
     _check_payload(vpath, count * dim, vpath)
-    matrix = _read_payload(vpath, np.empty((count, dim), _PAYLOAD_DTYPE)).astype(float)
+    matrix = _read_payload(vpath, np.empty((count, dim), _PAYLOAD_DTYPE))
     representations = {token_id: matrix[i] for i, token_id in enumerate(ids)}
     ppath = root / "pairs.txt"
     if not ppath.is_file():

@@ -46,7 +46,7 @@ def as_vector(values, what: str, minimum_length: int = 1,
     """Read-only 1-D copy of ``values`` as ``dtype``, at least
     ``minimum_length`` long and finite; errors name ``what`` and the
     first non-finite index."""
-    arr = np.asarray(values, dtype=dtype)
+    arr = np.array(values, dtype=dtype)  # one copy, widened if need be
     if arr.ndim != 1:
         raise ValueError(f"{what} must be 1-D, got shape {arr.shape}")
     if arr.size < minimum_length:
@@ -55,7 +55,6 @@ def as_vector(values, what: str, minimum_length: int = 1,
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
         raise ValueError(f"{what} has a non-finite value at index {bad[0]}")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -136,8 +135,11 @@ class SpectralSummary:
 
 def magnitude_spectra(values) -> tuple[FloatArray, FloatArray]:
     """The grid f(n) = n/N and the one-sided magnitudes of every row of
-    ``values``, an array of shape (..., N). Rows near the float64 limit may
-    overflow to infinite or NaN magnitudes without a warning."""
+    ``values``, an array of shape (..., N), computed in float64 whatever
+    its dtype. Rows near the float64 limit may overflow to infinite or NaN
+    magnitudes without a warning."""
+    # widened first: numpy's rfft of float32 runs in single precision
+    values = np.asarray(values, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         mags = np.abs(np.fft.rfft(values, axis=-1))
     return np.arange(mags.shape[-1], dtype=np.float64) / values.shape[-1], mags

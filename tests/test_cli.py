@@ -807,6 +807,27 @@ class TestExitCodes:
         assert rc == 2
         assert "internal error: KeyError('verdict')" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                     "(1000000000000,) and data type float64"),
+         "spectrobe: error: ran out of memory: Unable to allocate 7.28 TiB for "
+         "an array with shape (1000000000000,) and data type float64\n"),
+        (MemoryError(), "spectrobe: error: ran out of memory\n"),
+    ], ids=["numpy-text", "no-text"])
+    def test_running_out_of_memory_exits_one(self, band_bundle_dir, tmp_path,
+                                             monkeypatch, capsys, error, message):
+        # an oversized input, not a bug; raised by a stand-in, since a real
+        # oversized allocation could reach the OOM killer under overcommit
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "analyze_bundle", exhausted)
+        rc = cli.main(["analyze", "--bundle", str(band_bundle_dir),
+                       "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "r.json").exists()
+
     def test_internal_errors_exit_two(self, band_bundle_dir, tmp_path,
                                       monkeypatch, capsys):
         def boom(*args, **kwargs):

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,22 @@ class TestBundleRoundTrip:
                            "-3.5e[+]38 at element 3 overflows float32"):
             write_bundle(KernelBundle("big", values), tmp_path / "b")
         assert not (tmp_path / "b").exists()
+
+    def test_read_holds_one_float32_copy(self, tmp_path):
+        values = np.random.default_rng(64).standard_normal((4, 2, 8, 4096))
+        write_bundle(KernelBundle("one-copy", values), tmp_path / "b")
+        payload_bytes = values.size * 4  # 1 MiB of float32 payloads
+        tracemalloc.start()
+        try:
+            loaded = read_bundle(tmp_path / "b")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the array the payloads fill plus the finite scans' masks; a
+        # float64 copy alone would be 2x
+        assert peak <= 1.5 * payload_bytes
+        assert loaded.values.dtype == np.float32
+        assert not loaded.values.flags.writeable
 
     def test_no_temp_files_left_behind(self, tmp_path):
         rng = np.random.default_rng(62)
@@ -250,6 +267,8 @@ class TestBundleReadErrors:
         ("sub/x.f32/", None),  # the path is read as sub/x.f32
         ("ghost/../x.f32", "missing payload file"),
         ("ABSOLUTE", "leaves the bundle directory"),
+        ("x\0.f32", "has a NUL byte"),
+        ("x\ud800.f32", "has a lone surrogate"),
     ])
     def test_containment_follows_symlinks(self, written, rel, error):
         m = self.manifest(written)
@@ -343,6 +362,7 @@ class TestPairDataset:
         reps, pairs = read_pair_dataset(tmp_path / "d")
         assert list(reps) == list(self.reps)
         for token_id, vector in self.reps.items():
+            assert reps[token_id].dtype == np.float32
             np.testing.assert_array_equal(reps[token_id], vector)
         assert pairs == self.pairs
 

@@ -2,8 +2,9 @@
 
 A kernel's class must not depend on its scale, sign or time direction; a
 bundle must come back from disk as the float32 rounding of what was
-written; a slot list is a bundle's exactly when it fills a grid; and no
-malformed input file may make the CLI exit 2.
+written, and float32 values must give the reports and probe points their
+float64 widening gives; a slot list is a bundle's exactly when it fills a
+grid; and no malformed input file may make the CLI exit 2.
 """
 import contextlib
 import copy
@@ -22,17 +23,26 @@ from hypothesis.extra import numpy as hnp
 import spectrobe.cli as cli
 from spectrobe import (
     DEFAULT_CONFIG,
+    DegenerateKernelError,
     Direction,
     Kernel,
     KernelBundle,
+    PairTask,
+    analyze_bundle,
+    analyze_redundancy,
+    build_pairs,
     categorize,
     compute_spectrum,
+    diff_bundles,
+    emit_report,
     read_bundle,
+    read_pair_dataset,
     summarize,
     write_bundle,
     write_pair_dataset,
 )
 from spectrobe.analysis import slot_grid
+from spectrobe.io import analysis_payload, redundancy_payload, shift_payload
 from spectrobe.spectral import DIRECTIONS, ZERO_BAND_FLOOR
 
 FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -93,7 +103,53 @@ def test_bundle_round_trip_is_the_float32_rounding(values, model_tag):
         back = read_bundle(Path(tmp) / "b")
     assert back.model_tag == model_tag
     rounded = values.astype("<f4").astype(np.float64)
-    assert back.values.tobytes() == rounded.tobytes()
+    assert back.values.dtype == np.float32
+    assert back.values.astype(np.float64).tobytes() == rounded.tobytes()
+
+
+def report_texts(bundle):
+    """The analyze, diff (against the bundle's layers reversed) and
+    redundancy reports of ``bundle``, as emit_report writes them."""
+    reversed_layers = KernelBundle("r", bundle.values[::-1])
+    try:
+        shift = shift_payload(diff_bundles(bundle, reversed_layers), "m", "r")
+    except DegenerateKernelError:
+        shift = None
+    cutoff = DEFAULT_CONFIG.redundancy_cutoff
+    return [emit_report(analysis_payload(bundle, analyze_bundle(bundle))),
+            emit_report(shift),
+            emit_report(redundancy_payload(analyze_redundancy(bundle), "m", cutoff))]
+
+
+@settings(max_examples=50)
+@given(hnp.arrays(np.float32,
+                  st.tuples(st.integers(1, 3), st.just(2), st.integers(2, 3),
+                            st.integers(2, 17)),
+                  elements=st.floats(-FLOAT32_MAX, FLOAT32_MAX, width=32)))
+def test_float32_and_float64_bundles_give_the_same_reports(values):
+    held32 = KernelBundle("m", values)
+    held64 = KernelBundle("m", values.astype(np.float64))
+    assert (held32.values.dtype, held64.values.dtype) == (np.float32, np.float64)
+    assert report_texts(held32) == report_texts(held64)
+
+
+@settings(max_examples=50)
+@given(hnp.arrays(np.float32, st.tuples(st.integers(2, 5), st.integers(1, 4)),
+                  elements=st.floats(-FLOAT32_MAX, FLOAT32_MAX, width=32)),
+       st.sampled_from(list(PairTask)))
+def test_float32_rows_build_the_points_of_float64_ones(matrix, task):
+    ids = [f"t{i}" for i in range(len(matrix))]
+    labels = {PairTask.DISTANCE: "3", PairTask.SIBLINGS: "yes", PairTask.DFG_EDGE: "e"}
+    pairs = [(a, b, labels[task]) for a in ids for b in ids if a != b]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_pair_dataset(dict(zip(ids, matrix)), pairs, Path(tmp) / "d")
+        reps, read_pairs = read_pair_dataset(Path(tmp) / "d")
+    assert read_pairs == pairs
+    assert {rep.dtype for rep in reps.values()} == {np.dtype(np.float32)}
+    widened = {token_id: rep.astype(np.float64) for token_id, rep in reps.items()}
+    got, want = build_pairs(reps, pairs, task), build_pairs(widened, pairs, task)
+    assert [(p.vector.tobytes(), p.label) for p in got.points] == [
+        (p.vector.tobytes(), p.label) for p in want.points]
 
 
 # ------------------------------------------------------------------ grid
