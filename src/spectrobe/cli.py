@@ -35,7 +35,15 @@ from .io import (
 from .kernels import SynthSpec, materialize_s4d, synth_kernel
 from .plot import emit_plot
 from .probe import PairTask, build_pairs, evaluate, run_directprobe
-from .spectral import DIRECTIONS, Direction, Kernel, compute_spectrum, summarize
+from .spectral import (
+    DIRECTIONS,
+    Direction,
+    Kernel,
+    Spectrum,
+    compute_spectrum,
+    magnitude_spectra,
+    summarize,
+)
 
 
 class _UsageError(Exception):
@@ -59,12 +67,9 @@ _PROBE_TASKS = {
 }
 
 
-def _plot_kernel(bundle, layer: int, direction: Direction, k: int, path) -> None:
-    """Chart of kernel ``k`` of ``direction`` in 1-based ``layer``."""
-    d = DIRECTIONS.index(direction)
-    spectrum = compute_spectrum(Kernel(bundle.values[layer - 1, d, k]))
-    title = f"{bundle.model_tag} layer {layer} {direction.value} k{k}"
-    emit_plot(spectrum, summarize(spectrum), path, title=title)
+def _chart_title(bundle, layer: int, direction: Direction, k: int) -> str:
+    """Title of the chart of kernel ``k`` of ``direction`` in 1-based ``layer``."""
+    return f"{bundle.model_tag} layer {layer} {direction.value} k{k}"
 
 
 def _cmd_analyze(args, cfg) -> dict:
@@ -74,12 +79,19 @@ def _cmd_analyze(args, cfg) -> dict:
         plots_dir = Path(args.plots)
         plots_dir.mkdir(parents=True, exist_ok=True)
         for report in reports:
+            # the spectra analyze_bundle summarized, bit for bit; a chart
+            # reads only the centroid and the dominant frequency of the
+            # entry's summary, and no config moves either
+            freqs, mags = magnitude_spectra(bundle.values[report.layer - 1])
             for entry in report.entries:
                 if entry.degenerate:
                     continue
                 layer, direction, k = report.layer, entry.direction, entry.kernel_index
+                spectrum = Spectrum(freqs, mags[DIRECTIONS.index(direction), k],
+                                    bundle.length)
                 name = f"layer{layer:03d}_{direction.value}_k{k:02d}.svg"
-                _plot_kernel(bundle, layer, direction, k, plots_dir / name)
+                emit_plot(spectrum, entry.summary, plots_dir / name,
+                          title=_chart_title(bundle, layer, direction, k))
     return analysis_payload(bundle, reports)
 
 
@@ -150,8 +162,11 @@ def _cmd_plot(args, cfg) -> None:
         raise ValueError(
             f"kernel index {args.kernel_index} not in bundle (0..{count - 1})"
         )
-    _plot_kernel(bundle, args.layer, Direction(args.direction), args.kernel_index,
-                 args.out)
+    direction, k = Direction(args.direction), args.kernel_index
+    d = DIRECTIONS.index(direction)
+    spectrum = compute_spectrum(Kernel(bundle.values[args.layer - 1, d, k]))
+    emit_plot(spectrum, summarize(spectrum), args.out,
+              title=_chart_title(bundle, args.layer, direction, k))
 
 
 def build_parser() -> _Parser:

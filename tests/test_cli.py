@@ -130,6 +130,63 @@ class TestAnalyze:
         assert names == ["layer001_backward_k00.svg", "layer001_forward_k00.svg"]
         assert all((plots / n).read_text().startswith("<svg") for n in names)
 
+    @pytest.mark.parametrize("length", [7, 64, 257])
+    def test_plots_are_the_plot_command_charts(self, tmp_path, capsys, length):
+        # odd, even and prime lengths; a tag that a %-template or the markup
+        # would change; a config that moves both band edges; one zero kernel
+        values = np.random.default_rng(length).standard_normal((2, 2, 3, length))
+        values[1, 0, 2] = 0.0
+        tag = "m %s %% & <x>"
+        bundle = tmp_path / "bundle"
+        write_bundle(KernelBundle(tag, values), bundle)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"low_band_fraction": 0.3, "high_band_fraction": 0.25}))
+        plots = tmp_path / "plots"
+        assert cli.main(["analyze", "--bundle", str(bundle), "--out",
+                         str(tmp_path / "r.json"), "--plots", str(plots),
+                         "--config", str(cfg)]) == 0
+        names = []
+        for layer, d, k in np.ndindex(values.shape[:3]):
+            direction = ("forward", "backward")[d]
+            out = tmp_path / "plot.svg"
+            rc = cli.main(["plot", "--bundle", str(bundle), "--layer", str(layer + 1),
+                           "--direction", direction, "--kernel-index", str(k),
+                           "--out", str(out)])
+            if (layer, d, k) == (1, 0, 2):
+                assert rc == 1
+                assert "all-zero spectrum" in capsys.readouterr().err
+                continue
+            assert rc == 0
+            names.append(f"layer{layer + 1:03d}_{direction}_k{k:02d}.svg")
+            chart = (plots / names[-1]).read_bytes()
+            assert chart == out.read_bytes()
+            assert (f">m %s %% &amp; &lt;x&gt; layer {layer + 1} {direction} k{k}<"
+                    .encode() in chart)
+        assert sorted(p.name for p in plots.iterdir()) == sorted(names)
+
+    def test_plots_compute_no_spectrum_per_kernel(self, tmp_path, monkeypatch):
+        layers = 3
+        values = np.random.default_rng(9).standard_normal((layers, 2, 4, 32))
+        write_bundle(KernelBundle("rows", values), tmp_path / "bundle")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a spectrum was computed for one kernel")
+
+        rfft, calls = np.fft.rfft, []
+
+        def counted_rfft(*args, **kwargs):
+            calls.append(1)
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "compute_spectrum", refuse)
+        monkeypatch.setattr(cli, "summarize", refuse)
+        monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+        plots = tmp_path / "plots"
+        assert cli.main(["analyze", "--bundle", str(tmp_path / "bundle"), "--out",
+                         str(tmp_path / "r.json"), "--plots", str(plots)]) == 0
+        assert len(list(plots.iterdir())) == layers * 2 * 4
+        assert len(calls) <= 2 * layers  # analyze_bundle's slabs and the charts'
+
     def test_failed_plots_leave_no_report(self, band_bundle_dir, tmp_path, capsys):
         out = tmp_path / "report.json"
         plots = tmp_path / "charts"
