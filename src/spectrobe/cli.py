@@ -33,13 +33,12 @@ from .io import (
     write_bundle,
 )
 from .kernels import SynthSpec, materialize_s4d, synth_kernel
-from .plot import emit_plot
+from .plot import _render, emit_plot
 from .probe import PairTask, build_pairs, evaluate, run_directprobe
 from .spectral import (
     DIRECTIONS,
     Direction,
     Kernel,
-    Spectrum,
     compute_spectrum,
     magnitude_spectra,
     summarize,
@@ -87,11 +86,9 @@ def _cmd_analyze(args, cfg) -> dict:
                 if entry.degenerate:
                     continue
                 layer, direction, k = report.layer, entry.direction, entry.kernel_index
-                spectrum = Spectrum(freqs, mags[DIRECTIONS.index(direction), k],
-                                    bundle.length)
                 name = f"layer{layer:03d}_{direction.value}_k{k:02d}.svg"
-                emit_plot(spectrum, entry.summary, plots_dir / name,
-                          title=_chart_title(bundle, layer, direction, k))
+                _render(freqs, mags[DIRECTIONS.index(direction), k], entry.summary,
+                        plots_dir / name, _chart_title(bundle, layer, direction, k))
     return analysis_payload(bundle, reports)
 
 

@@ -47,7 +47,7 @@ class FormatError(ValueError):
 
 def _atomic_write_bytes(path, data: bytes) -> None:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    made_parent = False
     # a unique temp file per write, so concurrent writers never share one;
     # the kernel applies the current umask to its 0o666, as for open()
     while True:
@@ -57,6 +57,14 @@ def _atomic_write_bytes(path, data: bytes) -> None:
             break
         except FileExistsError:
             continue
+        except OSError:
+            if made_parent:
+                raise
+            # the parent is made only after a failed open, and the open then
+            # runs once more, so a write raises what it raised when it made
+            # the parent before every open
+            path.parent.mkdir(parents=True, exist_ok=True)
+            made_parent = True
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
@@ -445,6 +453,7 @@ _SCALARS = {  # exact type -> JSON text; each enum type is added when first met
     type(None): {None: "null"}.__getitem__,
 }
 _ROWS: dict = {}  # (dataclass type, pad) -> (%-template, getter of its field tuple)
+_BLOCK_ROWS = 4096  # rows of a column record formatted per join
 
 
 def _row(kind, pad: str):
@@ -467,16 +476,43 @@ def _block(brackets: str, parts: list, pad: str) -> str:
 
 def _rows(record, pad: str) -> str:
     """A record of equal-length columns as the list of its rows, each row
-    written as an object with the record's fields would be."""
+    written as an object with the record's fields would be.
+
+    Column by column, in blocks of _BLOCK_ROWS rows: each column's block
+    is formatted with one map into every n-th slot of one list that
+    already holds the template's literals, and that list is joined once.
+    Blocks bound the per-value strings alive at once to one block's."""
+    n = len(record)
+    if not n:
+        return "[]"
     template, fields = _row(type(record), pad + "  ")
+    first, *literals, last = template.split("%s")
+    # one row's slots: the text before its first field (the previous row's
+    # end and the separator), then each field's value and the text after it
+    unit = [f"{last},{pad}  {first}"]
+    for literal in literals:
+        unit += [None, literal]
+    unit.append(None)
     columns = []
     for column in fields(record):
-        values = column.tolist()
-        if values:
-            _json(values[0])  # adds an enum type to _SCALARS when first met
-            values = map(_SCALARS[type(values[0])], values)
-        columns.append(values)
-    return _block("[]", [template % row for row in zip(*columns)], pad)
+        if column.dtype.kind == "f" and np.isfinite(column).all():
+            scalar = float.__repr__  # no infinity or NaN to spell out
+        else:
+            head = column[:1].tolist()[0]
+            _json(head)  # adds an enum type to _SCALARS when first met
+            scalar = _SCALARS[type(head)]
+        columns.append((scalar, column))
+    blocks = []
+    for start in range(0, n, _BLOCK_ROWS):
+        parts = unit * min(_BLOCK_ROWS, n - start)
+        if not start:
+            parts[0] = f"[{pad}  {first}"
+        for slot, (scalar, column) in enumerate(columns, 1):
+            values = column[start:start + _BLOCK_ROWS].tolist()
+            parts[2 * slot - 1::len(unit)] = map(scalar, values)
+        blocks.append("".join(parts))
+    blocks.append(f"{last}{pad}]")
+    return "".join(blocks)
 
 
 def _json(value, pad: str = "\n") -> str:
@@ -519,6 +555,8 @@ def emit_report(report, path=None) -> str:
     numbers, and infinities and NaN to the strings
     "infinite"/"-infinite" and null, so it stays valid JSON. Floats use
     their shortest exact repr, which makes equal reports byte-identical.
+    A RedundancyColumns record is written column by column, in blocks of
+    rows, not row by row; the bytes are those of its list of rows.
     """
     text = _json(report) + "\n"
     if path is not None:

@@ -102,16 +102,10 @@ def _points_template(grid: bytes) -> str:
     return " ".join(["%.2f,%%.2f"] * len(xs)) % tuple(xs)
 
 
-def emit_plot(
-    spectrum: Spectrum,
-    summary: SpectralSummary,
-    path=None,
-    *,
-    title: str = "",
-) -> str:
-    """Render the spectrum chart; optionally write the SVG file."""
-    freqs = spectrum.frequencies
-    mags = spectrum.magnitudes
+def _render(freqs, mags, summary: SpectralSummary, path, title: str) -> str:
+    """The chart of the magnitudes ``mags`` on the frequency grid ``freqs``,
+    both float64 vectors as a Spectrum holds them; written to ``path``
+    unless it is None."""
     peak = float(mags.max())
     if peak <= 0.0:
         raise ValueError("spectrum has no energy to plot")
@@ -142,3 +136,14 @@ def emit_plot(
     if path is not None:
         _atomic_write_text(Path(path), svg)
     return svg
+
+
+def emit_plot(
+    spectrum: Spectrum,
+    summary: SpectralSummary,
+    path=None,
+    *,
+    title: str = "",
+) -> str:
+    """Render the spectrum chart; optionally write the SVG file."""
+    return _render(spectrum.frequencies, spectrum.magnitudes, summary, path, title)

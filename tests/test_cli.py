@@ -130,6 +130,24 @@ class TestAnalyze:
         assert names == ["layer001_backward_k00.svg", "layer001_forward_k00.svg"]
         assert all((plots / n).read_text().startswith("<svg") for n in names)
 
+    def test_plots_make_their_directory_once(self, tmp_path, monkeypatch):
+        bundle = tmp_path / "bundle"
+        values = np.random.default_rng(3).standard_normal((3, 2, 4, 32))
+        write_bundle(KernelBundle("m", values), bundle)
+        made = []
+        mkdir = Path.mkdir
+
+        def counted_mkdir(self, *args, **kwargs):
+            made.append(self)
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counted_mkdir)
+        plots = tmp_path / "plots"
+        assert cli.main(["analyze", "--bundle", str(bundle), "--out",
+                         str(tmp_path / "r.json"), "--plots", str(plots)]) == 0
+        assert len(list(plots.iterdir())) == values[..., 0].size
+        assert made == [plots]
+
     @pytest.mark.parametrize("length", [7, 64, 257])
     def test_plots_are_the_plot_command_charts(self, tmp_path, capsys, length):
         # odd, even and prime lengths; a tag that a %-template or the markup
@@ -180,6 +198,7 @@ class TestAnalyze:
 
         monkeypatch.setattr(cli, "compute_spectrum", refuse)
         monkeypatch.setattr(cli, "summarize", refuse)
+        monkeypatch.setattr(spectrobe.spectral.Spectrum, "__post_init__", refuse)
         monkeypatch.setattr(np.fft, "rfft", counted_rfft)
         plots = tmp_path / "plots"
         assert cli.main(["analyze", "--bundle", str(tmp_path / "bundle"), "--out",

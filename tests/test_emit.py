@@ -25,8 +25,10 @@ from spectrobe.analysis import (
     RedundancyColumns,
     ShiftEntry,
     ShiftReport,
+    analyze_redundancy,
 )
 from spectrobe.classify import Categorization, Confidence, FilterClass
+from spectrobe.io import _BLOCK_ROWS
 from spectrobe.probe import (
     BuiltPairs,
     Cluster,
@@ -178,6 +180,44 @@ class TestWriterMatchesTheGenericDump:
         payload = {"report": "analysis", "n": 2**60 + 1,
                    "layers": [LayerReport(2, (entry, entry))]}
         assert emit_report(payload) == reference_text(payload)
+
+
+class TestRedundancyColumnsAtSize:
+    """Column records of the sizes and values real runs give, against the
+    rows the per-pair dataclass gave."""
+
+    @staticmethod
+    def record():
+        values = np.random.default_rng(64).standard_normal((2, 2, 64, 16))
+        return analyze_redundancy(KernelBundle("m", values))
+
+    def test_a_two_layer_record(self):
+        record = self.record()
+        assert len(record) == 8064 > _BLOCK_ROWS  # rows from more than one block
+        assert record.redundant.any() and not record.redundant.all()
+        assert emit_report(record) == reference_text(column_rows(record))
+
+    def test_special_floats_in_the_similarity_column(self):
+        record = self.record()
+        specials = [math.nan, math.inf, -math.inf, -0.0]
+        rows = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, len(record) - 1]
+        for i, row in enumerate(rows):
+            record.similarity[row] = specials[i % len(specials)]
+        assert emit_report(record) == reference_text(column_rows(record))
+
+    def test_one_row(self):
+        record = RedundancyColumns(
+            np.array([3]), np.array([Direction.BACKWARD], dtype=object),
+            np.array([0]), np.array([1]), np.array([0.25]), np.array([False]))
+        assert emit_report(record) == reference_text(column_rows(record))
+
+    def test_int64_extremes(self):
+        ints = np.array([-(2**63), 2**63 - 1, 0], dtype=np.int64)
+        record = RedundancyColumns(
+            ints, np.array(list(Direction) + [Direction.FORWARD], dtype=object),
+            ints[::-1].copy(), ints, np.array([0.5, 1.0, 1e-300]),
+            np.array([True, False, True]))
+        assert emit_report(record) == reference_text(column_rows(record))
 
 
 class TestManifests:

@@ -626,6 +626,16 @@ class TestAtomicWrite:
             os.umask(saved)
         assert (tmp_path / "r.json").stat().st_mode & 0o777 == 0o666 & ~umask
 
+    def test_missing_parents_are_made(self, tmp_path):
+        _atomic_write_bytes(tmp_path / "a" / "b" / "r.json", b"{}")
+        assert (tmp_path / "a" / "b" / "r.json").read_bytes() == b"{}"
+
+    def test_a_parent_that_is_a_file_is_refused_by_mkdir(self, tmp_path):
+        (tmp_path / "f").write_bytes(b"")
+        with pytest.raises(FileExistsError, match="File exists"):
+            _atomic_write_bytes(tmp_path / "f" / "r.json", b"{}")
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
     def test_failed_rename_removes_the_temp_file(self, tmp_path, monkeypatch):
         def refuse(src, dst):
             raise OSError("rename refused")
