@@ -20,7 +20,6 @@ from .classify import (
 from .config import DEFAULT_CONFIG, RunConfig
 from .spectral import (
     DIRECTIONS,
-    DegenerateKernelError,
     Direction,
     Kernel,
     SpectralSummary,
@@ -168,12 +167,14 @@ class ComplementarityReport:
 
 @dataclass(frozen=True, slots=True)
 class ShiftEntry:
+    """One kernel's centroid movement; null (None, never shifted) if degenerate."""
+
     layer: int
     direction: Direction
     kernel_index: int
-    sc_before: float
-    sc_after: float
-    delta_sc: float
+    sc_before: float | None
+    sc_after: float | None
+    delta_sc: float | None
     class_before: FilterClass | None
     class_after: FilterClass | None
     shifted_high: bool
@@ -290,22 +291,20 @@ def diff_bundles(
     than the threshold, or its combined class climbed the low < band <
     high order (which catches transitions smaller than the threshold).
     Centroids and classes are those of analyze_bundle under ``config``; a
-    kernel it marks degenerate in either bundle raises DegenerateKernelError.
+    kernel it marks degenerate in either bundle gets ShiftEntry's null row.
     """
     _check_same_topology(before, after)
     entries = []
     for rb, ra in zip(analyze_bundle(before, config), analyze_bundle(after, config)):
         for eb, ea in zip(rb.entries, ra.entries):
-            if eb.degenerate or ea.degenerate:
-                raise DegenerateKernelError()
-            sb, sa = eb.summary.centroid, ea.summary.centroid
-            cb, ca = eb.categorization.combined, ea.categorization.combined
-            climbed = None not in (cb, ca) and CLASSES.index(ca) > CLASSES.index(cb)
-            entries.append(ShiftEntry(
-                rb.layer, eb.direction, eb.kernel_index, sc_before=sb, sc_after=sa,
-                delta_sc=sa - sb, class_before=cb, class_after=ca,
-                shifted_high=sa - sb > config.shift_threshold or climbed,
-            ))
+            row = (None, None, None, None, None, False)  # the null row
+            if not (eb.degenerate or ea.degenerate):
+                sb, sa = eb.summary.centroid, ea.summary.centroid
+                cb, ca = eb.categorization.combined, ea.categorization.combined
+                climbed = None not in (cb, ca) and CLASSES.index(ca) > CLASSES.index(cb)
+                shifted = sa - sb > config.shift_threshold or climbed
+                row = (sb, sa, sa - sb, cb, ca, shifted)
+            entries.append(ShiftEntry(rb.layer, eb.direction, eb.kernel_index, *row))
     early_limit = (before.layer_count + 1) // 2
     flagged = dict.fromkeys(
         e.layer for e in entries

@@ -25,7 +25,8 @@ ZERO_BAND_FLOOR = 1e-6
 
 
 class DegenerateKernelError(ValueError):
-    """The spectrum total of a kernel is zero, or too large for a float64."""
+    """The spectrum total of a kernel is zero, or too large for a float64.
+    Only the one-kernel API (compute_spectrum, summarize) and ``plot`` raise it."""
 
     def __init__(self, message="all-zero spectrum, or one whose total "
                                "overflows, cannot be summarized"):

@@ -9,7 +9,6 @@ from spectrobe import (
     Complementarity,
     Confidence,
     DEFAULT_CONFIG,
-    DegenerateKernelError,
     Direction,
     FilterClass,
     Kernel,
@@ -346,10 +345,23 @@ class TestDiffBundles:
         with pytest.raises(ValueError, match="kernel counts per direction differ"):
             diff_bundles(two, wide)
 
-    def test_kernels_analyze_marks_degenerate_stop_the_diff(self):
+    def assert_null_row_in_either_order(self, bundle, clean):
+        """diff gives the forward slot of layer 1 the null row, with the
+        degenerate bundle before or after, and the backward slot a real one."""
+        for before, after in ((bundle, clean), (clean, bundle)):
+            report = diff_bundles(before, after)
+            null, backward = report.entries
+            assert (null.layer, null.direction, null.kernel_index) == (1, FWD, 0)
+            assert (null.sc_before, null.sc_after, null.delta_sc) == (None, None, None)
+            assert null.class_before is None and null.class_after is None
+            assert null.shifted_high is False
+            assert report.flagged_early_layers == ()
+            assert backward.class_before is LOW and backward.class_after is LOW
+
+    def test_kernels_analyze_marks_degenerate_get_the_null_row(self):
         # values near the float64 limit overflow the rfft, so the spectrum
         # total is NaN: analyze marks the kernel degenerate, and diff, which
-        # reads analyze's entries, refuses it instead of reporting NaN;
+        # reads analyze's entries, writes the null row instead of NaN;
         # neither leaks the overflow as a warning
         kernels = [Kernel(np.full(64, 1e307), layer=1, direction=FWD),
                    synth_for(LOW, 1, BWD, length=64)]
@@ -359,11 +371,7 @@ class TestDiffBundles:
             warnings.simplefilter("error")
             entry = analyze_bundle(bundle)[0].entries[0]
             assert entry.degenerate and entry.summary is None
-            for before, after in ((bundle, clean), (clean, bundle)):
-                with pytest.raises(DegenerateKernelError,
-                                   match="all-zero spectrum, or one whose total overflows"):
-                    diff_bundles(before, after)
-
+            self.assert_null_row_in_either_order(bundle, clean)
 
     def test_an_infinite_spectrum_total_is_degenerate(self):
         # standard-normal values near the float64 limit: the rfft stays
@@ -377,10 +385,7 @@ class TestDiffBundles:
             warnings.simplefilter("error")
             entry = analyze_bundle(bundle)[0].entries[0]
             assert entry.degenerate and entry.summary is None
-            for before, after in ((bundle, clean), (clean, bundle)):
-                with pytest.raises(DegenerateKernelError,
-                                   match="all-zero spectrum, or one whose total overflows"):
-                    diff_bundles(before, after)
+            self.assert_null_row_in_either_order(bundle, clean)
 
 
 class TestAnalyzeRedundancy:

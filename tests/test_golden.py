@@ -25,6 +25,7 @@ DIGESTS = {
     "analyze_plots": "d6561bb7c919a90673bd7bc4f3486bd9749433eadee4e22c7bad5e1152edb921",
     "complementary": "3da0a6bd487a06c5ec41e27af1c585c7b2d79e9cef2e7fc00ba9642bf286a6ce",
     "diff": "e954912d6f9287de6ad977c23afbe301d7505626ce17921b3bfb045446b8940a",
+    "diff_zero_kernel": "d852e0aaf8d185c86798d3d0084dbb7961c65d9ce6d1c08a5d22fc0061673eaf",
     "plot_band_pass": "bfa005506d8f8e547c2f20202d5e94406a15dc16b13f3ae79a87467aebe61d74",
     "plot_forward": "77e545428b7bd62bc602763d65ef9e413007a7e89c9c45970054961fbcc41d15",
     "redundancy": "8871b462f309975224a14dc238651ba9c9841fb7195bf8af72ac61d5e78091ee",
@@ -116,9 +117,11 @@ def outputs(tmp_path_factory):
     run("plot_band_pass", ["plot", "--bundle", str(single), "--layer", "3",
                            "--direction", "backward", "--out", str(tmp / "b.svg")],
         tmp / "b.svg")
+    zero_diff = tmp / "shift-zero.json"
     out["diff_with_zero_kernel_rc"] = cli.main(
         ["diff", "--before", str(bundle), "--after", str(after),
-         "--out", str(tmp / "never.json")])
+         "--out", str(zero_diff)])
+    out["diff_zero_kernel"] = zero_diff.read_bytes() if zero_diff.exists() else b""
     out["plot_zero_kernel_rc"] = cli.main(
         ["plot", "--bundle", str(single), "--layer", "2", "--direction",
          "forward", "--out", str(tmp / "never.svg")])
@@ -142,6 +145,12 @@ def test_fixture_covers_the_edge_cases(outputs):
     assert any(p["redundant"] for p in pairs)
     shift = json.loads(outputs["diff"])
     assert any(e["shifted_high"] for e in shift["entries"])
-    # an all-zero kernel stops diff and plot with a usage error
-    assert outputs["diff_with_zero_kernel_rc"] == 1
+    # diff carries an all-zero kernel through as a null row, like every
+    # bundle subcommand; plot, which has only that kernel to draw, stops
+    # with a usage error
+    assert outputs["diff_with_zero_kernel_rc"] == 0
+    null_rows = [e for e in json.loads(outputs["diff_zero_kernel"])["entries"]
+                 if e["sc_before"] is None]
+    assert [(e["layer"], e["direction"], e["kernel_index"]) for e in null_rows] == [
+        (2, "forward", 0)]
     assert outputs["plot_zero_kernel_rc"] == 1

@@ -3,8 +3,9 @@
 A kernel's class must not depend on its scale, sign or time direction; a
 bundle must come back from disk as the float32 rounding of what was
 written, and float32 values must give the reports and probe points their
-float64 widening gives; a slot list is a bundle's exactly when it fills a
-grid; and no malformed input file may make the CLI exit 2.
+float64 widening gives; a degenerate kernel changes only its own diff
+row; a slot list is a bundle's exactly when it fills a grid; and no
+malformed input file may make the CLI exit 2.
 """
 import contextlib
 import copy
@@ -23,7 +24,6 @@ from hypothesis.extra import numpy as hnp
 import spectrobe.cli as cli
 from spectrobe import (
     DEFAULT_CONFIG,
-    DegenerateKernelError,
     Direction,
     Kernel,
     KernelBundle,
@@ -111,10 +111,7 @@ def report_texts(bundle):
     """The analyze, diff (against the bundle's layers reversed) and
     redundancy reports of ``bundle``, as emit_report writes them."""
     reversed_layers = KernelBundle("r", bundle.values[::-1])
-    try:
-        shift = shift_payload(diff_bundles(bundle, reversed_layers), "m", "r")
-    except DegenerateKernelError:
-        shift = None
+    shift = shift_payload(diff_bundles(bundle, reversed_layers), "m", "r")
     cutoff = DEFAULT_CONFIG.redundancy_cutoff
     return [emit_report(analysis_payload(bundle, analyze_bundle(bundle))),
             emit_report(shift),
@@ -131,6 +128,37 @@ def test_float32_and_float64_bundles_give_the_same_reports(values):
     held64 = KernelBundle("m", values.astype(np.float64))
     assert (held32.values.dtype, held64.values.dtype) == (np.float32, np.float64)
     assert report_texts(held32) == report_texts(held64)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(8, 64),
+       st.integers(0, 2**32 - 1), st.data())
+def test_a_degenerate_kernel_changes_only_its_own_diff_row(layers, count, n, seed,
+                                                            data):
+    rng = np.random.default_rng(seed)
+    before = rng.standard_normal((layers, 2, count, n))
+    after = before + 0.5 * rng.standard_normal(before.shape)
+    slot = (data.draw(st.integers(0, layers - 1)), data.draw(st.integers(0, 1)),
+            data.draw(st.integers(0, count - 1)))
+    sides = data.draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    dead = [values.copy() for values in (before, after)]
+    for values, zeroed in zip(dead, sides):
+        if zeroed:
+            values[slot] = 0.0
+    live = diff_bundles(KernelBundle("b", before), KernelBundle("a", after))
+    report = diff_bundles(KernelBundle("b", dead[0]), KernelBundle("a", dead[1]))
+    row = np.ravel_multi_index(slot, (layers, 2, count))  # (layer, direction, k) order
+    null = report.entries[row]
+    assert (null.layer, DIRECTIONS.index(null.direction), null.kernel_index) == (
+        slot[0] + 1, slot[1], slot[2])
+    assert (null.sc_before, null.sc_after, null.delta_sc,
+            null.class_before, null.class_after, null.shifted_high) == (
+        None, None, None, None, None, False)
+    assert len(report.entries) == len(live.entries)
+    for i, (got, want) in enumerate(zip(report.entries, live.entries)):
+        if i != row:
+            assert emit_report(got) == emit_report(want)
+    assert set(report.flagged_early_layers) <= set(live.flagged_early_layers)
 
 
 @settings(max_examples=50)
