@@ -533,7 +533,9 @@ def _json(value, pad: str = "\n") -> str:
     elif dataclasses.is_dataclass(type(value)):
         _ROWS[type(value), pad] = _row(type(value), pad)
     elif isinstance(value, enum.Enum):
-        _SCALARS[type(value)] = {m: _json(m.value) for m in type(value)}.__getitem__
+        # keyed by value: a member's own hash is Enum.__hash__, Python code
+        texts = {m._value_: _json(m._value_) for m in type(value)}
+        _SCALARS[type(value)] = lambda member: texts[member._value_]
     elif isinstance(value, (np.generic, np.ndarray)):
         return _json(value.tolist(), pad)
     elif isinstance(value, dict):

@@ -135,7 +135,8 @@ def _direction(a, b, center, unit, stored=()):
     tolerance in the frame (center, unit), or None. A stored w, or else
     the centroid gap scaled to max-abs 1, that clears it proves the best
     margin does; else the LP for the largest t with x.w <= b0 - t on a,
-    x.w >= b0 + t on b decides.
+    x.w >= b0 + t on b decides, solved by HiGHS through scipy's ``milp``
+    with no integer variables.
     """
     if unit == 0:
         return None
@@ -152,7 +153,7 @@ def _direction(a, b, center, unit, stored=()):
     if gap.any() and clears(w := gap / np.abs(gap).max()):
         return w
     # imported here: only the probe solves LPs, and scipy.optimize is slow to import
-    from scipy.optimize import linprog
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
     (na, d), nb = za.shape, zb.shape[0]
     # variables: w (d), b0, t
@@ -160,9 +161,10 @@ def _direction(a, b, center, unit, stored=()):
     a_ub = np.block([[za, -ones_a, ones_a], [-zb, ones_b, ones_b]])
     cost = np.zeros(d + 2)
     cost[d + 1] = -1.0
-    bounds = [(-1.0, 1.0)] * d + [(None, None), (0.0, None)]
-    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(na + nb), bounds=bounds,
-                  method="highs")
+    lower = np.r_[np.full(d, -1.0), -np.inf, 0.0]
+    upper = np.r_[np.full(d, 1.0), np.inf, np.inf]
+    res = milp(cost, constraints=LinearConstraint(a_ub, -np.inf, 0.0),
+               bounds=Bounds(lower, upper))
     if not res.success:
         raise RuntimeError(f"separability program failed: {res.message}")
     if res.x[d + 1] <= SEPARABILITY_TOLERANCE:
@@ -177,10 +179,12 @@ def separable(set_a, set_b) -> bool:
     Equivalent to their convex hulls being disjoint. Decided by the
     maximal margin with w in [-1, 1]^d, measured once the joint bounding
     box is centered and its longest side spans [-1, 1]: separable when it
-    exceeds ``SEPARABILITY_TOLERANCE``, at any common scale and offset. A
-    coordinate gap above twice the tolerance settles it without an LP, as
-    does the direction between the two centroids when its margin clears
-    the tolerance. Symmetric in its arguments.
+    exceeds ``SEPARABILITY_TOLERANCE``, at any common scale and offset.
+    That maximum is an LP, which HiGHS solves through
+    ``scipy.optimize.milp``. A coordinate gap above twice the tolerance
+    settles it without an LP, as does the direction between the two
+    centroids when its margin clears the tolerance. Symmetric in its
+    arguments.
     """
     a = _as_point_matrix(set_a, "set_a")
     b = _as_point_matrix(set_b, "set_b")
@@ -203,9 +207,11 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
     otherwise the pair is set aside. Different-label hulls only ever grow,
     so a rejected pair can never become mergeable again and is not
     retried, nor is any pair of clusters that contain it. The loop ends
-    when no candidate pair remains. Each pair is pushed and popped once,
-    so the loop needs no budget and always runs to completion: the result
-    is always converged.
+    when no candidate pair remains. Each candidate pair has one owner
+    cluster, which keeps its pairs sorted by distance; one heap holds each
+    live owner's nearest pair with a live partner. So each pair is decided
+    at most once, the loop needs no budget and always runs to completion:
+    the result is always converged.
 
     Each answer is ``separable``'s, mostly without an LP. The decision
     order is box gap, stored direction, centroid direction, LP: one pass
@@ -258,24 +264,47 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
             found[c] = w
         return found
 
-    def distances(rows, anchor):
-        """Each row's Euclidean distance to anchor, with the bits of
-        np.linalg.norm: both take the sqrt of the same BLAS dot."""
-        diff = rows - anchor
-        return np.sqrt(np.vecdot(diff, diff)).tolist()
+    # candidate pairs (dist, ia, ib), ia < ib: each has one owner, the lower
+    # id for the singletons' pairs and the minted id for a merge's. Per
+    # owner id: its partners and distances sorted by (dist, partner), and
+    # the position of its first pair not yet pushed; None once it is dead
+    # or has no pair left. The heap holds each live owner's next pair with
+    # a live partner, so pops come in (dist, ia, ib) order, ties included.
+    queues: list[tuple[np.ndarray, FloatArray, int] | None] = []
+    heap: list[tuple[float, int, int, int]] = []
 
-    heap = []
+    def push_next(owner):
+        partners, dists, k = queues[owner]
+        alive = live[partners[k:]]
+        if not alive.any():
+            queues[owner] = None
+            return
+        k += int(alive.argmax())
+        queues[owner] = partners, dists, k + 1
+        p = int(partners[k])
+        heapq.heappush(heap, (float(dists[k]), min(owner, p), max(owner, p), owner))
+
+    def enqueue(owner, partners):
+        """Queue owner's pairs with partners, given in ascending order, and
+        push the first. The distances have the bits of np.linalg.norm:
+        both take the sqrt of one BLAS dot."""
+        diff = centroid[partners] - centroid[owner]
+        dists = np.sqrt(np.vecdot(diff, diff))
+        order = np.argsort(dists, kind="stable")
+        queues.append((partners[order], dists[order], 0))
+        push_next(owner)
+
     for ia in range(n):
-        ib = (ia + 1 + np.flatnonzero(label[ia + 1:n] == label[ia])).tolist()
-        heap += zip(distances(x[ib], x[ia]), [ia] * len(ib), ib)
-    heapq.heapify(heap)
+        enqueue(ia, ia + 1 + np.flatnonzero(label[ia + 1:n] == label[ia]))
     log: list[MergeRecord] = []
     cid = n
 
     while heap:
-        dist, ia, ib = heapq.heappop(heap)
-        # each pair is pushed once, so a popped pair never comes back
-        if not (live[ia] and live[ib]):
+        dist, ia, ib, owner = heapq.heappop(heap)
+        if not live[owner]:
+            continue
+        if not live[ia + ib - owner]:  # the partner died since the push
+            push_next(owner)
             continue
         merged = tuple(sorted(members[ia] + members[ib]))
         union = x[list(merged)]
@@ -286,10 +315,12 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
         if found is None:
             apart[ia].add(ib)
             apart[ib].add(ia)
+            push_next(owner)
             continue
         members.append(merged)
         centroid[cid] = union.mean(axis=0)
         live[[ia, ib, cid]] = False, False, True
+        queues[ia] = queues[ib] = None
         log.append(MergeRecord(ia, ib, dist))
         # only pairs of live clusters are ever read again
         for i in (ia, ib):
@@ -304,10 +335,9 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
         for c in apart[cid]:
             apart[c] -= {ia, ib}
             apart[c].add(cid)
-        partners = [c for c in np.flatnonzero(live & (label == label[cid])).tolist()
-                    if c != cid and c not in apart[cid]]
-        for d, other in zip(distances(centroid[partners], centroid[cid]), partners):
-            heapq.heappush(heap, (d, other, cid))
+        partners = np.flatnonzero(live & (label == label[cid]))
+        enqueue(cid, partners[(partners != cid)
+                              & ~np.isin(partners, list(apart[cid]))])
         cid += 1
 
     order = sorted(np.flatnonzero(live).tolist(), key=lambda c: members[c][0])

@@ -11,13 +11,14 @@ a max-margin LP written out here.
 """
 import heapq
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from spectrobe import LabeledPoint, run_directprobe, separable
+from spectrobe import LabeledPoint, probe, run_directprobe, separable
 from spectrobe.probe import SEPARABILITY_TOLERANCE, Cluster, MergeRecord
 
 
@@ -123,27 +124,74 @@ def test_clusters_ignore_integer_translation_of_a_lattice(data, shift):
     assert outcome(moved)[1] == outcome(base)[1]
 
 
-def test_most_decisions_skip_the_solver(monkeypatch):
+@pytest.fixture
+def solves(monkeypatch):
+    """A list that grows by one per LP the probe solves: the probe imports
+    scipy.optimize.milp when it needs it, so it gets the counting one."""
+    calls = []
+    solve = scipy.optimize.milp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", counted)
+    return calls
+
+
+def test_most_decisions_skip_the_solver(solves):
     rng = np.random.default_rng(8)
     labels = rng.permutation(np.arange(120) % 3)
     means = np.zeros((3, 6))
     means[1] = 0.35
     means[2, 0] = 6.0
     dataset = make_dataset(means[labels] + rng.normal(size=(120, 6)), labels)
-    calls = []
-    solve = scipy.optimize.linprog
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
     log, clusters = reference_directprobe(dataset)
-    reference_calls = len(calls)
-    calls.clear()
+    reference_calls = len(solves)
+    solves.clear()
     result = run_directprobe(dataset)
     assert outcome(result) == (log, [(c.member_indices, c.label) for c in clusters])
-    assert 0 < len(calls) <= reference_calls / 2
+    assert 0 < len(solves) <= reference_calls / 2
+
+
+def test_tied_distances_merge_in_the_order_of_the_full_heap():
+    # a 2-D lattice with repeated rows, labeled by side with three flips:
+    # many centroid distances tie exactly, so cluster ids decide which
+    # pair goes first
+    rng = np.random.default_rng(0)
+    x = rng.integers(-3, 4, size=(40, 2)).astype(np.float64)
+    x[rng.integers(0, 40, size=10)] = x[rng.integers(0, 40, size=10)]
+    labels = (x[:, 0] > 0).astype(int)
+    labels[rng.integers(0, 40, size=3)] ^= 1
+    dataset = make_dataset(x, labels)
+    log, clusters = reference_directprobe(dataset)
+    distances = [m.distance for m in log]
+    assert len(set(distances)) < len(distances) / 2
+    assert outcome(run_directprobe(dataset)) == (
+        log, [(c.member_indices, c.label) for c in clusters])
+
+
+def test_heap_pops_grow_linearly_with_the_points(monkeypatch):
+    # probe_overlap's shape: 300 points in 8-D, two labels overlapping and
+    # one apart; a heap of every same-label pair pops ~29,000 times here
+    rng = np.random.default_rng(0)
+    n = 300
+    labels = rng.permutation(np.arange(n) % 3)
+    means = np.zeros((3, 8))
+    means[1] = 0.35
+    means[2, 0] = 12.0
+    dataset = make_dataset(means[labels] + rng.normal(size=(n, 8)), labels)
+    pops = []
+
+    def heappop(heap):
+        pops.append(1)
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(probe, "heapq", SimpleNamespace(
+        heapify=heapq.heapify, heappush=heapq.heappush, heappop=heappop))
+    result = run_directprobe(dataset)
+    assert len(result.merge_log) >= n - 20
+    assert len(pops) <= 5 * n
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e-7, 1e-5, 1.0, 1e7, 1e30])
@@ -187,19 +235,11 @@ def test_separable_agrees_with_the_max_margin_lp(data):
             assert separable(a, b) == max_margin_separable(a, b), (ka, kb, k)
 
 
-def test_a_centroid_gap_settles_overlapping_boxes_without_the_solver(monkeypatch):
+def test_a_centroid_gap_settles_overlapping_boxes_without_the_solver(solves):
     # the boxes [0, 2]^2 and [1.5, 4]^2 overlap, and no stored direction
     # exists yet; the centroid gap, along (1, 1), separates the two labels
     a = np.array([[0.0, 0.0], [2.0, 2.0]])
     b = np.array([[1.5, 4.0], [4.0, 1.5]])
-    calls = []
-    solve = scipy.optimize.linprog
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
     result = run_directprobe(make_dataset(np.vstack([a, b]), [0, 0, 1, 1]))
     assert outcome(result)[1] == [((0, 1), "a"), ((2, 3), "b")]
-    assert not calls
+    assert not solves
