@@ -36,18 +36,20 @@ def slot_grid(slots: Sequence[tuple[int, Direction, int]]) -> tuple[int, int]:
     """
     if not slots:
         raise ValueError("no kernels given")
+    # keyed by direction index: a member's own hash is Enum.__hash__, Python code
     seen = set()
     for layer, direction, k in slots:
-        if layer < 1 or k < 0 or (layer, direction, k) in seen:
+        key = layer, DIRECTIONS.index(direction), k
+        if layer < 1 or k < 0 or key in seen:
             problem = "out of range" if layer < 1 or k < 0 else "listed twice"
             raise ValueError(f"layer {layer} {direction.value} kernel {k} is {problem}")
-        seen.add((layer, direction, k))
+        seen.add(key)
     layers, count = max(s[0] for s in slots), max(s[2] for s in slots) + 1
     if len(seen) < layers * 2 * count:  # the walk stops within len(seen) + 1 slots
         grid = ((layer, d, k) for layer in range(1, layers + 1)
-                for d in DIRECTIONS for k in range(count))
-        layer, direction, k = next(s for s in grid if s not in seen)
-        raise ValueError(f"layer {layer} {direction.value} kernel {k} is missing")
+                for d in range(2) for k in range(count))
+        layer, d, k = next(s for s in grid if s not in seen)
+        raise ValueError(f"layer {layer} {DIRECTIONS[d].value} kernel {k} is missing")
     return layers, count
 
 

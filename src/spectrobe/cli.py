@@ -18,7 +18,7 @@ from .analysis import (
     diff_bundles,
 )
 from .classify import FilterClass
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, located
 from .io import (
     analysis_payload,
     complementarity_payload,
@@ -95,7 +95,8 @@ def _cmd_analyze(args, cfg) -> dict:
 def _cmd_diff(args, cfg) -> dict:
     before = read_bundle(args.before)
     after = read_bundle(args.after)
-    report = diff_bundles(before, after, cfg)
+    with located(f"{args.before} vs {args.after}"):
+        report = diff_bundles(before, after, cfg)
     return shift_payload(report, before.model_tag, after.model_tag)
 
 
@@ -115,13 +116,10 @@ def _cmd_materialize(args, cfg) -> None:
     model_tag, entries = read_s4d_params(args.params)
     kernels = []
     for entry in entries:
-        try:  # read_s4d_params bounds each kernel, but not at every length
+        # read_s4d_params bounds each kernel, but not at every length
+        with located(f"{args.params}: layer {entry.layer} {entry.direction.value} "
+                     f"kernel {entry.kernel_index} at length {args.length}"):
             values = materialize_s4d(entry.params, args.length).values
-        except ValueError as exc:
-            raise ValueError(
-                f"{args.params}: layer {entry.layer} {entry.direction.value} "
-                f"kernel {entry.kernel_index} at length {args.length}: {exc}"
-            ) from None
         kernels.append(Kernel(values, entry.layer, entry.direction, entry.kernel_index))
     write_bundle(KernelBundle.from_kernels(model_tag, kernels), args.out)
 
@@ -141,10 +139,16 @@ def _cmd_synth(args, cfg) -> None:
 
 def _cmd_probe(args, cfg) -> dict:
     task = _PROBE_TASKS[args.task]
-    train = build_pairs(*read_pair_dataset(args.train), task)
-    heldout = build_pairs(*read_pair_dataset(args.eval), task)
-    result = run_directprobe(train.points)
-    evaluation = evaluate(result, heldout.points)
+    train = read_pair_dataset(args.train)
+    with located(args.train):  # rebinding drops each read dataset once built
+        train = build_pairs(*train, task)
+    heldout = read_pair_dataset(args.eval)
+    with located(args.eval):
+        heldout = build_pairs(*heldout, task)
+    with located(args.train):
+        result = run_directprobe(train.points)
+    with located(args.eval):
+        evaluation = evaluate(result, heldout.points)
     return probe_payload(task, result, train, heldout, evaluation)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import reprlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 _SHORT = reprlib.Repr()
@@ -21,6 +22,16 @@ _SHORT.maxstring = _SHORT.maxother = 60
 _SHORT.maxlist = _SHORT.maxdict = 4
 # repr cut to a few dozen characters: how every error quotes an outside value
 quoted = _SHORT.repr
+
+
+@contextmanager
+def located(where, error=ValueError):
+    """Re-raise a ValueError from the block as ``error(f"{where}: {exc}")``. Keep
+    out calls that already name their own place, or it is named twice."""
+    try:
+        yield
+    except ValueError as exc:
+        raise error(f"{where}: {exc}") from None
 
 
 def finite_float(value, what: str) -> float:

@@ -32,7 +32,7 @@ from .analysis import (
     ShiftReport,
     slot_grid,
 )
-from .config import RunConfig, config_from_mapping, finite_float, quoted
+from .config import RunConfig, config_from_mapping, finite_float, located, quoted
 from .kernels import S4DParams
 from .probe import BuiltPairs, EvalResult, ProbeResult, _checked_representations
 from .spectral import DIRECTIONS, Direction
@@ -247,10 +247,8 @@ def read_bundle(path) -> KernelBundle:
         payload = root / rel
         _check_payload(payload, element_count, f"{where}: path {quoted(rel)}")
         slots.append((layer, direction, kernel_index, payload))
-    try:
+    with located(mpath, FormatError):
         layers, count = slot_grid([slot[:3] for slot in slots])
-    except ValueError as exc:
-        raise FormatError(f"{mpath}: {exc}") from None
     if layers != layer_count:
         raise FormatError(
             f"{mpath}: layer_count says {layer_count} but entries span "
@@ -291,14 +289,13 @@ def write_pair_dataset(
         raise ValueError("dataset needs at least one representation")
     lines = []
     for i, (id_i, id_j, label) in enumerate(pairs):
-        for token_id in (id_i, id_j):
-            if token_id not in representations:
-                raise ValueError(f"pairs[{i}]: unknown token id {quoted(token_id)}")
-        if not label or label != label.strip() or "\n" in label:
-            raise ValueError(
-                f"pairs[{i}]: label {quoted(label)} must be nonempty with no "
-                "surrounding whitespace"
-            )
+        with located(f"pairs[{i}]"):
+            for token_id in (id_i, id_j):
+                if token_id not in representations:
+                    raise ValueError(f"unknown token id {quoted(token_id)}")
+            if not label or label != label.strip() or "\n" in label:
+                raise ValueError(f"label {quoted(label)} must be nonempty with no "
+                                 "surrounding whitespace")
         lines.append(f"{id_i} {id_j} {label}")
     ids = list(vectors)
     matrix = _float32(np.stack(list(vectors.values())),
@@ -370,15 +367,9 @@ def _mode_part(mode, key, where) -> complex:
     value = _require(mode, key, list, where)
     if len(value) != 2:
         raise FormatError(f"{where}: field {key!r} must be [real, imag]")
+    # not located(): twice per mode, and a context costs more than this call
     try:
         return complex(*(finite_float(v, f"field {key!r}") for v in value))
-    except ValueError as exc:
-        raise FormatError(f"{where}: {exc}") from None
-
-
-def _check_step(step, where) -> float:
-    try:
-        return finite_float(step, "field 'step'")
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from None
 
@@ -398,7 +389,8 @@ def read_s4d_params(path) -> tuple[str, list[ParamsEntry]]:
     model_tag = _require(data, "model_tag", str, path)
     default_step = data.get("step")
     if default_step is not None:
-        default_step = _check_step(default_step, path)
+        with located(path, FormatError):
+            default_step = finite_float(default_step, "field 'step'")
     layers = _require(data, "layers", list, path)
     entries = []
     for li, layer_spec in enumerate(layers):
@@ -414,36 +406,31 @@ def read_s4d_params(path) -> tuple[str, list[ParamsEntry]]:
                     raise FormatError(
                         f"{where}: no step given and no file-level default"
                     )
-                step = _check_step(step, where)
+                with located(where, FormatError):
+                    step = finite_float(step, "field 'step'")
                 poles = []
                 coefficients = []
                 for mi, mode in enumerate(modes):
                     where_mode = f"{where}.modes[{mi}]"
                     poles.append(_mode_part(mode, "a", where_mode))
                     coefficients.append(_mode_part(mode, "c", where_mode))
-                try:
+                with located(where, FormatError):
                     params = S4DParams(
                         np.asarray(poles, dtype=np.complex128),
                         np.asarray(coefficients, dtype=np.complex128),
                         step,
                     )
-                except ValueError as exc:
-                    raise FormatError(f"{where}: {exc}") from exc
                 entries.append(ParamsEntry(layer, direction, ki, params))
-    try:
+    with located(path, FormatError):
         slot_grid([(e.layer, e.direction, e.kernel_index) for e in entries])
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
     return model_tag, entries
 
 
 def load_config(path) -> RunConfig:
     """RunConfig from a JSON file of threshold overrides."""
     data = _load_json(path)
-    try:
+    with located(path):
         return config_from_mapping(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 _SPECIAL_FLOATS = {"inf": '"infinite"', "-inf": '"-infinite"', "nan": "null"}

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import enum
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import quoted
+from .config import located, quoted
 from .spectral import FloatArray, as_vector
 
 SEPARABILITY_TOLERANCE = 1e-6
@@ -383,19 +384,12 @@ def evaluate(result: ProbeResult, heldout: Sequence[LabeledPoint]) -> EvalResult
         raise ValueError("held-out set is empty")
     if not result.converged:
         raise ValueError("result did not converge and is excluded from evaluation")
-    trained = {c.label for c in result.clusters}
     predicted = _nearest_labels(result, [point.vector for point in heldout])
-    totals: dict[str, int] = {}
-    correct: dict[str, int] = {}
-    for point, label in zip(heldout, predicted):
-        totals[point.label] = totals.get(point.label, 0) + 1
-        if label == point.label:
-            correct[point.label] = correct.get(point.label, 0) + 1
-    per_label = {
-        label: correct.get(label, 0) / count for label, count in sorted(totals.items())
-    }
+    totals = Counter(point.label for point in heldout)
+    correct = Counter(p.label for p, got in zip(heldout, predicted) if got == p.label)
+    per_label = {label: correct[label] / n for label, n in sorted(totals.items())}
     mean = sum(per_label.values()) / len(per_label)
-    unknown = tuple(sorted(label for label in totals if label not in trained))
+    unknown = tuple(sorted(totals.keys() - {c.label for c in result.clusters}))
     return EvalResult(per_label=per_label, mean_accuracy=mean, unknown_labels=unknown)
 
 
@@ -424,46 +418,47 @@ def build_pairs(
 ) -> BuiltPairs:
     """Turn labeled token-id pairs into labeled vectors for probing.
 
-    DISTANCE points are the difference of the two representations; the
-    label must parse as an integer tree distance of at least 2, and
-    distances above 6 are dropped (the skip count says how many).
-    SIBLINGS and DFG_EDGE points concatenate the representations and cap
-    the distinct label count at 2 and 3 respectively.
+    DISTANCE points are the difference of the two representations; the label
+    must parse as an integer tree distance of at least 2, and distances above
+    6 are dropped (the skip count says how many). SIBLINGS and DFG_EDGE points
+    concatenate the representations and cap the distinct label count at 2 and
+    3 respectively. A fault in a pair names it: ``pairs[<i>]: <message>``.
     """
     vectors = _checked_representations(representations)
     points: list[LabeledPoint] = []
     skipped = 0
     seen_labels: set[str] = set()
-    for id_i, id_j, label in pairs:
-        for token_id in (id_i, id_j):
-            if token_id not in vectors:
-                raise ValueError(f"unknown token id {quoted(token_id)}")
-        if task is PairTask.DISTANCE:
-            try:
-                distance = int(label)
-            except ValueError:
-                raise ValueError(
-                    f"label {quoted(label)} is not an integer tree distance"
-                ) from None
-            if distance < DISTANCE_MIN:
-                raise ValueError(
-                    f"tree distance must be >= {DISTANCE_MIN}, got {distance}"
+    for i, (id_i, id_j, label) in enumerate(pairs):
+        with located(f"pairs[{i}]"):
+            for token_id in (id_i, id_j):
+                if token_id not in vectors:
+                    raise ValueError(f"unknown token id {quoted(token_id)}")
+            if task is PairTask.DISTANCE:
+                try:
+                    distance = int(label)
+                except ValueError:
+                    raise ValueError(
+                        f"label {quoted(label)} is not an integer tree distance"
+                    ) from None
+                if distance < DISTANCE_MIN:
+                    raise ValueError(
+                        f"tree distance must be >= {DISTANCE_MIN}, got {distance}"
+                    )
+                if distance > DISTANCE_MAX:
+                    skipped += 1
+                    continue
+                points.append(
+                    LabeledPoint(vectors[id_i] - vectors[id_j], str(distance))
                 )
-            if distance > DISTANCE_MAX:
-                skipped += 1
-                continue
-            points.append(
-                LabeledPoint(vectors[id_i] - vectors[id_j], str(distance))
-            )
-        else:
-            seen_labels.add(label)
-            cap = _MAX_DISTINCT_LABELS[task]
-            if len(seen_labels) > cap:
-                raise ValueError(
-                    f"{task.value} allows at most {cap} distinct labels; "
-                    f"got {quoted(sorted(seen_labels))}"
+            else:
+                seen_labels.add(label)
+                cap = _MAX_DISTINCT_LABELS[task]
+                if len(seen_labels) > cap:
+                    raise ValueError(
+                        f"{task.value} allows at most {cap} distinct labels; "
+                        f"got {quoted(sorted(seen_labels))}"
+                    )
+                points.append(
+                    LabeledPoint(np.concatenate([vectors[id_i], vectors[id_j]]), label)
                 )
-            points.append(
-                LabeledPoint(np.concatenate([vectors[id_i], vectors[id_j]]), label)
-            )
     return BuiltPairs(tuple(points), skipped)

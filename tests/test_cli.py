@@ -343,6 +343,19 @@ class TestDiff:
         assert rc == 1
         assert "lengths differ" in capsys.readouterr().err
 
+    def test_topology_fault_names_both_bundles(self, tmp_path, capsys):
+        paths = []
+        for layers in (2, 3):
+            paths.append(tmp_path / f"layers{layers}")
+            write_bundle(KernelBundle("m", np.ones((layers, 2, 1, 16))), paths[-1])
+        rc = cli.main(["diff", "--before", str(paths[0]), "--after", str(paths[1]),
+                       "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"spectrobe: error: {paths[0]} vs {paths[1]}: "
+            "layer counts differ: 2 vs 3\n")
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestComplementaryAndRedundancy:
     def test_complementary_prints_json(self, band_bundle_dir, capsys):
@@ -581,6 +594,18 @@ class TestMaterialize:
         assert f"{params_file}: {refusal}\n" in capsys.readouterr().err
         assert made == []
 
+    @pytest.mark.parametrize("length", [1, 0, -3])
+    def test_length_below_two_exits_one_naming_the_kernel(self, params_file, tmp_path,
+                                                          capsys, length):
+        out = tmp_path / "b"
+        rc = cli.main(["materialize", "--params", str(params_file),
+                       "--length", str(length), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"spectrobe: error: {params_file}: layer 1 forward kernel 0 at length "
+            f"{length}: length must be >= 2, got {length}\n")
+        assert not out.exists()
+
 
 class TestSynth:
     def test_band_bundle_is_readable_and_paired(self, band_bundle_dir):
@@ -665,6 +690,42 @@ class TestProbe:
                        "--task", "distance", "--out", str(tmp_path / "r.json")])
         assert rc == 1
         assert "integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "train_pairs, eval_pairs, eval_dim, fault",
+        [
+            ([("a", "b", "2"), ("a", "b", "x y")], [("a", "b", "2")], 1,
+             "{train}: pairs[1]: label 'x y' is not an integer tree distance"),
+            ([("a", "b", "2")], [("a", "b", "3"), ("a", "b", "x y")], 1,
+             "{eval}: pairs[1]: label 'x y' is not an integer tree distance"),
+            ([("a", "b", "2")], [("b", "a", "1")], 1,
+             "{eval}: pairs[0]: tree distance must be >= 2, got 1"),
+            ([("a", "b", "7")], [("a", "b", "2")], 1, "{train}: dataset is empty"),
+            ([("a", "b", "2")], [("a", "b", "9")], 1, "{eval}: held-out set is empty"),
+            ([("a", "b", "2")], [("a", "b", "2")], 2,
+             "{eval}: query must be a vector of dimension 1"),
+            # train is read and built before eval is read
+            ([("a", "b", "x")], None, 1,
+             "{train}: pairs[0]: label 'x' is not an integer tree distance"),
+            # a reader names its own file, once
+            ([("a", "b", "2")], None, 1, "{eval}/manifest.json: file not found"),
+        ],
+        ids=["train-label", "eval-label", "eval-distance", "train-empty",
+             "eval-empty", "eval-dimension", "train-first", "eval-unread"],
+    )
+    def test_faults_name_their_dataset_and_pair(self, tmp_path, capsys, train_pairs,
+                                                eval_pairs, eval_dim, fault):
+        dirs = {"train": tmp_path / "train", "eval": tmp_path / "eval"}
+        write_pair_dataset({"a": np.zeros(1), "b": np.ones(1)}, train_pairs,
+                           dirs["train"])
+        if eval_pairs is not None:
+            write_pair_dataset({"a": np.zeros(eval_dim), "b": np.ones(eval_dim)},
+                               eval_pairs, dirs["eval"])
+        rc = cli.main(["probe", "--train", str(dirs["train"]),
+                       "--eval", str(dirs["eval"]), "--task", "distance",
+                       "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"spectrobe: error: {fault.format(**dirs)}\n"
 
     def test_task_choices_are_closed(self, pair_dataset_dir, tmp_path):
         rc = cli.main(["probe", "--train", str(pair_dataset_dir),

@@ -131,6 +131,21 @@ class TestBundleRoundTrip:
         write_bundle(small_bundle(rng), tmp_path / "b")
         assert not list((tmp_path / "b").glob("*.tmp"))
 
+    def test_read_hashes_no_direction(self, tmp_path, monkeypatch):
+        # Enum.__hash__ is Python code, so the slot check keys by direction index
+        write_bundle(KernelBundle("grid", np.ones((3, 2, 4, 8))), tmp_path / "b")
+        hashed = []
+        monkeypatch.setattr(Direction, "__hash__",
+                            lambda member: hashed.append(member) or hash(member._name_))
+        assert read_bundle(tmp_path / "b").values.shape == (3, 2, 4, 8)
+        manifest = tmp_path / "b" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["kernels"][13]  # layer 2 backward kernel 1
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="layer 2 backward kernel 1 is missing"):
+            read_bundle(tmp_path / "b")
+        assert hashed == []
+
 
 class TestBundleReadErrors:
     @pytest.fixture
