@@ -35,7 +35,6 @@ from .classify import (
 from .config import DEFAULT_CONFIG, RunConfig, config_from_mapping
 from .io import (
     FormatError,
-    ParamsEntry,
     emit_report,
     load_config,
     read_bundle,
@@ -99,7 +98,6 @@ __all__ = [
     "LayerReport",
     "MergeRecord",
     "PairTask",
-    "ParamsEntry",
     "ProbeResult",
     "RedundancyColumns",
     "RunConfig",

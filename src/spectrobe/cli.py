@@ -10,6 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import (
     KernelBundle,
     analyze_bundle,
@@ -102,26 +104,32 @@ def _cmd_diff(args, cfg) -> dict:
 
 def _cmd_complementary(args, cfg) -> dict:
     bundle = read_bundle(args.bundle)
-    report = detect_complementary(analyze_bundle(bundle, cfg))
+    with located(args.bundle):
+        report = detect_complementary(analyze_bundle(bundle, cfg))
     return complementarity_payload(report, bundle.model_tag)
 
 
 def _cmd_redundancy(args, cfg) -> dict:
     bundle = read_bundle(args.bundle)
-    pairs = analyze_redundancy(bundle, cfg)
+    with located(args.bundle):
+        pairs = analyze_redundancy(bundle, cfg)
     return redundancy_payload(pairs, bundle.model_tag, cfg.redundancy_cutoff)
 
 
 def _cmd_materialize(args, cfg) -> None:
-    model_tag, entries = read_s4d_params(args.params)
-    kernels = []
-    for entry in entries:
+    model_tag, params = read_s4d_params(args.params)
+    for slot in np.ndindex(params.shape):
+        layer, d, k = slot
         # read_s4d_params bounds each kernel, but not at every length
-        with located(f"{args.params}: layer {entry.layer} {entry.direction.value} "
-                     f"kernel {entry.kernel_index} at length {args.length}"):
-            values = materialize_s4d(entry.params, args.length).values
-        kernels.append(Kernel(values, entry.layer, entry.direction, entry.kernel_index))
-    write_bundle(KernelBundle.from_kernels(model_tag, kernels), args.out)
+        with located(f"{args.params}: layer {layer + 1} {DIRECTIONS[d].value} "
+                     f"kernel {k} at length {args.length}"):
+            kernel = materialize_s4d(params[slot], args.length).values
+        if not any(slot):  # allocated once the first kernel has checked the length
+            values = np.empty((*params.shape, args.length))
+        values[slot] = kernel
+    values.flags.writeable = False
+    with located(args.params):
+        write_bundle(KernelBundle(model_tag, values), args.out)
 
 
 def _cmd_synth(args, cfg) -> None:
@@ -132,8 +140,8 @@ def _cmd_synth(args, cfg) -> None:
         length=args.length,
     )
     values = synth_kernel(spec).values  # one layer, the same kernel both ways
-    kernels = [Kernel(values, direction=direction) for direction in DIRECTIONS]
-    write_bundle(KernelBundle.from_kernels(f"synth-{args.target_class}", kernels),
+    write_bundle(KernelBundle(f"synth-{args.target_class}",
+                              np.broadcast_to(values, (1, 2, 1, values.size))),
                  args.out)
 
 
@@ -154,19 +162,18 @@ def _cmd_probe(args, cfg) -> dict:
 
 def _cmd_plot(args, cfg) -> None:
     bundle = read_bundle(args.bundle)
-    if not 1 <= args.layer <= bundle.layer_count:
-        raise ValueError(
-            f"layer {args.layer} not in bundle (1..{bundle.layer_count})"
-        )
-    count = bundle.kernel_count_per_direction
-    if not 0 <= args.kernel_index < count:
-        raise ValueError(
-            f"kernel index {args.kernel_index} not in bundle (0..{count - 1})"
-        )
     direction, k = Direction(args.direction), args.kernel_index
-    d = DIRECTIONS.index(direction)
-    spectrum = compute_spectrum(Kernel(bundle.values[args.layer - 1, d, k]))
-    emit_plot(spectrum, summarize(spectrum), args.out,
+    with located(args.bundle):
+        if not 1 <= args.layer <= bundle.layer_count:
+            raise ValueError(f"layer {args.layer} not in bundle "
+                             f"(1..{bundle.layer_count})")
+        count = bundle.kernel_count_per_direction
+        if not 0 <= k < count:
+            raise ValueError(f"kernel index {k} not in bundle (0..{count - 1})")
+        d = DIRECTIONS.index(direction)
+        spectrum = compute_spectrum(Kernel(bundle.values[args.layer - 1, d, k]))
+        summary = summarize(spectrum)
+    emit_plot(spectrum, summary, args.out,
               title=_chart_title(bundle, args.layer, direction, k))
 
 

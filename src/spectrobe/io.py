@@ -16,7 +16,6 @@ import json
 import os
 import re
 import stat
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _str
 from operator import attrgetter
 from pathlib import Path
@@ -353,16 +352,6 @@ def read_pair_dataset(path) -> tuple[dict[str, np.ndarray], list[tuple[str, str,
     return representations, pairs
 
 
-@dataclass(frozen=True, slots=True)
-class ParamsEntry:
-    """One kernel's state-space parameters and its slot in the model."""
-
-    layer: int
-    direction: Direction
-    kernel_index: int
-    params: S4DParams
-
-
 def _mode_part(mode, key, where) -> complex:
     value = _require(mode, key, list, where)
     if len(value) != 2:
@@ -374,8 +363,10 @@ def _mode_part(mode, key, where) -> complex:
         raise FormatError(f"{where}: {exc}") from None
 
 
-def read_s4d_params(path) -> tuple[str, list[ParamsEntry]]:
-    """Read a state-space parameter file.
+def read_s4d_params(path) -> tuple[str, np.ndarray]:
+    """Read a state-space parameter file into its model tag and a
+    (layers, 2, kernels per direction) object array of S4DParams, placed
+    like a bundle's kernels: ``params[layer - 1, d, k]``.
 
     JSON layout: {"model_tag": ..., "step": ..., "layers": [{"layer": 1,
     "forward": [{"modes": [{"a": [re, im], "c": [re, im]}, ...],
@@ -392,7 +383,7 @@ def read_s4d_params(path) -> tuple[str, list[ParamsEntry]]:
         with located(path, FormatError):
             default_step = finite_float(default_step, "field 'step'")
     layers = _require(data, "layers", list, path)
-    entries = []
+    slots = []
     for li, layer_spec in enumerate(layers):
         where_layer = f"{path}: layers[{li}]"
         layer = _require(layer_spec, "layer", int, where_layer)
@@ -420,10 +411,13 @@ def read_s4d_params(path) -> tuple[str, list[ParamsEntry]]:
                         np.asarray(coefficients, dtype=np.complex128),
                         step,
                     )
-                entries.append(ParamsEntry(layer, direction, ki, params))
+                slots.append((layer, direction, ki, params))
     with located(path, FormatError):
-        slot_grid([(e.layer, e.direction, e.kernel_index) for e in entries])
-    return model_tag, entries
+        layers, count = slot_grid([slot[:3] for slot in slots])
+    grid = np.empty((layers, 2, count), object)
+    for layer, direction, k, params in slots:
+        grid[layer - 1, DIRECTIONS.index(direction), k] = params
+    return model_tag, grid
 
 
 def load_config(path) -> RunConfig:

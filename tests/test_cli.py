@@ -459,6 +459,47 @@ def test_every_report_command_writes_its_report_once(
         assert json.loads(stdout)["report"]
 
 
+@pytest.mark.parametrize(
+    "argv, fault",
+    [
+        (["plot", "--bundle", "{band}", "--layer", "99", "--direction", "forward",
+          "--out", "{tmp}/c.svg"], "{band}: layer 99 not in bundle (1..1)"),
+        (["plot", "--bundle", "{multi}", "--layer", "1", "--direction", "forward",
+          "--kernel-index", "2", "--out", "{tmp}/c.svg"],
+         "{multi}: kernel index 2 not in bundle (0..1)"),
+        (["plot", "--bundle", "{zero}", "--layer", "1", "--direction", "backward",
+          "--out", "{tmp}/c.svg"],
+         "{zero}: all-zero spectrum, or one whose total overflows, cannot be "
+         "summarized"),
+        (["complementary", "--bundle", "{multi}"],
+         "{multi}: layer 1 has several kernels per direction; complementarity "
+         "needs exactly one, use analyze_redundancy"),
+        (["redundancy", "--bundle", "{band}"],
+         "{band}: bundle has a single kernel per direction; nothing to compare"),
+        (["materialize", "--params", "{params}", "--length", "16", "--out", "{tmp}/c"],
+         "{params}: layer 1 backward kernel 0: value 3.93469e+307 at element 0 "
+         "overflows float32"),
+    ],
+    ids=["plot-layer", "plot-kernel-index", "plot-all-zero",
+         "complementary-multi-kernel", "redundancy-single-kernel",
+         "materialize-float32-overflow"],
+)
+def test_one_input_faults_name_their_input(argv, fault, band_bundle_dir,
+                                           multi_kernel_bundle_dir, params_file,
+                                           tmp_path, capsys):
+    zero = tmp_path / "zero-bundle"
+    write_bundle(KernelBundle("zero", np.zeros((1, 2, 1, 16))), zero)
+    doc = json.loads(params_file.read_text())
+    doc["layers"][0]["backward"][0] = {
+        "modes": [{"a": [-1.0, 0.0], "c": [1e308, 0.0]}], "step": 0.5}
+    params_file.write_text(json.dumps(doc))
+    names = dict(band=band_bundle_dir, multi=multi_kernel_bundle_dir, zero=zero,
+                 params=params_file, tmp=tmp_path)
+    assert cli.main([arg.format(**names) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"spectrobe: error: {fault.format(**names)}\n"
+    assert not (tmp_path / "c.svg").exists() and not (tmp_path / "c").exists()
+
+
 class TestMaterialize:
     def test_writes_matching_bundle(self, params_file, tmp_path):
         from spectrobe import read_s4d_params, materialize_s4d
@@ -469,8 +510,8 @@ class TestMaterialize:
         assert rc == 0
         bundle = read_bundle(out)
         assert bundle.model_tag == "ssm"
-        _, entries = read_s4d_params(params_file)
-        expected = materialize_s4d(entries[0].params, 48)
+        _, params = read_s4d_params(params_file)
+        expected = materialize_s4d(params[0, 0, 0], 48)
         stored = bundle.layers[1][FWD][0].values
         np.testing.assert_array_equal(
             stored, expected.values.astype("<f4").astype(np.float64)

@@ -1,9 +1,13 @@
-"""Byte-identity pins for the bundle reports and charts the CLI writes.
+"""Byte-identity pins for the bundle reports, charts and bundles the CLI
+writes.
 
 A seeded fixture bundle (3 layers x 2 directions x 4 kernels, N=256,
 with one all-zero kernel and one tail-free band-pass kernel) is written
 straight to the documented format with numpy, each subcommand runs on
 it, and the sha256 of every output must equal the digest pinned here.
+A seeded parameter file (2 layers x 2 x 3 kernels, 32 modes) pins the
+bundle ``materialize`` writes from it at length 4096, and one band-pass
+bundle pins ``synth``; both hash the manifest and every payload.
 Any change to a report's bytes fails this file; a deliberate format
 change must update the digests in the same commit.
 """
@@ -17,6 +21,7 @@ import pytest
 import spectrobe.cli as cli
 
 LAYERS, KERNELS, N = 3, 4, 256
+PARAM_LAYERS, PARAM_KERNELS, MODES, PARAM_LENGTH = 2, 3, 32, 4096
 _DIRECTIONS = ("forward", "backward")
 
 DIGESTS = {
@@ -26,9 +31,11 @@ DIGESTS = {
     "complementary": "3da0a6bd487a06c5ec41e27af1c585c7b2d79e9cef2e7fc00ba9642bf286a6ce",
     "diff": "e954912d6f9287de6ad977c23afbe301d7505626ce17921b3bfb045446b8940a",
     "diff_zero_kernel": "d852e0aaf8d185c86798d3d0084dbb7961c65d9ce6d1c08a5d22fc0061673eaf",
+    "materialize": "29d67d2650f3c1572f2ac430ef9813cf4b6c6f4bad683430b659d0c22f1505d8",
     "plot_band_pass": "bfa005506d8f8e547c2f20202d5e94406a15dc16b13f3ae79a87467aebe61d74",
     "plot_forward": "77e545428b7bd62bc602763d65ef9e413007a7e89c9c45970054961fbcc41d15",
     "redundancy": "8871b462f309975224a14dc238651ba9c9841fb7195bf8af72ac61d5e78091ee",
+    "synth": "6d58f05b1c659465b2a012e381d52dd49b730473d1a22745800dc5d86c17d616",
 }
 
 
@@ -53,6 +60,30 @@ def band_pass(low, high, n):
     freqs = np.arange(n // 2 + 1) / n
     gain = ((freqs > low) & (freqs < high)).astype(np.float64)
     return np.fft.irfft(gain * np.exp(-1j * np.pi * np.arange(freqs.size)), n=n)
+
+
+def params_doc(rng):
+    """S4D-Lin poles, random coefficients and a log-uniform step per kernel;
+    layer 2 is listed first and one kernel falls back to the file step."""
+    poles = -0.5 + 1j * np.pi * np.arange(MODES)
+
+    def kernel():
+        coeffs = rng.standard_normal(MODES) + 1j * rng.standard_normal(MODES)
+        return {"step": float(np.exp(rng.uniform(np.log(1e-3), np.log(1e-1)))),
+                "modes": [{"a": [p.real, p.imag], "c": [c.real, c.imag]}
+                          for p, c in zip(poles, coeffs)]}
+
+    layers = [{"layer": layer, **{d: [kernel() for _ in range(PARAM_KERNELS)]
+                                  for d in _DIRECTIONS}}
+              for layer in range(PARAM_LAYERS, 0, -1)]
+    del layers[0]["backward"][1]["step"]
+    return {"model_tag": "golden-s4d", "step": 0.01, "layers": layers}
+
+
+def dir_bytes(root):
+    """Every file of a directory, each after its name, in name order."""
+    return b"".join(p.name.encode() + b"\n" + p.read_bytes()
+                    for p in sorted(root.iterdir()))
 
 
 def fixture_values(rng):
@@ -104,9 +135,7 @@ def outputs(tmp_path_factory):
     plots = tmp / "plots"
     run("analyze_plots", ["analyze", "--bundle", str(bundle), "--out",
                           str(tmp / "analysis-plots.json"), "--plots", str(plots)])
-    out["analyze_plots"] = b"".join(
-        p.name.encode() + b"\n" + p.read_bytes() for p in sorted(plots.iterdir())
-    )
+    out["analyze_plots"] = dir_bytes(plots)
     run("diff", ["diff", "--before", str(before), "--after", str(after),
                  "--out", str(tmp / "shift.json")], tmp / "shift.json")
     run("redundancy", ["redundancy", "--bundle", str(bundle)])
@@ -122,6 +151,14 @@ def outputs(tmp_path_factory):
         ["diff", "--before", str(bundle), "--after", str(after),
          "--out", str(zero_diff)])
     out["diff_zero_kernel"] = zero_diff.read_bytes() if zero_diff.exists() else b""
+    params = tmp / "params.json"
+    params.write_text(json.dumps(params_doc(np.random.default_rng(20261019))))
+    run("materialize", ["materialize", "--params", str(params), "--length",
+                        str(PARAM_LENGTH), "--out", str(tmp / "s4d")])
+    out["materialize"] = dir_bytes(tmp / "s4d")
+    run("synth", ["synth", "--class", "band", "--cutoff", "0.12", "--cutoff-high",
+                  "0.3", "--length", "256", "--out", str(tmp / "synth")])
+    out["synth"] = dir_bytes(tmp / "synth")
     out["plot_zero_kernel_rc"] = cli.main(
         ["plot", "--bundle", str(single), "--layer", "2", "--direction",
          "forward", "--out", str(tmp / "never.svg")])

@@ -527,14 +527,33 @@ class TestParamsFile:
         return path
 
     def test_good_file(self, tmp_path):
-        tag, entries = read_s4d_params(self.write(tmp_path, self.params_doc()))
+        # layer 2 listed before layer 1, two kernels per direction, each
+        # with its own pole; some set their own step, the rest take the file's
+        def kernel(pole, **step):
+            return {"modes": [{"a": [pole, 1.0], "c": [1.0, 0.0]}], **step}
+
+        doc = self.params_doc()
+        first = doc["layers"][0]
+        first["forward"].append(kernel(-2.0))
+        first["backward"].append(kernel(-3.0, step=0.5))
+        doc["layers"].insert(0, {
+            "layer": 2,
+            "forward": [kernel(-4.0), kernel(-5.0)],
+            "backward": [kernel(-6.0, step=0.75), kernel(-7.0)],
+        })
+        tag, params = read_s4d_params(self.write(tmp_path, doc))
         assert tag == "ssm-small"
-        assert len(entries) == 2
-        fwd, bwd = entries
-        assert (fwd.layer, fwd.direction, fwd.kernel_index) == (1, FWD, 0)
-        assert fwd.params.step == 0.1  # file-level default
-        assert bwd.params.step == 0.25  # per-kernel override
-        assert fwd.params.poles[0] == -1.0 + 2.0j
+        assert params.shape == (2, 2, 2)
+        for layer_spec in doc["layers"]:
+            for d, direction in enumerate(("forward", "backward")):
+                for k, spec in enumerate(layer_spec[direction]):
+                    got = params[layer_spec["layer"] - 1, d, k]
+                    a = spec["modes"][0]["a"]
+                    assert got.poles.tolist() == [complex(*a)]
+                    assert got.step == spec.get("step", 0.1)
+        assert params[0, 0, 0].step == 0.1  # file-level default
+        assert params[0, 1, 0].step == 0.25  # per-kernel override
+        assert params[0, 0, 0].poles[0] == -1.0 + 2.0j
 
     def test_missing_step_everywhere(self, tmp_path):
         doc = self.params_doc()
