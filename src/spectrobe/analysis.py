@@ -28,29 +28,34 @@ from .spectral import (
 )
 
 
-def slot_grid(slots: Sequence[tuple[int, Direction, int]]) -> tuple[int, int]:
-    """The (layers, kernels per direction) grid that ``slots``, a list of
-    (layer, direction, kernel_index), fills: each slot of layers 1..L, both
-    directions and kernel indices 0..K-1 exactly once. A ValueError names
-    the first slot that is out of range, listed twice or missing.
+def slot_grid(entries: Sequence[tuple[int, Direction, int, object]]) -> np.ndarray:
+    """The (layers, 2, kernels per direction) object array of the items in
+    ``entries``, (layer, direction, kernel_index, item) tuples that fill each
+    slot of layers 1..L, both directions and kernel indices 0..K-1 exactly
+    once; an item sits at ``[layer - 1, d, k]``, as in KernelBundle.values.
+    A ValueError names the first slot that is out of range, listed twice or
+    missing, and a claimed slot sizes nothing before the grid is complete.
     """
-    if not slots:
+    if not entries:
         raise ValueError("no kernels given")
     # keyed by direction index: a member's own hash is Enum.__hash__, Python code
-    seen = set()
-    for layer, direction, k in slots:
+    seen = {}
+    for layer, direction, k, item in entries:
         key = layer, DIRECTIONS.index(direction), k
         if layer < 1 or k < 0 or key in seen:
             problem = "out of range" if layer < 1 or k < 0 else "listed twice"
             raise ValueError(f"layer {layer} {direction.value} kernel {k} is {problem}")
-        seen.add(key)
-    layers, count = max(s[0] for s in slots), max(s[2] for s in slots) + 1
+        seen[key] = item
+    layers, count = max(s[0] for s in seen), max(s[2] for s in seen) + 1
     if len(seen) < layers * 2 * count:  # the walk stops within len(seen) + 1 slots
-        grid = ((layer, d, k) for layer in range(1, layers + 1)
-                for d in range(2) for k in range(count))
-        layer, d, k = next(s for s in grid if s not in seen)
+        slots = ((layer, d, k) for layer in range(1, layers + 1)
+                 for d in range(2) for k in range(count))
+        layer, d, k = next(s for s in slots if s not in seen)
         raise ValueError(f"layer {layer} {DIRECTIONS[d].value} kernel {k} is missing")
-    return layers, count
+    grid = np.empty((layers, 2, count), object)
+    for (layer, d, k), item in seen.items():
+        grid[layer - 1, d, k] = item
+    return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,16 +94,13 @@ class KernelBundle:
     @classmethod
     def from_kernels(cls, model_tag: str, kernels) -> "KernelBundle":
         """Place loose kernels in a bundle by their own metadata."""
-        kernels = list(kernels)
-        layers, count = slot_grid([(k.layer, k.direction, k.kernel_index)
-                                   for k in kernels])
-        lengths = {k.length for k in kernels}
+        grid = slot_grid([(k.layer, k.direction, k.kernel_index, k) for k in kernels])
+        lengths = {k.length for k in grid.flat}
         if len(lengths) > 1:
             raise ValueError(f"kernel lengths differ: {sorted(lengths)}")
-        values = np.empty((layers, 2, count, *lengths))
-        for k in kernels:
-            d = DIRECTIONS.index(k.direction)
-            values[k.layer - 1, d, k.kernel_index] = k.values
+        values = np.empty((*grid.shape, *lengths))
+        for slot, kernel in np.ndenumerate(grid):
+            values[slot] = kernel.values
         values.flags.writeable = False
         return cls(model_tag, values)
 

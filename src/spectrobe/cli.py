@@ -68,6 +68,13 @@ _PROBE_TASKS = {
 }
 
 
+def _path(text: str) -> str:
+    """A path argument; an empty one would read as the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
+
+
 def _chart_title(bundle, layer: int, direction: Direction, k: int) -> str:
     """Title of the chart of kernel ``k`` of ``direction`` in 1-based ``layer``."""
     return f"{bundle.model_tag} layer {layer} {direction.value} k{k}"
@@ -184,38 +191,38 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     config = _Parser(add_help=False)
-    config.add_argument("--config", help="JSON threshold overrides")
+    config.add_argument("--config", type=_path, help="JSON threshold overrides")
 
     p = sub.add_parser("analyze", parents=[config],
                        help="classify every kernel in a bundle")
-    p.add_argument("--bundle", required=True, help="bundle directory")
-    p.add_argument("--out", required=True, help="report file to write")
-    p.add_argument("--plots", help="directory for per-kernel SVG charts")
+    p.add_argument("--bundle", type=_path, required=True, help="bundle directory")
+    p.add_argument("--out", type=_path, required=True, help="report file to write")
+    p.add_argument("--plots", type=_path, help="directory for per-kernel SVG charts")
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("diff", parents=[config],
                        help="centroid shift between two checkpoints")
-    p.add_argument("--before", required=True, help="bundle directory")
-    p.add_argument("--after", required=True, help="bundle directory")
-    p.add_argument("--out", required=True, help="report file to write")
+    p.add_argument("--before", type=_path, required=True, help="bundle directory")
+    p.add_argument("--after", type=_path, required=True, help="bundle directory")
+    p.add_argument("--out", type=_path, required=True, help="report file to write")
     p.set_defaults(handler=_cmd_diff)
 
     p = sub.add_parser("complementary", parents=[config],
                        help="forward/backward band complementarity per layer")
-    p.add_argument("--bundle", required=True, help="bundle directory")
+    p.add_argument("--bundle", type=_path, required=True, help="bundle directory")
     p.set_defaults(handler=_cmd_complementary)
 
     p = sub.add_parser("redundancy", parents=[config],
                        help="pairwise spectral similarity in multi-kernel layers")
-    p.add_argument("--bundle", required=True, help="bundle directory")
+    p.add_argument("--bundle", type=_path, required=True, help="bundle directory")
     p.set_defaults(handler=_cmd_redundancy)
 
     p = sub.add_parser(
         "materialize", help="turn state-space parameters into a kernel bundle"
     )
-    p.add_argument("--params", required=True, help="parameter JSON file")
+    p.add_argument("--params", type=_path, required=True, help="parameter JSON file")
     p.add_argument("--length", required=True, type=int, help="kernel length")
-    p.add_argument("--out", required=True, help="bundle directory to write")
+    p.add_argument("--out", type=_path, required=True, help="bundle directory to write")
     p.set_defaults(handler=_cmd_materialize)
 
     p = sub.add_parser("synth", help="synthesize an ideal test filter bundle")
@@ -231,27 +238,27 @@ def build_parser() -> _Parser:
     p.add_argument("--cutoff-high", type=float,
                    help="upper band edge for band-pass")
     p.add_argument("--length", required=True, type=int, help="kernel length")
-    p.add_argument("--out", required=True, help="bundle directory to write")
+    p.add_argument("--out", type=_path, required=True, help="bundle directory to write")
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser(
         "probe", help="cluster labeled pairs and score held-out accuracy"
     )
-    p.add_argument("--train", required=True, help="pair-dataset directory")
-    p.add_argument("--eval", required=True, help="pair-dataset directory")
+    p.add_argument("--train", type=_path, required=True, help="pair-dataset directory")
+    p.add_argument("--eval", type=_path, required=True, help="pair-dataset directory")
     p.add_argument("--task", required=True, choices=sorted(_PROBE_TASKS),
                    help="pair transform and label rules")
-    p.add_argument("--out", required=True, help="report file to write")
+    p.add_argument("--out", type=_path, required=True, help="report file to write")
     p.set_defaults(handler=_cmd_probe)
 
     p = sub.add_parser("plot", help="SVG spectrum chart for one kernel")
-    p.add_argument("--bundle", required=True, help="bundle directory")
+    p.add_argument("--bundle", type=_path, required=True, help="bundle directory")
     p.add_argument("--layer", required=True, type=int, help="1-based layer")
     p.add_argument("--direction", required=True,
                    choices=[d.value for d in Direction])
     p.add_argument("--kernel-index", type=int, default=0,
                    help="0-based kernel index within the slot (default 0)")
-    p.add_argument("--out", required=True, help="SVG file to write")
+    p.add_argument("--out", type=_path, required=True, help="SVG file to write")
     p.set_defaults(handler=_cmd_plot)
 
     return parser

@@ -47,18 +47,18 @@ class FormatError(ValueError):
 def _atomic_write_bytes(path, data: bytes) -> None:
     path = Path(path)
     made_parent = False
-    # a unique temp file per write, so concurrent writers never share one;
-    # the kernel applies the current umask to its 0o666, as for open()
+    # a unique, short temp name per write: concurrent writers never share one,
+    # and it fits beside any target; the umask applies to its 0o666 as for open()
     while True:
-        tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+        tmp = path.with_name(f".{os.urandom(6).hex()}.tmp")
         try:
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             break
         except FileExistsError:
             continue
-        except OSError:
+        except OSError as exc:
             if made_parent:
-                raise
+                raise _naming(exc, path)
             # the parent is made only after a failed open, and the open then
             # runs once more, so a write raises what it raised when it made
             # the parent before every open
@@ -68,9 +68,16 @@ def _atomic_write_bytes(path, data: bytes) -> None:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         os.unlink(tmp)
-        raise
+        raise _naming(exc, path)
+
+
+def _naming(exc: BaseException, path: Path) -> BaseException:
+    """``exc``, raised on the temp file written for ``path``, naming ``path``."""
+    if isinstance(exc, OSError) and exc.errno is not None:
+        return OSError(exc.errno, exc.strerror, os.fspath(path))  # the errno's subclass
+    return exc
 
 
 def _atomic_write_text(path, text: str) -> None:
@@ -247,15 +254,15 @@ def read_bundle(path) -> KernelBundle:
         _check_payload(payload, element_count, f"{where}: path {quoted(rel)}")
         slots.append((layer, direction, kernel_index, payload))
     with located(mpath, FormatError):
-        layers, count = slot_grid([slot[:3] for slot in slots])
-    if layers != layer_count:
+        payloads = slot_grid(slots)
+    if len(payloads) != layer_count:
         raise FormatError(
             f"{mpath}: layer_count says {layer_count} but entries span "
-            f"{layers} layers"
+            f"{len(payloads)} layers"
         )
-    values = np.empty((layers, 2, count, n), _PAYLOAD_DTYPE)
-    for layer, d, k, payload in slots:
-        _read_payload(payload, values[layer - 1, DIRECTIONS.index(d), k])
+    values = np.empty((*payloads.shape, n), _PAYLOAD_DTYPE)
+    for slot, payload in np.ndenumerate(payloads):
+        _read_payload(payload, values[slot])
     values.flags.writeable = False
     return KernelBundle(model_tag, values)
 
@@ -413,11 +420,7 @@ def read_s4d_params(path) -> tuple[str, np.ndarray]:
                     )
                 slots.append((layer, direction, ki, params))
     with located(path, FormatError):
-        layers, count = slot_grid([slot[:3] for slot in slots])
-    grid = np.empty((layers, 2, count), object)
-    for layer, direction, k, params in slots:
-        grid[layer - 1, DIRECTIONS.index(direction), k] = params
-    return model_tag, grid
+        return model_tag, slot_grid(slots)
 
 
 def load_config(path) -> RunConfig:

@@ -500,6 +500,51 @@ def test_one_input_faults_name_their_input(argv, fault, band_bundle_dir,
     assert not (tmp_path / "c.svg").exists() and not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("name, fault", [
+    (None, None),  # the longest name the file system takes: no fault at all
+    ("taken", "[Errno 21] Is a directory: '{out}'"),
+], ids=["longest-name", "existing-directory"])
+def test_output_faults_name_the_output(name, fault, band_bundle_dir, tmp_path,
+                                       capsys):
+    out = tmp_path / (name or "r" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+    if fault:
+        out.mkdir()
+    code = cli.main(["analyze", "--bundle", str(band_bundle_dir), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert not [entry for entry in os.listdir(tmp_path) if entry.endswith(".tmp")]
+    if fault is None:
+        assert code == 0 and json.loads(out.read_text())["report"] == "analysis"
+    else:
+        assert code == 1 and err == f"spectrobe: error: {fault.format(out=out)}\n"
+
+
+_PATH_FLAGS = {"--bundle", "--before", "--after", "--out", "--plots", "--config",
+               "--params", "--train", "--eval"}
+_ARGVS = [
+    ["analyze", "--bundle", "b", "--out", "o", "--plots", "p", "--config", "c"],
+    ["diff", "--before", "b", "--after", "a", "--out", "o", "--config", "c"],
+    ["complementary", "--bundle", "b", "--config", "c"],
+    ["redundancy", "--bundle", "b", "--config", "c"],
+    ["materialize", "--params", "p", "--length", "8", "--out", "o"],
+    ["synth", "--class", "low", "--cutoff", "0.1", "--length", "8", "--out", "o"],
+    ["probe", "--train", "t", "--eval", "e", "--task", "distance", "--out", "o"],
+    ["plot", "--bundle", "b", "--layer", "1", "--direction", "forward", "--out", "o"],
+]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(argv, flag, id=f"{argv[0]} {flag}")
+    for argv in _ARGVS for flag in argv if flag in _PATH_FLAGS
+])
+def test_empty_path_arguments_are_refused(argv, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where an empty path would lead
+    i = argv.index(flag) + 1
+    assert cli.main([*argv[:i], "", *argv[i + 1:]]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"spectrobe {argv[0]}: error: argument {flag}: empty path\nusage: ")
+    assert not any(tmp_path.iterdir())
+
+
 class TestMaterialize:
     def test_writes_matching_bundle(self, params_file, tmp_path):
         from spectrobe import read_s4d_params, materialize_s4d

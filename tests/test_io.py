@@ -224,9 +224,9 @@ class TestBundleReadErrors:
         with pytest.raises(FormatError, match="element 3"):
             read_bundle(written)
 
-    def test_first_non_finite_payload_in_manifest_order_is_named(self, written):
+    def test_first_non_finite_payload_in_grid_order_is_named(self, written):
         m = self.manifest(written)
-        m["kernels"].reverse()  # manifest order is no longer slot order
+        m["kernels"].reverse()  # manifest order is no longer grid order
         self.rewrite(written, m)
         for entry, index in ((m["kernels"][1], 5), (m["kernels"][2], 3)):
             victim = written / entry["path"]
@@ -235,8 +235,9 @@ class TestBundleReadErrors:
             victim.write_bytes(data.tobytes())
         with pytest.raises(FormatError) as caught:
             read_bundle(written)
-        assert str(caught.value) == (f"{written / m['kernels'][1]['path']}: "
-                                     "non-finite value at element 5")
+        # kernels[2] comes before kernels[1] in (layer, direction, kernel) order
+        assert str(caught.value) == (f"{written / m['kernels'][2]['path']}: "
+                                     "non-finite value at element 3")
 
     def test_bundle_invariants_reported_as_format_errors(self, written):
         m = self.manifest(written)

@@ -222,11 +222,16 @@ def full_grid(got):
 @given(slot_lists())
 def test_slot_grid_accepts_exactly_the_full_grids(got):
     expected = full_grid(got)
+    entries = [(*slot, slot) for slot in got]  # each slot is its own item
     if expected is not None:
-        assert slot_grid(got) == expected
+        grid = slot_grid(entries)
+        assert grid.shape == (expected[0], 2, expected[1])
+        for layer, direction, k in got:
+            cell = grid[layer - 1, DIRECTIONS.index(direction), k]
+            assert cell == (layer, direction, k)
         return
     with pytest.raises(ValueError) as refusal:
-        slot_grid(got)
+        slot_grid(entries)
     message = str(refusal.value)
     if not got:
         assert message == "no kernels given"
