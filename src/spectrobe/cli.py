@@ -7,6 +7,8 @@ violation or running out of memory, 2 on an internal failure.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -85,7 +87,11 @@ def _cmd_analyze(args, cfg) -> dict:
     reports = analyze_bundle(bundle, cfg)
     if args.plots:
         plots_dir = Path(args.plots)
-        plots_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            plots_dir.mkdir(parents=True, exist_ok=True)
+        except FileExistsError:  # the name is a file's
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                     args.plots) from None
         for report in reports:
             # the spectra analyze_bundle summarized, bit for bit; a chart
             # reads only the centroid and the dominant frequency of the

@@ -57,11 +57,11 @@ def _atomic_write_bytes(path, data: bytes) -> None:
         except FileExistsError:
             continue
         except OSError as exc:
-            if made_parent:
+            if made_parent or exc.errno != errno.ENOENT:
                 raise _naming(exc, path)
-            # the parent is made only after a failed open, and the open then
-            # runs once more, so a write raises what it raised when it made
-            # the parent before every open
+            # the parent is made only after an open found it missing, and the
+            # open then runs once more, so a write raises what it raised when
+            # it made the parent before every open
             path.parent.mkdir(parents=True, exist_ok=True)
             made_parent = True
     try:

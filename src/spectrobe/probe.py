@@ -135,9 +135,9 @@ def _direction(a, b, center, unit, stored=()):
     """A w in [-1, 1]^d putting a below b with a margin above the
     tolerance in the frame (center, unit), or None. A stored w, or else
     the centroid gap scaled to max-abs 1, that clears it proves the best
-    margin does; else the LP for the largest t with x.w <= b0 - t on a,
-    x.w >= b0 + t on b decides, solved by HiGHS through scipy's ``milp``
-    with no integer variables.
+    margin does; else ``_max_margin``'s largest t with x.w <= b0 - t on a,
+    x.w >= b0 + t on b decides, and its w, scaled to max-abs 1, must clear
+    the tolerance as a stored w does.
     """
     if unit == 0:
         return None
@@ -153,24 +153,66 @@ def _direction(a, b, center, unit, stored=()):
     gap = zb.mean(axis=0) - za.mean(axis=0)
     if gap.any() and clears(w := gap / np.abs(gap).max()):
         return w
-    # imported here: only the probe solves LPs, and scipy.optimize is slow to import
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    (na, d), nb = za.shape, zb.shape[0]
-    # variables: w (d), b0, t
-    ones_a, ones_b = np.ones((na, 1)), np.ones((nb, 1))
-    a_ub = np.block([[za, -ones_a, ones_a], [-zb, ones_b, ones_b]])
-    cost = np.zeros(d + 2)
-    cost[d + 1] = -1.0
-    lower = np.r_[np.full(d, -1.0), -np.inf, 0.0]
-    upper = np.r_[np.full(d, 1.0), np.inf, np.inf]
-    res = milp(cost, constraints=LinearConstraint(a_ub, -np.inf, 0.0),
-               bounds=Bounds(lower, upper))
-    if not res.success:
-        raise RuntimeError(f"separability program failed: {res.message}")
-    if res.x[d + 1] <= SEPARABILITY_TOLERANCE:
+    t, w = _max_margin(za, zb)
+    if t <= SEPARABILITY_TOLERANCE:
         return None
-    return res.x[:d] / np.abs(res.x[:d]).max()
+    if not (w.any() and clears(w := w / np.abs(w).max())):
+        raise RuntimeError(f"separability program failed: its w misses its margin {t!r}")
+    return w
+
+
+# reduced costs, pivots and steps at or below it count as zero: rounding in
+# the updated inverse reaches ~1e-11, and tighter cut-offs cycled on it
+_PIVOT_TOLERANCE = 1e-9
+
+
+def _max_margin(za, zb):
+    """(t*, w): the largest t with z.w <= b0 - t on za, z.w >= b0 + t on zb,
+    w in [-1, 1]^d, and an optimal w. Solved as its dual, the least L1 gap
+    1/2 |sum l.za - sum m.zb|_1 between a point of each hull, by a revised
+    simplex over d + 2 rows: the multipliers of the d coordinate rows are w.
+    The most negative reduced cost enters and the largest tied pivot
+    leaves, until more degenerate pivots in a row than there are rows turn
+    it to Bland's rule; the basis inverse is rebuilt before optimality is
+    declared.
+    """
+    (na, d), nb = za.shape, zb.shape[0]
+    n = na + nb
+    # columns: l (na), m (nb), +e_k, -e_k, s; rows: the d coordinates of
+    # sum l.za - sum m.zb + e+ - e-, then sum l - sum m = 0, sum l + sum m - s = 1
+    matrix = np.zeros((d + 2, n + 2 * d + 1))
+    matrix[:d, :n] = np.hstack([za.T, -zb.T])
+    matrix[d, :n] = np.r_[np.ones(na), -np.ones(nb)]
+    matrix[d + 1] = np.r_[np.ones(n), np.zeros(2 * d), -1.0]
+    matrix[:d, n:n + 2 * d] = np.hstack([np.eye(d), -np.eye(d)])
+    cost = np.r_[np.zeros(n), np.ones(2 * d), 0.0]
+    # l = m = 1/2 on a[0] and b[0], the slack of each coordinate's sign: feasible
+    basis = np.r_[0, na, n + np.arange(d) + d * (zb[0] < za[0])]
+    inverse, exact, stalled = np.linalg.inv(matrix[:, basis]), True, 0
+    while True:
+        y = cost[basis] @ inverse
+        reduced = cost - y @ matrix
+        reduced[basis] = 0.0
+        entering = np.flatnonzero(reduced < -_PIVOT_TOLERANCE)
+        if not entering.size:
+            if exact:
+                return y[-1], y[:d]
+            inverse, exact = np.linalg.inv(matrix[:, basis]), True
+            continue
+        bland = stalled > d + 2
+        j = entering[0] if bland else entering[reduced[entering].argmin()]
+        u = inverse @ matrix[:, j]
+        rows = np.flatnonzero(u > _PIVOT_TOLERANCE)
+        if not rows.size:
+            raise RuntimeError("separability program failed: its dual is unbounded")
+        ratio = np.maximum(inverse[rows, -1], 0.0) / u[rows]
+        ties = rows[ratio == ratio.min()]
+        r = ties[basis[ties].argmin()] if bland else ties[u[ties].argmax()]
+        stalled = stalled + 1 if ratio.min() <= _PIVOT_TOLERANCE else 0
+        inverse[r] /= u[r]
+        u[r] = 0.0
+        inverse -= np.outer(u, inverse[r])
+        basis[r], exact = j, False
 
 
 def separable(set_a, set_b) -> bool:
@@ -181,8 +223,8 @@ def separable(set_a, set_b) -> bool:
     maximal margin with w in [-1, 1]^d, measured once the joint bounding
     box is centered and its longest side spans [-1, 1]: separable when it
     exceeds ``SEPARABILITY_TOLERANCE``, at any common scale and offset.
-    That maximum is an LP, which HiGHS solves through
-    ``scipy.optimize.milp``. A coordinate gap above twice the tolerance
+    That maximum is an LP, solved by a simplex in numpy on its dual, the
+    least L1 gap between the two hulls. A coordinate gap above twice the tolerance
     settles it without an LP, as does the direction between the two
     centroids when its margin clears the tolerance. Symmetric in its
     arguments.

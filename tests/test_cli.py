@@ -500,22 +500,36 @@ def test_one_input_faults_name_their_input(argv, fault, band_bundle_dir,
     assert not (tmp_path / "c.svg").exists() and not (tmp_path / "c").exists()
 
 
-@pytest.mark.parametrize("name, fault", [
-    (None, None),  # the longest name the file system takes: no fault at all
-    ("taken", "[Errno 21] Is a directory: '{out}'"),
-], ids=["longest-name", "existing-directory"])
-def test_output_faults_name_the_output(name, fault, band_bundle_dir, tmp_path,
+@pytest.mark.parametrize("argv, fault", [
+    # the longest name the file system takes: no fault at all
+    (["analyze", "--bundle", "{bundle}", "--out", "{long}"], None),
+    (["analyze", "--bundle", "{bundle}", "--out", "{dir}"],
+     "[Errno 21] Is a directory: '{dir}'"),
+    # a regular file where a directory must be is not a directory, not an
+    # output that exists already
+    (["analyze", "--bundle", "{bundle}", "--out", "{file}/r.json"],
+     "[Errno 20] Not a directory: '{file}/r.json'"),
+    (["analyze", "--bundle", "{bundle}", "--out", "{tmp}/r.json", "--plots", "{file}"],
+     "[Errno 20] Not a directory: '{file}'"),
+    (["synth", "--class", "low", "--cutoff", "0.1", "--length", "16", "--out", "{file}"],
+     "[Errno 20] Not a directory: '{file}/layer001_forward_k00.f32'"),
+], ids=["longest-name", "existing-directory", "report-under-a-file", "plots-at-a-file",
+        "bundle-at-a-file"])
+def test_output_faults_name_the_output(argv, fault, band_bundle_dir, tmp_path,
                                        capsys):
-    out = tmp_path / (name or "r" * os.pathconf(tmp_path, "PC_NAME_MAX"))
-    if fault:
-        out.mkdir()
-    code = cli.main(["analyze", "--bundle", str(band_bundle_dir), "--out", str(out)])
+    longest = "r" * os.pathconf(tmp_path, "PC_NAME_MAX")
+    names = dict(bundle=band_bundle_dir, tmp=tmp_path, dir=tmp_path / "taken",
+                 file=tmp_path / "f", long=tmp_path / longest)
+    names["dir"].mkdir()
+    names["file"].write_text("")
+    code = cli.main([arg.format(**names) for arg in argv])
     err = capsys.readouterr().err
     assert not [entry for entry in os.listdir(tmp_path) if entry.endswith(".tmp")]
+    assert names["file"].read_text() == ""
     if fault is None:
-        assert code == 0 and json.loads(out.read_text())["report"] == "analysis"
+        assert code == 0 and json.loads(names["long"].read_text())["report"] == "analysis"
     else:
-        assert code == 1 and err == f"spectrobe: error: {fault.format(out=out)}\n"
+        assert code == 1 and err == f"spectrobe: error: {fault.format(**names)}\n"
 
 
 _PATH_FLAGS = {"--bundle", "--before", "--after", "--out", "--plots", "--config",
@@ -1001,14 +1015,24 @@ class TestExitCodes:
     def test_missing_required_flag(self, band_bundle_dir):
         assert cli.main(["analyze", "--bundle", str(band_bundle_dir)]) == 1
 
-    def test_import_does_not_load_scipy(self):
-        # only the probe solves LPs; every other command skips scipy's import
+    def test_import_does_not_load_scipy(self, tmp_path):
+        # the probe solves its LPs itself: neither the import nor a probe
+        # run whose overlapping labels need the solver loads scipy
+        rng = np.random.default_rng(0)
+        reps = {f"t{i}": rng.normal(size=2) + 0.3 * (i % 2) for i in range(80)}
+        pairs = [(f"t{i}", f"t{i + 2}", "ab"[i % 2]) for i in range(78)]
+        write_pair_dataset(reps, pairs, tmp_path / "pairs")
         src = str(Path(spectrobe.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = "import sys, spectrobe.cli; sys.exit('scipy' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code],
-                              env=dict(os.environ, PYTHONPATH=path))
-        assert proc.returncode == 0
+        probe = ["probe", "--train", str(tmp_path / "pairs"), "--eval",
+                 str(tmp_path / "pairs"), "--task", "siblings",
+                 "--out", str(tmp_path / "probe.json")]
+        for code in ["import sys, spectrobe.cli; sys.exit('scipy' in sys.modules)",
+                     f"import sys, spectrobe.cli as c; sys.exit(c.main({probe!r})"
+                     " or 'scipy' in sys.modules)"]:
+            proc = subprocess.run([sys.executable, "-c", code],
+                                  env=dict(os.environ, PYTHONPATH=path))
+            assert proc.returncode == 0
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0

@@ -665,10 +665,14 @@ class TestAtomicWrite:
         _atomic_write_bytes(tmp_path / "a" / "b" / "r.json", b"{}")
         assert (tmp_path / "a" / "b" / "r.json").read_bytes() == b"{}"
 
-    def test_a_parent_that_is_a_file_is_refused_by_mkdir(self, tmp_path):
+    def test_a_parent_that_is_a_file_is_not_a_directory(self, tmp_path):
+        # the temp open's ENOTDIR, naming the target; no mkdir is tried,
+        # whose EEXIST would read as if the output existed already
         (tmp_path / "f").write_bytes(b"")
-        with pytest.raises(FileExistsError, match="File exists"):
-            _atomic_write_bytes(tmp_path / "f" / "r.json", b"{}")
+        target = tmp_path / "f" / "r.json"
+        with pytest.raises(NotADirectoryError) as caught:
+            _atomic_write_bytes(target, b"{}")
+        assert caught.value.filename == str(target)
         assert [p.name for p in tmp_path.iterdir()] == ["f"]
 
     def test_failed_rename_removes_the_temp_file(self, tmp_path, monkeypatch):

@@ -126,16 +126,16 @@ def test_clusters_ignore_integer_translation_of_a_lattice(data, shift):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """A list that grows by one per LP the probe solves: the probe imports
-    scipy.optimize.milp when it needs it, so it gets the counting one."""
+    """A list that grows by one per LP the probe solves: the probe looks its
+    solver up in its module at each call, so it gets the counting one."""
     calls = []
-    solve = scipy.optimize.milp
+    solve = probe._max_margin
 
     def counted(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "milp", counted)
+    monkeypatch.setattr(probe, "_max_margin", counted)
     return calls
 
 
@@ -202,17 +202,21 @@ def test_separable_is_relative_to_the_sets_extent(scale):
     assert not separable(a, np.vstack([b, [[0.5 * scale, 0.0]]]))
 
 
-def max_margin_separable(a, b):
-    """``separable``'s definition decided by the LP alone: the largest t
-    with z.w <= b0 - t on a and z.w >= b0 + t on b, w in [-1, 1]^d, where
-    z maps the joint bounding box's longest side onto [-1, 1]."""
+def joint_frame(a, b):
+    """a and b in the frame that maps their joint bounding box's longest
+    side onto [-1, 1], or None when all points are one point."""
     lo, hi = np.minimum(a.min(0), b.min(0)), np.maximum(a.max(0), b.max(0))
     unit = (hi / 2 - lo / 2).max()
     if unit == 0:
-        return False
+        return None
     center = lo / 2 + hi / 2
-    za, zb = (a - center) / unit, (b - center) / unit
-    d = a.shape[1]
+    return (a - center) / unit, (b - center) / unit
+
+
+def highs_margin(za, zb):
+    """The largest t with z.w <= b0 - t on za and z.w >= b0 + t on zb,
+    w in [-1, 1]^d, solved by HiGHS."""
+    d = za.shape[1]
     # variables: w (d), b0, t
     rows = np.vstack([np.hstack([za, -np.ones((len(za), 1)), np.ones((len(za), 1))]),
                       np.hstack([-zb, np.ones((len(zb), 1)), np.ones((len(zb), 1))])])
@@ -220,7 +224,64 @@ def max_margin_separable(a, b):
         -np.eye(d + 2)[d + 1], A_ub=rows, b_ub=np.zeros(len(rows)),
         bounds=[(-1.0, 1.0)] * d + [(None, None), (0.0, None)], method="highs")
     assert res.success, res.message
-    return res.x[d + 1] > SEPARABILITY_TOLERANCE
+    return res.x[d + 1]
+
+
+def max_margin_separable(a, b):
+    """``separable``'s definition decided by the LP alone."""
+    frame = joint_frame(a, b)
+    return frame is not None and highs_margin(*frame) > SEPARABILITY_TOLERANCE
+
+
+def assert_solver_matches_highs(a, b):
+    """The probe's solver gives HiGHS's margin t* within 1e-9, and its w
+    is in [-1, 1]^d and attains t*; returns t*."""
+    frame = joint_frame(a, b)
+    if frame is None:
+        return 0.0
+    za, zb = frame
+    t, w = probe._max_margin(za, zb)
+    expected = highs_margin(za, zb)
+    assert abs(t - expected) <= 1e-9, (t, expected)
+    assert np.abs(w).max() <= 1 + 1e-9
+    assert (np.min(zb @ w) - np.max(za @ w)) / 2 >= t - 1e-9
+    return t
+
+
+@settings(max_examples=40)
+@given(datasets())
+def test_solver_margin_matches_highs(data):
+    x, labels = data
+    for ka, kb in itertools.combinations(np.unique(labels), 2):
+        for k in (2, 4, None):
+            assert_solver_matches_highs(x[labels == ka][:k], x[labels == kb][:k])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solver_margin_is_zero_on_overlapping_lattices(seed):
+    # a 5x5 lattice in 2-D and a 0/1 lattice in 6-D, labeled at random
+    # with repeated rows: the hulls overlap, so t* is 0
+    rng = np.random.default_rng(seed)
+    for x in (rng.integers(-2, 3, size=(60, 2)), rng.integers(0, 2, size=(60, 6))):
+        x = x.astype(np.float64)
+        x[rng.integers(0, 60, size=15)] = x[rng.integers(0, 60, size=15)]
+        labels = rng.permutation(np.arange(60) % 2)
+        assert assert_solver_matches_highs(x[labels == 0], x[labels == 1]) == pytest.approx(
+            0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-3, 1.0])
+def test_solver_ends_on_duplicate_and_collinear_points(offset):
+    # every point on one line through the origin in 8-D, each one many
+    # times over; b is moved off the line by offset along one axis, so
+    # most pivots are degenerate and many bases tie
+    rng = np.random.default_rng(1)
+    line = rng.integers(-2, 3, size=8).astype(np.float64)
+    a = np.outer(np.repeat(np.arange(-4, 5), 12), line)
+    b = np.outer(np.repeat(np.arange(-3, 4, 2), 20), line)
+    b[:, 3] += offset
+    t = assert_solver_matches_highs(rng.permutation(a), rng.permutation(b))
+    assert (t > SEPARABILITY_TOLERANCE) == (offset > 0)
 
 
 @settings(max_examples=40)
@@ -243,3 +304,15 @@ def test_a_centroid_gap_settles_overlapping_boxes_without_the_solver(solves):
     result = run_directprobe(make_dataset(np.vstack([a, b]), [0, 0, 1, 1]))
     assert outcome(result)[1] == [((0, 1), "a"), ((2, 3), "b")]
     assert not solves
+
+
+@pytest.mark.parametrize("seed", [9, 11, 12, 13])
+def test_solver_ends_on_a_64_d_lattice_with_repeated_rows(seed):
+    # 160 points of {-2, ..., 2}^64, a third of them copies: identical
+    # columns whose reduced costs differ only by rounding, and long runs
+    # of degenerate pivots; a smallest-index pivot on a near-zero entry
+    # cycled or made the basis singular on these seeds
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=(160, 64)).astype(np.float64)
+    x[rng.integers(0, 160, size=50)] = x[rng.integers(0, 160, size=50)]
+    assert_solver_matches_highs(x[:120], x[120:]) > SEPARABILITY_TOLERANCE
