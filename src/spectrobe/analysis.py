@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -213,17 +214,11 @@ class RedundancyColumns:
         return len(self.similarity)
 
 
-def analyze_bundle(
-    bundle: KernelBundle, config: RunConfig = DEFAULT_CONFIG
-) -> list[LayerReport]:
-    """Spectral summary and categorization for every kernel, layer by layer.
-
-    Kernels whose spectrum total is not positive and finite cannot be
-    classified; they are marked degenerate and the rest still analyzed.
-    """
-    reports = []
-    for layer, slab in enumerate(bundle.values, start=1):
-        fields = summary_fields(*magnitude_spectra(slab), config)
+def _analyzed_layers(values: np.ndarray, config: RunConfig) -> Iterator[tuple]:
+    """Each LayerReport of a (layers, 2, K, N) array, with its grid and magnitudes."""
+    for layer, slab in enumerate(values, start=1):
+        freqs, mags = magnitude_spectra(slab)
+        fields = summary_fields(freqs, mags, config)
         verdicts = verdict_indices(fields["centroid"], fields["lhfr"], config)
         columns = {name: column.tolist() for name, column in fields.items()}
         entries = []
@@ -236,8 +231,19 @@ def analyze_bundle(
                 entries.append(KernelAnalysis(*slot, summary, VERDICTS[verdicts[d, k]]))
             else:
                 entries.append(KernelAnalysis(*slot, None, None, degenerate=True))
-        reports.append(LayerReport(layer, tuple(entries)))
-    return reports
+        yield LayerReport(layer, tuple(entries)), freqs, mags
+        del freqs, mags  # held neither here nor by analyze_bundle into the next FFT
+
+
+def analyze_bundle(
+    bundle: KernelBundle, config: RunConfig = DEFAULT_CONFIG
+) -> list[LayerReport]:
+    """Spectral summary and categorization for every kernel, layer by layer.
+
+    Kernels whose spectrum total is not positive and finite cannot be
+    classified; they are marked degenerate and the rest still analyzed.
+    """
+    return list(map(itemgetter(0), _analyzed_layers(bundle.values, config)))
 
 
 def _pair_strength(

@@ -16,6 +16,7 @@ import numpy as np
 
 from .analysis import (
     KernelBundle,
+    _analyzed_layers,
     analyze_bundle,
     analyze_redundancy,
     detect_complementary,
@@ -37,16 +38,9 @@ from .io import (
     write_bundle,
 )
 from .kernels import SynthSpec, materialize_s4d, synth_kernel
-from .plot import _render, emit_plot
+from .plot import _render
 from .probe import PairTask, build_pairs, evaluate, run_directprobe
-from .spectral import (
-    DIRECTIONS,
-    Direction,
-    Kernel,
-    compute_spectrum,
-    magnitude_spectra,
-    summarize,
-)
+from .spectral import DIRECTIONS, DegenerateKernelError, Direction
 
 
 class _UsageError(Exception):
@@ -84,26 +78,24 @@ def _chart_title(bundle, layer: int, direction: Direction, k: int) -> str:
 
 def _cmd_analyze(args, cfg) -> dict:
     bundle = read_bundle(args.bundle)
-    reports = analyze_bundle(bundle, cfg)
-    if args.plots:
-        plots_dir = Path(args.plots)
-        try:
-            plots_dir.mkdir(parents=True, exist_ok=True)
-        except FileExistsError:  # the name is a file's
-            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
-                                     args.plots) from None
-        for report in reports:
-            # the spectra analyze_bundle summarized, bit for bit; a chart
-            # reads only the centroid and the dominant frequency of the
-            # entry's summary, and no config moves either
-            freqs, mags = magnitude_spectra(bundle.values[report.layer - 1])
-            for entry in report.entries:
-                if entry.degenerate:
-                    continue
-                layer, direction, k = report.layer, entry.direction, entry.kernel_index
-                name = f"layer{layer:03d}_{direction.value}_k{k:02d}.svg"
-                _render(freqs, mags[DIRECTIONS.index(direction), k], entry.summary,
-                        plots_dir / name, _chart_title(bundle, layer, direction, k))
+    if not args.plots:
+        return analysis_payload(bundle, analyze_bundle(bundle, cfg))
+    plots_dir = Path(args.plots)
+    try:
+        plots_dir.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:  # the name is a file's
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                 args.plots) from None
+    reports = []
+    for report, freqs, mags in _analyzed_layers(bundle.values, cfg):
+        reports.append(report)
+        for entry in report.entries:
+            if entry.degenerate:
+                continue
+            layer, direction, k = report.layer, entry.direction, entry.kernel_index
+            name = f"layer{layer:03d}_{direction.value}_k{k:02d}.svg"
+            _render(freqs, mags[DIRECTIONS.index(direction), k], entry.summary,
+                    plots_dir / name, _chart_title(bundle, layer, direction, k))
     return analysis_payload(bundle, reports)
 
 
@@ -184,10 +176,12 @@ def _cmd_plot(args, cfg) -> None:
         if not 0 <= k < count:
             raise ValueError(f"kernel index {k} not in bundle (0..{count - 1})")
         d = DIRECTIONS.index(direction)
-        spectrum = compute_spectrum(Kernel(bundle.values[args.layer - 1, d, k]))
-        summary = summarize(spectrum)
-    emit_plot(spectrum, summary, args.out,
-              title=_chart_title(bundle, args.layer, direction, k))
+        view = bundle.values[args.layer - 1:args.layer, :, k:k + 1]
+        (report, freqs, mags), = _analyzed_layers(view, cfg)
+        if report.entries[d].degenerate:
+            raise DegenerateKernelError()
+    _render(freqs, mags[d, 0], report.entries[d].summary, args.out,
+            _chart_title(bundle, args.layer, direction, k))
 
 
 def build_parser() -> _Parser:

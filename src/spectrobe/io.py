@@ -139,14 +139,21 @@ def _check_payload(path: Path, count: int, where) -> None:
 
 def _read_payload(path: Path, buffer: np.ndarray) -> np.ndarray:
     """``buffer``, an array of the payload dtype, filled from a payload that
-    passed _check_payload, once its values are checked finite."""
+    passed _check_payload; the caller checks its values finite."""
     with open(path, "rb") as handle:
         if handle.readinto(buffer) != buffer.nbytes or handle.read(1):
             raise FormatError(f"{path}: changed size while being read")
-    if not np.isfinite(buffer).all():
-        bad = np.flatnonzero(~np.isfinite(buffer))[0]
-        raise FormatError(f"{path}: non-finite value at element {bad}")
     return buffer
+
+
+def _check_finite(values: np.ndarray, paths) -> None:
+    """Raise, naming the payload and its element, at the first non-finite
+    value of ``values``, which the payloads ``paths`` fill in flat order,
+    an equal share each."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, element = divmod(int(finite.argmin()), values.size // len(paths))
+        raise FormatError(f"{paths[i]}: non-finite value at element {element}")
 
 
 def _inside(base: str, root: Path, rel: str, real_dirs: dict) -> bool:
@@ -264,7 +271,11 @@ def read_bundle(path) -> KernelBundle:
     for slot, payload in np.ndenumerate(payloads):
         _read_payload(payload, values[slot])
     values.flags.writeable = False
-    return KernelBundle(model_tag, values)
+    try:  # the bundle's one finite scan; only when it fails is the value found
+        return KernelBundle(model_tag, values)
+    except ValueError:
+        _check_finite(values, payloads.reshape(-1))
+        raise
 
 
 def _check_token_id(token_id, where) -> str:
@@ -336,6 +347,7 @@ def read_pair_dataset(path) -> tuple[dict[str, np.ndarray], list[tuple[str, str,
     vpath = root / "vectors.f32"
     _check_payload(vpath, count * dim, vpath)
     matrix = _read_payload(vpath, np.empty((count, dim), _PAYLOAD_DTYPE))
+    _check_finite(matrix, [vpath])
     representations = {token_id: matrix[i] for i, token_id in enumerate(ids)}
     ppath = root / "pairs.txt"
     if not ppath.is_file():

@@ -102,7 +102,8 @@ def materialize_s4d(params: S4DParams, length: int) -> Kernel:
 
     With abar = exp(step * a), bbar = (abar - 1) / a and B = ceil(sqrt(length)),
     K[l] = Re(sum_n c_n * bbar_n * abar_n**l), l = 0..length-1, is evaluated as
-    one product of exp(step*a*B*r) (r < B) by exp(step*a*b) (b < B), l = B*r + b.
+    the real part of one product X @ Y of X = c*bbar*exp(step*a*B*r) (r < B) by
+    Y = exp(step*a*b) (b < B), l = B*r + b, as Re X @ Re Y - Im X @ Im Y.
     """
     if length < 2:
         raise ValueError(f"length must be >= 2, got {length}")
@@ -113,7 +114,9 @@ def materialize_s4d(params: S4DParams, length: int) -> Kernel:
         b = np.arange(int(np.ceil(np.sqrt(length))))  # r runs over it too
         weights = params.coefficients * np.expm1(sa) / params.poles
         outer = weights * np.exp(sa * b.size * b[:, None])
-        values = (outer @ np.exp(sa[:, None] * b)).real.reshape(-1)[:length]
+        inner = np.exp(sa[:, None] * b)
+        # half the multiplies of the complex product, whose imaginary part is unused
+        values = (outer.real @ inner.real - outer.imag @ inner.imag).reshape(-1)[:length]
     return Kernel(values)
 
 

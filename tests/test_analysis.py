@@ -1,8 +1,10 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+import spectrobe.analysis
 from helpers import class_pair_bundle, random_bundle, synth_for
 from spectrobe import (
     Categorization,
@@ -173,6 +175,22 @@ class TestAnalyzeBundle:
                 assert not entry.degenerate
             seen[cfg] = [e.categorization for e in by_slot.values()]
         assert sum(a != b for a, b in zip(seen[DEFAULT_CONFIG], seen[moved])) == 11
+
+    def test_no_layer_spectra_are_alive_during_the_next_fft(self, monkeypatch):
+        # a slab's magnitudes are as large as the float32 slab itself
+        spectra, refs = spectrobe.analysis.magnitude_spectra, []
+
+        def tracked(values):
+            assert [ref() for ref in refs] == [None] * len(refs)
+            freqs, mags = spectra(values)
+            refs.append(weakref.ref(mags))
+            return freqs, mags
+
+        monkeypatch.setattr(spectrobe.analysis, "magnitude_spectra", tracked)
+        bundle = random_bundle("m", np.random.default_rng(44), layer_count=3,
+                               kernel_count=2, length=32)
+        assert len(analyze_bundle(bundle)) == 3
+        assert len(refs) == 3
 
     def test_insertion_order_does_not_matter(self):
         rng = np.random.default_rng(41)

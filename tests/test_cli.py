@@ -196,15 +196,49 @@ class TestAnalyze:
             calls.append(1)
             return rfft(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "compute_spectrum", refuse)
-        monkeypatch.setattr(cli, "summarize", refuse)
+        for module in (spectrobe.spectral, cli):
+            for name in ("compute_spectrum", "summarize"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
         monkeypatch.setattr(spectrobe.spectral.Spectrum, "__post_init__", refuse)
         monkeypatch.setattr(np.fft, "rfft", counted_rfft)
         plots = tmp_path / "plots"
         assert cli.main(["analyze", "--bundle", str(tmp_path / "bundle"), "--out",
                          str(tmp_path / "r.json"), "--plots", str(plots)]) == 0
         assert len(list(plots.iterdir())) == layers * 2 * 4
-        assert len(calls) <= 2 * layers  # analyze_bundle's slabs and the charts'
+        assert len(calls) == layers  # one per slab, for the reports and the charts
+
+    def test_plots_take_one_spectrum_pass_per_layer(self, tmp_path, monkeypatch):
+        layers = 3
+        values = np.random.default_rng(10).standard_normal((layers, 2, 2, 32))
+        write_bundle(KernelBundle("pass", values), tmp_path / "bundle")
+        spectra, slabs = spectrobe.spectral.magnitude_spectra, []
+
+        def counted(values):
+            slabs.append(values.shape)
+            return spectra(values)
+
+        for module in (spectrobe.analysis, cli):
+            if hasattr(module, "magnitude_spectra"):
+                monkeypatch.setattr(module, "magnitude_spectra", counted)
+        assert cli.main(["analyze", "--bundle", str(tmp_path / "bundle"), "--out",
+                         str(tmp_path / "r.json"), "--plots",
+                         str(tmp_path / "plots")]) == 0
+        assert slabs == [(2, 2, 32)] * layers
+
+    def test_plot_builds_no_one_kernel_spectrum(self, band_bundle_dir, tmp_path,
+                                                monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-kernel Spectrum was built")
+
+        for module in (spectrobe.spectral, cli):
+            if hasattr(module, "compute_spectrum"):
+                monkeypatch.setattr(module, "compute_spectrum", refuse)
+        monkeypatch.setattr(spectrobe.spectral.Spectrum, "__post_init__", refuse)
+        out = tmp_path / "k.svg"
+        assert cli.main(["plot", "--bundle", str(band_bundle_dir), "--layer", "1",
+                         "--direction", "backward", "--out", str(out)]) == 0
+        assert out.read_text().startswith("<svg")
 
     def test_failed_plots_leave_no_report(self, band_bundle_dir, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -6,8 +6,10 @@ with one all-zero kernel and one tail-free band-pass kernel) is written
 straight to the documented format with numpy, each subcommand runs on
 it, and the sha256 of every output must equal the digest pinned here.
 A seeded parameter file (2 layers x 2 x 3 kernels, 32 modes) pins the
-bundle ``materialize`` writes from it at length 4096, and one band-pass
-bundle pins ``synth``; both hash the manifest and every payload.
+bundle ``materialize`` writes from it at length 4096, a second one
+(2 x 2 x 8 kernels, 32 modes) the bundle it writes at length 16384, and
+one band-pass bundle pins ``synth``; each hashes the manifest and every
+payload.
 Any change to a report's bytes fails this file; a deliberate format
 change must update the digests in the same commit.
 """
@@ -22,6 +24,7 @@ import spectrobe.cli as cli
 
 LAYERS, KERNELS, N = 3, 4, 256
 PARAM_LAYERS, PARAM_KERNELS, MODES, PARAM_LENGTH = 2, 3, 32, 4096
+LONG_KERNELS, LONG_LENGTH = 8, 16384  # the benchmark's s4d_export shape
 _DIRECTIONS = ("forward", "backward")
 
 DIGESTS = {
@@ -32,6 +35,7 @@ DIGESTS = {
     "diff": "e954912d6f9287de6ad977c23afbe301d7505626ce17921b3bfb045446b8940a",
     "diff_zero_kernel": "d852e0aaf8d185c86798d3d0084dbb7961c65d9ce6d1c08a5d22fc0061673eaf",
     "materialize": "29d67d2650f3c1572f2ac430ef9813cf4b6c6f4bad683430b659d0c22f1505d8",
+    "materialize_long": "a6172ff2394720229ee97196491b4418c7c483899780ab6d6f5e33de5dfe70d5",
     "plot_band_pass": "bfa005506d8f8e547c2f20202d5e94406a15dc16b13f3ae79a87467aebe61d74",
     "plot_forward": "77e545428b7bd62bc602763d65ef9e413007a7e89c9c45970054961fbcc41d15",
     "redundancy": "8871b462f309975224a14dc238651ba9c9841fb7195bf8af72ac61d5e78091ee",
@@ -62,7 +66,7 @@ def band_pass(low, high, n):
     return np.fft.irfft(gain * np.exp(-1j * np.pi * np.arange(freqs.size)), n=n)
 
 
-def params_doc(rng):
+def params_doc(rng, kernels=PARAM_KERNELS):
     """S4D-Lin poles, random coefficients and a log-uniform step per kernel;
     layer 2 is listed first and one kernel falls back to the file step."""
     poles = -0.5 + 1j * np.pi * np.arange(MODES)
@@ -73,7 +77,7 @@ def params_doc(rng):
                 "modes": [{"a": [p.real, p.imag], "c": [c.real, c.imag]}
                           for p, c in zip(poles, coeffs)]}
 
-    layers = [{"layer": layer, **{d: [kernel() for _ in range(PARAM_KERNELS)]
+    layers = [{"layer": layer, **{d: [kernel() for _ in range(kernels)]
                                   for d in _DIRECTIONS}}
               for layer in range(PARAM_LAYERS, 0, -1)]
     del layers[0]["backward"][1]["step"]
@@ -156,6 +160,11 @@ def outputs(tmp_path_factory):
     run("materialize", ["materialize", "--params", str(params), "--length",
                         str(PARAM_LENGTH), "--out", str(tmp / "s4d")])
     out["materialize"] = dir_bytes(tmp / "s4d")
+    params.write_text(json.dumps(params_doc(np.random.default_rng(20261020),
+                                            LONG_KERNELS)))
+    run("materialize_long", ["materialize", "--params", str(params), "--length",
+                             str(LONG_LENGTH), "--out", str(tmp / "s4d-long")])
+    out["materialize_long"] = dir_bytes(tmp / "s4d-long")
     run("synth", ["synth", "--class", "band", "--cutoff", "0.12", "--cutoff-high",
                   "0.3", "--length", "256", "--out", str(tmp / "synth")])
     out["synth"] = dir_bytes(tmp / "synth")

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import spectrobe.io
 from helpers import class_pair_bundle
 from spectrobe import (
     Complementarity,
@@ -146,6 +147,14 @@ class TestBundleRoundTrip:
             read_bundle(tmp_path / "b")
         assert hashed == []
 
+    def test_read_scans_for_non_finite_values_once(self, tmp_path, monkeypatch):
+        write_bundle(KernelBundle("scan", np.ones((3, 2, 4, 8))), tmp_path / "b")
+        isfinite, scanned = np.isfinite, []
+        monkeypatch.setattr(np, "isfinite",
+                            lambda values: scanned.append(values.size) or isfinite(values))
+        assert read_bundle(tmp_path / "b").values.shape == (3, 2, 4, 8)
+        assert scanned == [3 * 2 * 4 * 8]  # the bundle's own scan, not one per payload
+
 
 class TestBundleReadErrors:
     @pytest.fixture
@@ -238,6 +247,26 @@ class TestBundleReadErrors:
         # kernels[2] comes before kernels[1] in (layer, direction, kernel) order
         assert str(caught.value) == (f"{written / m['kernels'][2]['path']}: "
                                      "non-finite value at element 3")
+
+    def test_size_change_is_named_before_an_earlier_non_finite_value(
+            self, written, monkeypatch):
+        # values are checked only once every payload is read
+        m = self.manifest(written)
+        first, last = (written / m["kernels"][i]["path"] for i in (0, -1))
+        data = np.frombuffer(first.read_bytes(), dtype="<f4").copy()
+        data[2] = np.inf
+        first.write_bytes(data.tobytes())
+        check = spectrobe.io._check_payload
+
+        def check_then_grow(path, count, where):
+            check(path, count, where)
+            if path == last:
+                with open(path, "ab") as f:
+                    f.write(b"\0" * 4)
+
+        monkeypatch.setattr(spectrobe.io, "_check_payload", check_then_grow)
+        with pytest.raises(FormatError, match="changed size while being read"):
+            read_bundle(written)
 
     def test_bundle_invariants_reported_as_format_errors(self, written):
         m = self.manifest(written)
