@@ -96,6 +96,7 @@ def _cmd_analyze(args, cfg) -> dict:
             name = f"layer{layer:03d}_{direction.value}_k{k:02d}.svg"
             _render(freqs, mags[DIRECTIONS.index(direction), k], entry.summary,
                     plots_dir / name, _chart_title(bundle, layer, direction, k))
+        del freqs, mags  # not held into the next layer's FFT
     return analysis_payload(bundle, reports)
 
 

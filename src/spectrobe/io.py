@@ -38,6 +38,7 @@ from .spectral import DIRECTIONS, Direction
 
 _PAYLOAD_DTYPE = "<f4"
 _UNNAMEABLE = re.compile("[\0\ud800-\udfff]")  # NUL, or a surrogate JSON left unpaired
+_SURROGATE = re.compile("[\ud800-\udfff]")  # in a str, each one is lone to UTF-8
 
 
 class FormatError(ValueError):
@@ -286,6 +287,11 @@ def _check_token_id(token_id, where) -> str:
     return token_id
 
 
+def _check_encodable(what, text) -> None:
+    if _SURROGATE.search(text):
+        raise FormatError(f"{what} {quoted(text)} has a lone surrogate")
+
+
 def write_pair_dataset(
     representations: Mapping[str, "np.ndarray"],
     pairs: Sequence[tuple[str, str, str]],
@@ -293,14 +299,16 @@ def write_pair_dataset(
 ) -> None:
     """Write a pair-dataset directory.
 
-    Token ids must be whitespace-free; labels must be nonempty, with no
-    newlines and no leading or trailing blanks, so the text format stays
-    unambiguous. A value beyond the float32 range is refused before any
-    file is written.
+    Token ids must be whitespace-free; labels must be one nonempty line
+    with no leading or trailing blanks, so the text format stays
+    unambiguous. An id or label with a lone surrogate, which UTF-8 cannot
+    carry, or a value beyond the float32 range is refused before any file
+    is written; the manifest is written last.
     """
     root = Path(path)
     for token_id in representations:
         _check_token_id(token_id, root)
+        _check_encodable(f"{root}: token id", token_id)
     vectors = _checked_representations(representations)
     if not vectors:
         raise ValueError("dataset needs at least one representation")
@@ -310,17 +318,24 @@ def write_pair_dataset(
             for token_id in (id_i, id_j):
                 if token_id not in representations:
                     raise ValueError(f"unknown token id {quoted(token_id)}")
-            if not label or label != label.strip() or "\n" in label:
-                raise ValueError(f"label {quoted(label)} must be nonempty with no "
-                                 "surrounding whitespace")
-        lines.append(f"{id_i} {id_j} {label}")
+            # the reader splits pairs.txt at every line break str.splitlines knows
+            if (not isinstance(label, str) or label.splitlines() != [label]
+                    or label != label.strip()):
+                raise ValueError(f"label {quoted(label)} must be one nonempty line "
+                                 "with no surrounding whitespace")
+            _check_encodable("label", label)
+        lines.append(f"{id_i} {id_j} {label}\n")
     ids = list(vectors)
     matrix = _float32(np.stack(list(vectors.values())),
                       lambda row: f"representation {quoted(ids[row])}")
     manifest = {"count": len(ids), "dimension": matrix.shape[1], "token_ids": ids}
-    _atomic_write_text(root / "manifest.json", _json(manifest) + "\n")
-    _atomic_write_bytes(root / "vectors.f32", matrix.tobytes())
-    _atomic_write_text(root / "pairs.txt", "".join(line + "\n" for line in lines))
+    files = {
+        "vectors.f32": matrix.tobytes(),
+        "pairs.txt": "".join(lines).encode("utf-8"),
+        "manifest.json": (_json(manifest) + "\n").encode("utf-8"),
+    }
+    for name, data in files.items():
+        _atomic_write_bytes(root / name, data)
 
 
 def read_pair_dataset(path) -> tuple[dict[str, np.ndarray], list[tuple[str, str, str]]]:

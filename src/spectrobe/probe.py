@@ -12,7 +12,7 @@ import enum
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -286,10 +286,9 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
     codes: dict[str, int] = {}
     label = np.array([codes.setdefault(p.label, len(codes)) for p in points] * 2)
     live = np.arange(2 * n) < n
-    # directions[i][c], for live i and c: a w that puts cluster i below c
-    directions: list[dict[int, FloatArray]] = [{} for _ in range(n)]
-    # apart[i], for a live i: the live clusters it may never merge with
-    apart: list[set[int]] = [set() for _ in range(n)]
+    # known[i][c], for live i and c: with different labels, a w that puts
+    # cluster i below c; with one label, None: the two may never merge
+    known: list[dict[int, FloatArray | None]] = [{} for _ in range(n)]
 
     def union_directions(ia, ib, cid, union):
         """Directions settling every other-label cluster the box gaps leave
@@ -300,7 +299,7 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
         found = {}
         for j in pending[np.argsort(margin[pending], kind="stable")]:
             c = int(others[j])
-            stored = [directions[i][c] for i in (ia, ib) if c in directions[i]]
+            stored = [known[i][c] for i in (ia, ib) if c in known[i]]
             w = _direction(union, x[list(members[c])], center[j], unit[j], stored)
             if w is None:
                 return None
@@ -309,23 +308,18 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
 
     # candidate pairs (dist, ia, ib), ia < ib: each has one owner, the lower
     # id for the singletons' pairs and the minted id for a merge's. Per
-    # owner id: its partners and distances sorted by (dist, partner), and
-    # the position of its first pair not yet pushed; None once it is dead
-    # or has no pair left. The heap holds each live owner's next pair with
+    # owner id: an iterator over its (dist, partner) pairs in that order,
+    # None once it is dead. The heap holds each live owner's next pair with
     # a live partner, so pops come in (dist, ia, ib) order, ties included.
-    queues: list[tuple[np.ndarray, FloatArray, int] | None] = []
+    queues: list[Iterator[tuple[np.float64, np.intp]] | None] = []
     heap: list[tuple[float, int, int, int]] = []
 
     def push_next(owner):
-        partners, dists, k = queues[owner]
-        alive = live[partners[k:]]
-        if not alive.any():
-            queues[owner] = None
-            return
-        k += int(alive.argmax())
-        queues[owner] = partners, dists, k + 1
-        p = int(partners[k])
-        heapq.heappush(heap, (float(dists[k]), min(owner, p), max(owner, p), owner))
+        for dist, p in queues[owner]:
+            if live[p]:
+                p = int(p)
+                heapq.heappush(heap, (float(dist), min(owner, p), max(owner, p), owner))
+                return
 
     def enqueue(owner, partners):
         """Queue owner's pairs with partners, given in ascending order, and
@@ -334,7 +328,7 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
         diff = centroid[partners] - centroid[owner]
         dists = np.sqrt(np.vecdot(diff, diff))
         order = np.argsort(dists, kind="stable")
-        queues.append((partners[order], dists[order], 0))
+        queues.append(zip(dists[order], partners[order]))
         push_next(owner)
 
     for ia in range(n):
@@ -356,8 +350,7 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
         label[cid] = label[ia]
         found = union_directions(ia, ib, cid, union)
         if found is None:
-            apart[ia].add(ib)
-            apart[ib].add(ia)
+            known[ia][ib] = known[ib][ia] = None
             push_next(owner)
             continue
         members.append(merged)
@@ -365,22 +358,20 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
         live[[ia, ib, cid]] = False, False, True
         queues[ia] = queues[ib] = None
         log.append(MergeRecord(ia, ib, dist))
-        # only pairs of live clusters are ever read again
+        # only pairs of live clusters are ever read again, and a pair that
+        # contains a rejected pair is rejected too
         for i in (ia, ib):
-            for c in directions[i]:
-                del directions[c][i]
-            directions[i] = {}
-        directions.append(found)
+            for c, w in known[i].items():
+                del known[c][i]
+                if w is None:
+                    found[c] = None
+            known[i] = {}
+        known.append(found)
         for c, w in found.items():
-            directions[c][cid] = -w
-        # a pair that contains a rejected pair is rejected too
-        apart.append(apart[ia] | apart[ib])
-        for c in apart[cid]:
-            apart[c] -= {ia, ib}
-            apart[c].add(cid)
+            known[c][cid] = None if w is None else -w
+        # of found's keys, those of cid's label are the rejected partners
         partners = np.flatnonzero(live & (label == label[cid]))
-        enqueue(cid, partners[(partners != cid)
-                              & ~np.isin(partners, list(apart[cid]))])
+        enqueue(cid, partners[(partners != cid) & ~np.isin(partners, list(found))])
         cid += 1
 
     order = sorted(np.flatnonzero(live).tolist(), key=lambda c: members[c][0])

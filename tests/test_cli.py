@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -225,6 +226,25 @@ class TestAnalyze:
                          str(tmp_path / "r.json"), "--plots",
                          str(tmp_path / "plots")]) == 0
         assert slabs == [(2, 2, 32)] * layers
+
+    def test_plots_hold_no_layer_spectra_during_the_next_fft(self, tmp_path,
+                                                              monkeypatch):
+        # a slab's magnitudes are as large as the float32 slab itself
+        spectra, refs = spectrobe.analysis.magnitude_spectra, []
+
+        def tracked(values):
+            assert [ref() for ref in refs] == [None] * len(refs)
+            freqs, mags = spectra(values)
+            refs.append(weakref.ref(mags))
+            return freqs, mags
+
+        monkeypatch.setattr(spectrobe.analysis, "magnitude_spectra", tracked)
+        values = np.random.default_rng(11).standard_normal((3, 2, 2, 32))
+        write_bundle(KernelBundle("alive", values), tmp_path / "bundle")
+        assert cli.main(["analyze", "--bundle", str(tmp_path / "bundle"), "--out",
+                         str(tmp_path / "r.json"), "--plots",
+                         str(tmp_path / "plots")]) == 0
+        assert len(refs) == 3
 
     def test_plot_builds_no_one_kernel_spectrum(self, band_bundle_dir, tmp_path,
                                                 monkeypatch):

@@ -9,7 +9,9 @@ A seeded parameter file (2 layers x 2 x 3 kernels, 32 modes) pins the
 bundle ``materialize`` writes from it at length 4096, a second one
 (2 x 2 x 8 kernels, 32 modes) the bundle it writes at length 16384, and
 one band-pass bundle pins ``synth``; each hashes the manifest and every
-payload.
+payload. Seeded train and eval pair datasets (120 and 60 points in 8-D,
+each stored as two 4-D representations; two labels overlap and one sits
+apart) pin the ``probe`` report.
 Any change to a report's bytes fails this file; a deliberate format
 change must update the digests in the same commit.
 """
@@ -26,6 +28,8 @@ LAYERS, KERNELS, N = 3, 4, 256
 PARAM_LAYERS, PARAM_KERNELS, MODES, PARAM_LENGTH = 2, 3, 32, 4096
 LONG_KERNELS, LONG_LENGTH = 8, 16384  # the benchmark's s4d_export shape
 _DIRECTIONS = ("forward", "backward")
+PROBE_TRAIN, PROBE_EVAL = 120, 60
+PROBE_LABELS = ("comes from", "computed from", "none")
 
 DIGESTS = {
     "analyze": "ed586a6451c6b505603f65ef50668e09d1a55aeb95944c072aa59b955b76a55d",
@@ -38,6 +42,7 @@ DIGESTS = {
     "materialize_long": "a6172ff2394720229ee97196491b4418c7c483899780ab6d6f5e33de5dfe70d5",
     "plot_band_pass": "bfa005506d8f8e547c2f20202d5e94406a15dc16b13f3ae79a87467aebe61d74",
     "plot_forward": "77e545428b7bd62bc602763d65ef9e413007a7e89c9c45970054961fbcc41d15",
+    "probe": "95cf24479f79cce488b9307c422a0cb3571c5337f524d619bcf9f6db661e67c9",
     "redundancy": "8871b462f309975224a14dc238651ba9c9841fb7195bf8af72ac61d5e78091ee",
     "synth": "6d58f05b1c659465b2a012e381d52dd49b730473d1a22745800dc5d86c17d616",
 }
@@ -56,6 +61,26 @@ def write_raw_bundle(root, tag, values):
     manifest = {"model_tag": tag, "N": n, "layer_count": layers,
                 "kernels": entries}
     (root / "manifest.json").write_text(json.dumps(manifest))
+    return root
+
+
+def write_raw_pairs(root, rng, n):
+    """Write n seeded, labeled 8-D points as a pair dataset: n token pairs
+    of 4-D representations. Label 1's mean sits 0.35 from label 0's in
+    every coordinate, so the two overlap; label 2's sits 12 away."""
+    root.mkdir()
+    labels = rng.permutation(np.arange(n) % 3)
+    means = np.zeros((3, 8))
+    means[1] = 0.35
+    means[2, 0] = 12.0
+    reps = (means[labels] + rng.normal(size=(n, 8))).astype("<f4").reshape(2 * n, 4)
+    ids = [f"t{i:04d}" for i in range(2 * n)]
+    (root / "manifest.json").write_text(
+        json.dumps({"count": 2 * n, "dimension": 4, "token_ids": ids}))
+    reps.tofile(root / "vectors.f32")
+    (root / "pairs.txt").write_text("".join(
+        f"{ids[2 * i]} {ids[2 * i + 1]} {PROBE_LABELS[label]}\n"
+        for i, label in enumerate(labels)))
     return root
 
 
@@ -168,6 +193,11 @@ def outputs(tmp_path_factory):
     run("synth", ["synth", "--class", "band", "--cutoff", "0.12", "--cutoff-high",
                   "0.3", "--length", "256", "--out", str(tmp / "synth")])
     out["synth"] = dir_bytes(tmp / "synth")
+    probe_rng = np.random.default_rng(20261021)
+    train = write_raw_pairs(tmp / "train", probe_rng, PROBE_TRAIN)
+    heldout = write_raw_pairs(tmp / "eval", probe_rng, PROBE_EVAL)
+    run("probe", ["probe", "--train", str(train), "--eval", str(heldout),
+                  "--task", "dfg", "--out", str(tmp / "probe.json")], tmp / "probe.json")
     out["plot_zero_kernel_rc"] = cli.main(
         ["plot", "--bundle", str(single), "--layer", "2", "--direction",
          "forward", "--out", str(tmp / "never.svg")])

@@ -453,6 +453,41 @@ class TestPairDataset:
             write_pair_dataset(reps, self.pairs, tmp_path / "d")
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("label", ["a\u2028b", "a\rb", "a\x0bb", "a\x85b", "a\n"])
+    def test_label_must_be_one_line_to_the_reader(self, tmp_path, label):
+        # str.splitlines, which the reader uses, breaks at each of these
+        with pytest.raises(ValueError) as caught:
+            write_pair_dataset(self.reps, [("var:x", "var:y", label)], tmp_path / "d")
+        assert str(caught.value) == (f"pairs[0]: label {quoted(label)} must be one "
+                                     "nonempty line with no surrounding whitespace")
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("reps, pairs, message", [
+        ({"t\ud800": np.ones(2)}, [],
+         "{root}: token id 't\\ud800' has a lone surrogate"),
+        ({"a": np.ones(2)}, [("a", "a", "ok"), ("a", "a", "x\udfff")],
+         "pairs[1]: label 'x\\udfff' has a lone surrogate"),
+    ], ids=["token-id", "label"])
+    def test_lone_surrogate_is_refused_before_writing(self, tmp_path, reps, pairs,
+                                                      message):
+        root = tmp_path / "d"
+        with pytest.raises(ValueError) as caught:
+            write_pair_dataset(reps, pairs, root)
+        assert str(caught.value) == message.format(root=root)
+        assert not root.exists()
+
+    def test_manifest_is_written_last(self, tmp_path, monkeypatch):
+        written, write = [], spectrobe.io._atomic_write_bytes
+
+        def recorded(path, data):
+            written.append(path.name)
+            write(path, data)
+
+        monkeypatch.setattr(spectrobe.io, "_atomic_write_bytes", recorded)
+        write_pair_dataset(self.reps, self.pairs, tmp_path / "d")
+        assert written[-1] == "manifest.json"
+        assert sorted(written) == ["manifest.json", "pairs.txt", "vectors.f32"]
+
     def test_duplicate_token_id_rejected(self, tmp_path):
         write_pair_dataset(self.reps, self.pairs, tmp_path / "d")
         mpath = tmp_path / "d" / "manifest.json"

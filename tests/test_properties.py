@@ -107,6 +107,26 @@ def test_bundle_round_trip_is_the_float32_rounding(values, model_tag):
     assert back.values.astype(np.float64).tobytes() == rounded.tobytes()
 
 
+@settings(max_examples=200)
+@given(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.text(max_size=8)),
+                max_size=4))
+def test_a_pair_dataset_the_writer_accepts_reads_back_equal(ids, rows):
+    reps = {token_id: np.full(2, i + 0.5) for i, token_id in enumerate(ids)}
+    pairs = [(ids[i % len(ids)], ids[j % len(ids)], label) for i, j, label in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "d"
+        try:
+            write_pair_dataset(reps, pairs, root)
+        except ValueError:
+            assert not root.exists()
+            return
+        back, back_pairs = read_pair_dataset(root)
+    assert list(back) == ids
+    assert all(back[token_id].tolist() == reps[token_id].tolist() for token_id in ids)
+    assert back_pairs == pairs
+
+
 def report_texts(bundle):
     """The analyze, diff (against the bundle's layers reversed) and
     redundancy reports of ``bundle``, as emit_report writes them."""
