@@ -77,6 +77,8 @@ class KernelBundle:
 
     def __post_init__(self):
         values = np.asarray(self.values)
+        if np.iscomplexobj(values):  # a real cast would drop the imaginary part
+            raise ValueError("bundle values must be real, got complex values")
         if values.dtype != np.float32:
             values = np.asarray(values, dtype=np.float64)
         if values.flags.writeable or not values.flags.owndata:

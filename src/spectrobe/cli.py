@@ -7,8 +7,6 @@ violation or running out of memory, 2 on an internal failure.
 from __future__ import annotations
 
 import argparse
-import errno
-import os
 import sys
 from pathlib import Path
 
@@ -78,19 +76,12 @@ def _chart_title(bundle, layer: int, direction: Direction, k: int) -> str:
 
 def _cmd_analyze(args, cfg) -> dict:
     bundle = read_bundle(args.bundle)
-    if not args.plots:
-        return analysis_payload(bundle, analyze_bundle(bundle, cfg))
-    plots_dir = Path(args.plots)
-    try:
-        plots_dir.mkdir(parents=True, exist_ok=True)
-    except FileExistsError:  # the name is a file's
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
-                                 args.plots) from None
+    plots_dir = Path(args.plots) if args.plots else None
     reports = []
     for report, freqs, mags in _analyzed_layers(bundle.values, cfg):
         reports.append(report)
         for entry in report.entries:
-            if entry.degenerate:
+            if plots_dir is None or entry.degenerate:
                 continue
             layer, direction, k = report.layer, entry.direction, entry.kernel_index
             name = f"layer{layer:03d}_{direction.value}_k{k:02d}.svg"

@@ -100,10 +100,17 @@ def _require(mapping, key, kind, where):
     return value
 
 
+def _nonblocking(path, flags: int) -> int:
+    """open()'s opener for a file already checked to be regular: one swapped
+    for a FIFO since then opens at once and reads as empty, not blocking."""
+    return os.open(path, flags | getattr(os, "O_NONBLOCK", 0))
+
+
 def _read_text(path: Path) -> str:
     """A file's text; FormatError naming the file unless it is UTF-8."""
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", opener=_nonblocking) as handle:
+            return handle.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
 
@@ -141,7 +148,7 @@ def _check_payload(path: Path, count: int, where) -> None:
 def _read_payload(path: Path, buffer: np.ndarray) -> np.ndarray:
     """``buffer``, an array of the payload dtype, filled from a payload that
     passed _check_payload; the caller checks its values finite."""
-    with open(path, "rb") as handle:
+    with open(path, "rb", opener=_nonblocking) as handle:
         if handle.readinto(buffer) != buffer.nbytes or handle.read(1):
             raise FormatError(f"{path}: changed size while being read")
     return buffer

@@ -108,7 +108,10 @@ class EvalResult:
 
 
 def _as_point_matrix(points, name: str) -> FloatArray:
-    arr = np.asarray(points, dtype=np.float64)
+    arr = np.asarray(points)
+    if np.iscomplexobj(arr):  # a real cast would drop the imaginary part
+        raise ValueError(f"{name} must be real, got complex values")
+    arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ValueError(f"{name} must be a nonempty set of vectors")
     if not np.all(np.isfinite(arr)):
@@ -452,10 +455,11 @@ def build_pairs(
     """Turn labeled token-id pairs into labeled vectors for probing.
 
     DISTANCE points are the difference of the two representations; the label
-    must parse as an integer tree distance of at least 2, and distances above
-    6 are dropped (the skip count says how many). SIBLINGS and DFG_EDGE points
-    concatenate the representations and cap the distinct label count at 2 and
-    3 respectively. A fault in a pair names it: ``pairs[<i>]: <message>``.
+    must be ASCII decimal digits giving a tree distance of at least 2, and
+    distances above 6 are dropped (the skip count says how many). SIBLINGS
+    and DFG_EDGE points concatenate the representations and cap the distinct
+    label count at 2 and 3 respectively. A fault in a pair names it:
+    ``pairs[<i>]: <message>``.
     """
     vectors = _checked_representations(representations)
     points: list[LabeledPoint] = []
@@ -467,8 +471,11 @@ def build_pairs(
                 if token_id not in vectors:
                     raise ValueError(f"unknown token id {quoted(token_id)}")
             if task is PairTask.DISTANCE:
+                # ASCII digits only: int() also takes "1_0", "+3" and other scripts' digits
                 try:
-                    distance = int(label)
+                    if not (label.isascii() and label.isdigit()):
+                        raise ValueError
+                    distance = int(label)  # raises on a label too long to convert
                 except ValueError:
                     raise ValueError(
                         f"label {quoted(label)} is not an integer tree distance"

@@ -46,8 +46,12 @@ def as_vector(values, what: str, minimum_length: int = 1,
               dtype=np.float64) -> np.ndarray:
     """Read-only 1-D copy of ``values`` as ``dtype``, at least
     ``minimum_length`` long and finite; errors name ``what`` and the
-    first non-finite index."""
-    arr = np.array(values, dtype=dtype)  # one copy, widened if need be
+    first non-finite index. Complex values are refused, not cut to their
+    real part, unless ``dtype`` is complex."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr) and np.dtype(dtype).kind != "c":
+        raise ValueError(f"{what} must be real, got complex values")
+    arr = np.array(arr, dtype=dtype)  # a copy, widened if need be
     if arr.ndim != 1:
         raise ValueError(f"{what} must be 1-D, got shape {arr.shape}")
     if arr.size < minimum_length:

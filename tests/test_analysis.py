@@ -115,6 +115,13 @@ class TestKernelBundle:
         with pytest.raises(ValueError, match="finite"):
             KernelBundle("m", np.full((1, 2, 1, 16), np.nan))
 
+    def test_complex_values_are_refused(self):
+        # a real cast would drop the imaginary part and only warn
+        values = np.ones((1, 2, 1, 16), dtype=complex)
+        values[0, 1, 0, 3] = 1j
+        with pytest.raises(ValueError, match="bundle values must be real, got complex"):
+            KernelBundle("m", values)
+
     def test_read_only_view_is_copied(self):
         base = np.ones((1, 2, 1, 16))
         view = base.view()

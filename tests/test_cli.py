@@ -149,6 +149,15 @@ class TestAnalyze:
         assert len(list(plots.iterdir())) == values[..., 0].size
         assert made == [plots]
 
+    def test_plots_directory_is_made_by_the_first_chart(self, tmp_path):
+        # every kernel degenerate: no chart, so no directory either
+        bundle = tmp_path / "bundle"
+        write_bundle(KernelBundle("zero", np.zeros((2, 2, 1, 16))), bundle)
+        plots = tmp_path / "plots"
+        assert cli.main(["analyze", "--bundle", str(bundle), "--out",
+                         str(tmp_path / "r.json"), "--plots", str(plots)]) == 0
+        assert (tmp_path / "r.json").exists() and not plots.exists()
+
     @pytest.mark.parametrize("length", [7, 64, 257])
     def test_plots_are_the_plot_command_charts(self, tmp_path, capsys, length):
         # odd, even and prime lengths; a tag that a %-template or the markup
@@ -564,7 +573,7 @@ def test_one_input_faults_name_their_input(argv, fault, band_bundle_dir,
     (["analyze", "--bundle", "{bundle}", "--out", "{file}/r.json"],
      "[Errno 20] Not a directory: '{file}/r.json'"),
     (["analyze", "--bundle", "{bundle}", "--out", "{tmp}/r.json", "--plots", "{file}"],
-     "[Errno 20] Not a directory: '{file}'"),
+     "[Errno 20] Not a directory: '{file}/layer001_forward_k00.svg'"),
     (["synth", "--class", "low", "--cutoff", "0.1", "--length", "16", "--out", "{file}"],
      "[Errno 20] Not a directory: '{file}/layer001_forward_k00.f32'"),
 ], ids=["longest-name", "existing-directory", "report-under-a-file", "plots-at-a-file",
@@ -584,6 +593,48 @@ def test_output_faults_name_the_output(argv, fault, band_bundle_dir, tmp_path,
         assert code == 0 and json.loads(names["long"].read_text())["report"] == "analysis"
     else:
         assert code == 1 and err == f"spectrobe: error: {fault.format(**names)}\n"
+
+
+# cli.main in a child whose hook swaps a file for a FIFO right after the
+# named check has passed it as a regular file; a read that waited on the
+# FIFO would hang the child until the parent's timeout
+_SWAPPED_FOR_A_FIFO = """
+import os, sys
+from pathlib import Path
+import spectrobe.cli as cli, spectrobe.io as io
+
+owner, name, target = {owner}, {name!r}, Path({target!r})
+check = getattr(owner, name)
+
+def swapping(path, *args):
+    passed = check(path, *args)
+    if Path(path) == target:
+        os.unlink(target)
+        os.mkfifo(target)
+    return passed
+
+setattr(owner, name, swapping)
+sys.exit(cli.main({argv!r}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+@pytest.mark.parametrize("owner, name, rel, fault", [
+    ("io", "_check_payload", "layer001_backward_k00.f32", "changed size while being read"),
+    ("Path", "is_file", "manifest.json", "invalid JSON (Expecting value"),
+], ids=["payload", "manifest"])
+def test_no_read_waits_on_a_fifo(owner, name, rel, fault, band_bundle_dir, tmp_path):
+    target = band_bundle_dir / rel
+    argv = ["analyze", "--bundle", str(band_bundle_dir), "--out", str(tmp_path / "r.json")]
+    code = _SWAPPED_FOR_A_FIFO.format(owner=owner, name=name, target=str(target),
+                                      argv=argv)
+    src = str(Path(spectrobe.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=20, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"spectrobe: error: {target}: {fault}")
+    assert not (tmp_path / "r.json").exists()
 
 
 _PATH_FLAGS = {"--bundle", "--before", "--after", "--out", "--plots", "--config",
@@ -1102,7 +1153,7 @@ class TestExitCodes:
     def test_key_errors_are_internal_errors(self, band_bundle_dir, tmp_path,
                                             monkeypatch, capsys):
         # no input reaches a KeyError, so one is a bug, not bad input
-        monkeypatch.setattr(cli, "analyze_bundle", lambda *args: {}["verdict"])
+        monkeypatch.setattr(cli, "_analyzed_layers", lambda *args: {}["verdict"])
         rc = cli.main(["analyze", "--bundle", str(band_bundle_dir),
                        "--out", str(tmp_path / "r.json")])
         assert rc == 2
@@ -1122,7 +1173,7 @@ class TestExitCodes:
         def exhausted(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(cli, "analyze_bundle", exhausted)
+        monkeypatch.setattr(cli, "_analyzed_layers", exhausted)
         rc = cli.main(["analyze", "--bundle", str(band_bundle_dir),
                        "--out", str(tmp_path / "r.json")])
         assert rc == 1
@@ -1134,7 +1185,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise RuntimeError("wires crossed")
 
-        monkeypatch.setattr(cli, "analyze_bundle", boom)
+        monkeypatch.setattr(cli, "_analyzed_layers", boom)
         rc = cli.main(["analyze", "--bundle", str(band_bundle_dir),
                        "--out", str(tmp_path / "r.json")])
         assert rc == 2

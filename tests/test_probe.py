@@ -97,6 +97,11 @@ class TestSeparable:
         with pytest.raises(ValueError, match="non-finite"):
             separable(np.array([[np.nan]]), np.ones((1, 1)))
 
+    def test_complex_points_are_refused(self):
+        # a real cast would drop the imaginary part and only warn
+        with pytest.raises(ValueError, match="set_b must be real, got complex values"):
+            separable(np.zeros((1, 2)), np.array([[1j, 2.0]]))
+
 
 class TestRunDirectprobe:
     def test_single_label_collapses_fully(self):
@@ -288,6 +293,12 @@ class TestBuildPairs:
             build_pairs(self.reps, [("t1", "t2", "near")], PairTask.DISTANCE)
         with pytest.raises(ValueError, match=">= 2"):
             build_pairs(self.reps, [("t1", "t2", "1")], PairTask.DISTANCE)
+
+    @pytest.mark.parametrize("label", ["1_0", "\u0663", "+3", " 4"])
+    def test_distance_labels_are_ascii_decimal_integers(self, label):
+        # int() takes each of these: "1_0" as 10, "\u0663" (Arabic-Indic 3) as 3
+        with pytest.raises(ValueError, match="is not an integer tree distance"):
+            build_pairs(self.reps, [("t1", "t2", label)], PairTask.DISTANCE)
 
     def test_identical_tokens_give_zero_vector(self):
         built = build_pairs(self.reps, [("t1", "t1", "2")], PairTask.DISTANCE)

@@ -312,3 +312,11 @@ def test_vector_inputs_share_one_check(what):
     with pytest.raises(ValueError, match=re.escape(
             f"{what} has a non-finite value at index 2")):
         make(bad)
+
+
+@pytest.mark.parametrize("what", sorted(set(VECTOR_INPUTS) - {"poles"}))
+def test_real_vector_inputs_refuse_complex_values(what):
+    # a real cast would drop the imaginary part and only warn; poles are complex
+    with pytest.raises(ValueError, match=re.escape(
+            f"{what} must be real, got complex values")):
+        VECTOR_INPUTS[what](np.array([1 + 1j, 2, 3j, 4, 5]))
