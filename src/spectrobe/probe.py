@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import enum
 import heapq
+import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -120,27 +122,30 @@ def _as_point_matrix(points, name: str) -> FloatArray:
 
 
 def _frames(lo_a, hi_a, lo_b, hi_b):
-    """Per pair of boxes (rows): the gap margin, half the widest coordinate
-    gap, and the frame x -> (x - center) / unit that maps the joint box's
+    """Per pair of half-boxes (columns: each box's corners halved, one
+    coordinate per row): the gap margin, half the widest coordinate gap,
+    and the frame x -> (x - center) / unit that maps the joint box's
     longest side onto [-1, 1]. Every margin is measured in that frame;
-    unit == 0 means all points are one point.
+    unit == 0 means all points are one point. Halves, so no difference
+    of finite coordinates overflows; halving is monotone, so the joint
+    half-box is the halved joint box.
     """
     lo = np.minimum(lo_a, lo_b)
     hi = np.maximum(hi_a, hi_b)
-    # halves first, so no difference of finite coordinates overflows
-    unit = (hi / 2 - lo / 2).max(axis=-1)
-    half_gap = np.maximum(lo_b / 2 - hi_a / 2, lo_a / 2 - hi_b / 2).max(axis=-1)
+    unit = (hi - lo).max(axis=0)
+    half_gap = np.maximum(lo_b - hi_a, lo_a - hi_b).max(axis=0)
     margin = np.divide(half_gap, unit, out=np.zeros_like(unit), where=unit > 0)
-    return margin, lo / 2 + hi / 2, unit
+    return margin, lo + hi, unit
 
 
-def _direction(a, b, center, unit, stored=()):
+def _direction(a, b, center, unit):
     """A w in [-1, 1]^d putting a below b with a margin above the
-    tolerance in the frame (center, unit), or None. A stored w, or else
-    the centroid gap scaled to max-abs 1, that clears it proves the best
+    tolerance in the frame (center, unit), or None. The centroid gap
+    scaled to max-abs 1, if it clears the tolerance, proves the best
     margin does; else ``_max_margin``'s largest t with x.w <= b0 - t on a,
-    x.w >= b0 + t on b decides, and its w, scaled to max-abs 1, must clear
-    the tolerance as a stored w does.
+    x.w >= b0 + t on b decides. Its answer is checked either way: its w,
+    scaled to max-abs 1, must clear the tolerance as the centroid gap
+    does, and its hull weights must bound every margin by the tolerance.
     """
     if unit == 0:
         return None
@@ -148,20 +153,34 @@ def _direction(a, b, center, unit, stored=()):
     zb = (b - center) / unit
 
     def clears(w):
-        return (np.min(zb @ w) - np.max(za @ w)) / 2 > SEPARABILITY_TOLERANCE
+        return ((zb @ w).min() - (za @ w).max()) / 2 > SEPARABILITY_TOLERANCE
 
-    for w in stored:
-        if clears(w):
-            return w
     gap = zb.mean(axis=0) - za.mean(axis=0)
     if gap.any() and clears(w := gap / np.abs(gap).max()):
         return w
-    t, w = _max_margin(za, zb)
+    t, w, on_a, on_b = _max_margin(za, zb)
     if t <= SEPARABILITY_TOLERANCE:
-        return None
+        if _hull_gap(za, zb, on_a, on_b) <= SEPARABILITY_TOLERANCE:
+            return None
+        raise RuntimeError(
+            f"separability program failed: its hull weights miss its margin {t!r}")
     if not (w.any() and clears(w := w / np.abs(w).max())):
         raise RuntimeError(f"separability program failed: its w misses its margin {t!r}")
     return w
+
+
+def _hull_gap(za, zb, on_a, on_b):
+    """Half the L1 distance between the points of za's and zb's hulls that
+    the row weights give, an upper bound on every margin: a w in [-1, 1]^d
+    with margin m has 2m <= (q - p).w <= |q - p|_1. Weights are clipped
+    at zero first, since rounding leaves a degenerate basic weight near
+    -1e-16, so p and q are hull points whatever the weights; inf when
+    either side has no weight.
+    """
+    on_a, on_b = np.maximum(on_a, 0.0), np.maximum(on_b, 0.0)
+    if not (on_a.any() and on_b.any()):
+        return np.inf
+    return np.abs(on_b @ zb / on_b.sum() - on_a @ za / on_a.sum()).sum() / 2
 
 
 # reduced costs, pivots and steps at or below it count as zero: rounding in
@@ -169,52 +188,72 @@ def _direction(a, b, center, unit, stored=()):
 _PIVOT_TOLERANCE = 1e-9
 
 
+def _inverse(block):
+    """The inverse of a basis, whose singularity is the solver's fault."""
+    try:
+        return np.linalg.inv(block)
+    except np.linalg.LinAlgError as err:  # a ValueError, which would blame the input
+        raise RuntimeError(f"separability program failed: {err}") from None
+
+
 def _max_margin(za, zb):
-    """(t*, w): the largest t with z.w <= b0 - t on za, z.w >= b0 + t on zb,
-    w in [-1, 1]^d, and an optimal w. Solved as its dual, the least L1 gap
-    1/2 |sum l.za - sum m.zb|_1 between a point of each hull, by a revised
-    simplex over d + 2 rows: the multipliers of the d coordinate rows are w.
-    The most negative reduced cost enters and the largest tied pivot
-    leaves, until more degenerate pivots in a row than there are rows turn
-    it to Bland's rule; the basis inverse is rebuilt before optimality is
-    declared.
+    """(t*, w, on_a, on_b): the largest t with z.w <= b0 - t on za,
+    z.w >= b0 + t on zb, w in [-1, 1]^d, an optimal w, and the weights of
+    za's and zb's rows at the optimum. Solved as its dual, the least L1
+    gap 1/2 |sum l.za - sum m.zb|_1 between a point of each hull, by a
+    revised simplex over d + 2 rows: the multipliers of the d coordinate
+    rows are w, and l, m are the weights. The most negative reduced cost
+    enters and the largest tied pivot leaves, until more degenerate
+    pivots in a row than there are rows turn it to Bland's rule; the
+    basis inverse is rebuilt before optimality is declared.
     """
     (na, d), nb = za.shape, zb.shape[0]
     n = na + nb
+    width = n + 2 * d + 1
     # columns: l (na), m (nb), +e_k, -e_k, s; rows: the d coordinates of
     # sum l.za - sum m.zb + e+ - e-, then sum l - sum m = 0, sum l + sum m - s = 1
-    matrix = np.zeros((d + 2, n + 2 * d + 1))
-    matrix[:d, :n] = np.hstack([za.T, -zb.T])
-    matrix[d, :n] = np.r_[np.ones(na), -np.ones(nb)]
-    matrix[d + 1] = np.r_[np.ones(n), np.zeros(2 * d), -1.0]
-    matrix[:d, n:n + 2 * d] = np.hstack([np.eye(d), -np.eye(d)])
-    cost = np.r_[np.zeros(n), np.ones(2 * d), 0.0]
+    matrix = np.zeros((d + 2, width))
+    matrix[:d, :na] = za.T
+    matrix[:d, na:n] = -zb.T
+    matrix[d, :na] = 1.0
+    matrix[d, na:n] = -1.0
+    matrix[d + 1, :n] = 1.0
+    matrix[d + 1, -1] = -1.0
+    k = np.arange(d)
+    matrix[k, n + k] = 1.0
+    matrix[k, n + d + k] = -1.0
+    cost = np.zeros(width)
+    cost[n:n + 2 * d] = 1.0
     # l = m = 1/2 on a[0] and b[0], the slack of each coordinate's sign: feasible
-    basis = np.r_[0, na, n + np.arange(d) + d * (zb[0] < za[0])]
-    inverse, exact, stalled = np.linalg.inv(matrix[:, basis]), True, 0
+    basis = np.concatenate(([0, na], n + k + d * (zb[0] < za[0])))
+    inverse, exact, stalled = _inverse(matrix[:, basis]), True, 0
     while True:
         y = cost[basis] @ inverse
         reduced = cost - y @ matrix
         reduced[basis] = 0.0
-        entering = np.flatnonzero(reduced < -_PIVOT_TOLERANCE)
-        if not entering.size:
-            if exact:
-                return y[-1], y[:d]
-            inverse, exact = np.linalg.inv(matrix[:, basis]), True
-            continue
         bland = stalled > d + 2
-        j = entering[0] if bland else entering[reduced[entering].argmin()]
+        # the first most negative reduced cost, or under Bland's rule the
+        # first negative one
+        j = (reduced < -_PIVOT_TOLERANCE).argmax() if bland else reduced.argmin()
+        if not reduced[j] < -_PIVOT_TOLERANCE:
+            if exact:
+                weights = np.zeros(width)
+                weights[basis] = inverse[:, -1]
+                return y[-1], y[:d], weights[:na], weights[na:n]
+            inverse, exact = _inverse(matrix[:, basis]), True
+            continue
         u = inverse @ matrix[:, j]
-        rows = np.flatnonzero(u > _PIVOT_TOLERANCE)
+        rows = (u > _PIVOT_TOLERANCE).nonzero()[0]
         if not rows.size:
             raise RuntimeError("separability program failed: its dual is unbounded")
         ratio = np.maximum(inverse[rows, -1], 0.0) / u[rows]
-        ties = rows[ratio == ratio.min()]
+        low = ratio.min()
+        ties = rows[ratio == low]
         r = ties[basis[ties].argmin()] if bland else ties[u[ties].argmax()]
-        stalled = stalled + 1 if ratio.min() <= _PIVOT_TOLERANCE else 0
+        stalled = stalled + 1 if low <= _PIVOT_TOLERANCE else 0
         inverse[r] /= u[r]
         u[r] = 0.0
-        inverse -= np.outer(u, inverse[r])
+        inverse -= u[:, None] * inverse[r]
         basis[r], exact = j, False
 
 
@@ -231,6 +270,12 @@ def separable(set_a, set_b) -> bool:
     settles it without an LP, as does the direction between the two
     centroids when its margin clears the tolerance. Symmetric in its
     arguments.
+
+    Both of the LP's verdicts are certified: its separating w must clear
+    the tolerance, and its inseparable verdict must come with hull
+    weights naming a point of each hull at most twice the tolerance apart
+    in L1. A failed certificate or a singular basis raises
+    ``RuntimeError``, which the CLI reports as an internal error (exit 2).
     """
     a = _as_point_matrix(set_a, "set_a")
     b = _as_point_matrix(set_b, "set_b")
@@ -238,7 +283,7 @@ def separable(set_a, set_b) -> bool:
         raise ValueError(
             f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
         )
-    margin, center, unit = _frames(a.min(0), a.max(0), b.min(0), b.max(0))
+    margin, center, unit = _frames(a.min(0) / 2, a.max(0) / 2, b.min(0) / 2, b.max(0) / 2)
     if margin > SEPARABILITY_TOLERANCE:
         return True
     return _direction(a, b, center, unit) is not None
@@ -265,7 +310,9 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
     and the rest go smallest gap first, each settled by a stored direction
     against either parent that still clears the tolerance, else by the
     direction between the two sets' centroids if it clears it, or else by
-    the LP. A direction is stored while both of its clusters are live.
+    the LP. A direction is stored while both of its clusters are live,
+    with its extreme projections on each, so checking it against a union
+    takes one product with the points the other parent adds.
     """
     points = tuple(dataset)
     if not points:
@@ -281,32 +328,59 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
     n = len(points)
 
     x = np.stack([p.vector for p in points])
-    # per cluster id, as rows or list items: member indices, centroid,
-    # bounding box, label code and liveness; the rows from n on are filled
-    # as merges mint their ids, and an id is never reused
+    # per cluster id, as rows, columns or list items: member indices,
+    # centroid, bounding box with its corners halved (``_frames``'
+    # half-boxes, one column per id, so that a coordinate max runs along
+    # contiguous rows), label code and liveness; the ids from n on are
+    # filled as merges mint them, and an id is never reused
     members = [(i,) for i in range(n)]
-    centroid, lo, hi = (np.vstack([x, x]) for _ in range(3))
+    centroid = np.vstack([x, x])
+    lo, hi = (np.ascontiguousarray(np.vstack([x, x]).T) / 2 for _ in range(2))
     codes: dict[str, int] = {}
     label = np.array([codes.setdefault(p.label, len(codes)) for p in points] * 2)
     live = np.arange(2 * n) < n
+    # projections x.w are taken on x scaled by a power of two that keeps
+    # every |x.w| with w in [-1, 1]^d below 1, so none overflows; scaling
+    # by a power of two changes no bits but those of subnormals
+    shift = int(np.frexp(np.abs(x).max())[1]) + x.shape[1].bit_length()
+    xs = np.ldexp(x, -shift)
     # known[i][c], for live i and c: with different labels, a w that puts
-    # cluster i below c; with one label, None: the two may never merge
-    known: list[dict[int, FloatArray | None]] = [{} for _ in range(n)]
+    # cluster i below c, with max(xs_i.w) and min(xs_c.w); with one label,
+    # None: the two may never merge
+    known: list[dict[int, tuple[FloatArray, float, float] | None]] = [
+        {} for _ in range(n)]
 
     def union_directions(ia, ib, cid, union):
-        """Directions settling every other-label cluster the box gaps leave
-        open, or None at the first that the union is not separable from."""
-        others = np.flatnonzero(live & (label != label[cid]))
-        margin, center, unit = _frames(lo[cid], hi[cid], lo[others], hi[others])
-        pending = np.flatnonzero(margin <= SEPARABILITY_TOLERANCE)
+        """(w, top, bottom) settling every other-label cluster the box gaps
+        leave open, or None at the first that the union is not separable
+        from. A w stored for a parent and c clears the tolerance in the
+        frame of the union and c when (bottom - top) / unit / 2 does, all
+        in xs's scale, with top taken over the other parent's points too;
+        below a normal unit there, xs's subnormal rounding could outweigh
+        the margin, so such a check is left to ``_direction``."""
+        others = (live & (label != label[cid])).nonzero()[0]
+        margin, center, unit = _frames(lo[:, cid:cid + 1], hi[:, cid:cid + 1],
+                                       lo.take(others, axis=1), hi.take(others, axis=1))
+        pending = (margin <= SEPARABILITY_TOLERANCE).nonzero()[0]
+        if not pending.size:  # the box gaps settled them all, as for most candidates
+            return {}
+        parents = {ia: xs[list(members[ia])], ib: xs[list(members[ib])]}
         found = {}
         for j in pending[np.argsort(margin[pending], kind="stable")]:
-            c = int(others[j])
-            stored = [known[i][c] for i in (ia, ib) if c in known[i]]
-            w = _direction(union, x[list(members[c])], center[j], unit[j], stored)
-            if w is None:
-                return None
-            found[c] = w
+            c, scale = int(others[j]), math.ldexp(unit[j], -shift)
+            for i, other in (ia, ib), (ib, ia):
+                if c in known[i] and scale >= sys.float_info.min:
+                    w, top, bottom = known[i][c]
+                    top = max(top, float((parents[other] @ w).max()))
+                    if (bottom - top) / scale / 2 > SEPARABILITY_TOLERANCE:
+                        break
+            else:
+                w = _direction(union, x[list(members[c])], center[:, j], unit[j])
+                if w is None:
+                    return None
+                top = max(float((parents[ia] @ w).max()), float((parents[ib] @ w).max()))
+                bottom = float((xs[list(members[c])] @ w).min())
+            found[c] = w, top, bottom
         return found
 
     # candidate pairs (dist, ia, ib), ia < ib: each has one owner, the lower
@@ -335,7 +409,7 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
         push_next(owner)
 
     for ia in range(n):
-        enqueue(ia, ia + 1 + np.flatnonzero(label[ia + 1:n] == label[ia]))
+        enqueue(ia, ia + 1 + (label[ia + 1:n] == label[ia]).nonzero()[0])
     log: list[MergeRecord] = []
     cid = n
 
@@ -348,8 +422,8 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
             continue
         merged = tuple(sorted(members[ia] + members[ib]))
         union = x[list(merged)]
-        # the candidate takes the next id's row
-        lo[cid], hi[cid] = np.minimum(lo[ia], lo[ib]), np.maximum(hi[ia], hi[ib])
+        # the candidate takes the next id's slots
+        lo[:, cid], hi[:, cid] = np.minimum(lo[:, ia], lo[:, ib]), np.maximum(hi[:, ia], hi[:, ib])
         label[cid] = label[ia]
         found = union_directions(ia, ib, cid, union)
         if found is None:
@@ -364,17 +438,22 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
         # only pairs of live clusters are ever read again, and a pair that
         # contains a rejected pair is rejected too
         for i in (ia, ib):
-            for c, w in known[i].items():
+            for c, fact in known[i].items():
                 del known[c][i]
-                if w is None:
+                if fact is None:
                     found[c] = None
             known[i] = {}
         known.append(found)
-        for c, w in found.items():
-            known[c][cid] = None if w is None else -w
+        for c, fact in found.items():
+            if fact is None:
+                known[c][cid] = None
+            else:
+                w, top, bottom = fact
+                known[c][cid] = -w, -bottom, -top
         # of found's keys, those of cid's label are the rejected partners
-        partners = np.flatnonzero(live & (label == label[cid]))
-        enqueue(cid, partners[(partners != cid) & ~np.isin(partners, list(found))])
+        partners = live & (label == label[cid])
+        partners[[cid, *found]] = False
+        enqueue(cid, partners.nonzero()[0])
         cid += 1
 
     order = sorted(np.flatnonzero(live).tolist(), key=lambda c: members[c][0])

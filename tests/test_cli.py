@@ -886,6 +886,28 @@ class TestProbe:
         assert data["cluster_count"] == 3
         assert data["mean_accuracy"] == 1.0
 
+    def test_a_singular_basis_is_an_internal_error(self, tmp_path, monkeypatch, capsys):
+        # the points (2, 3), (3, 0) labeled yes and (0, 3), (2, 1) labeled
+        # no: neither a box gap nor a centroid gap settles one of the
+        # merges, so the LP runs; numpy's LinAlgError is a ValueError,
+        # which would blame the input
+        reps = {k: np.array([v]) for k, v in zip("abcd", (0.0, 1.0, 2.0, 3.0))}
+        pairs = [("c", "d", "yes"), ("d", "a", "yes"), ("a", "d", "no"), ("c", "b", "no")]
+        data_dir = tmp_path / "four"
+        write_pair_dataset(reps, pairs, data_dir)
+
+        def singular(block):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        rc = cli.main(["probe", "--train", str(data_dir), "--eval", str(data_dir),
+                       "--task", "siblings", "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "spectrobe: internal error: RuntimeError('separability program "
+            "failed: Singular matrix')\n")
+        assert not (tmp_path / "r.json").exists()
+
     def test_label_rules_are_enforced(self, tmp_path, capsys):
         reps = {"a": np.array([0.0]), "b": np.array([1.0])}
         pairs = [("a", "b", "nope")]

@@ -9,6 +9,7 @@ the same merge log and clusters, bit for bit. ``separable`` itself tries
 the centroid direction before its LP, so its verdicts are checked against
 a max-margin LP written out here.
 """
+import hashlib
 import heapq
 import itertools
 from types import SimpleNamespace
@@ -154,6 +155,51 @@ def test_most_decisions_skip_the_solver(solves):
     assert 0 < len(solves) <= reference_calls / 2
 
 
+def probe_overlap_points(n, d, seed):
+    """The benchmark's probe_overlap recipe at any size: three labels, the
+    second's mean 0.35 in every coordinate, the third's 12 in the first,
+    rounded to float32 as the pair dataset reader rounds them."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.arange(n) % 3)
+    means = np.zeros((3, d))
+    means[1] = 0.35
+    means[2, 0] = 12.0
+    x = means[labels] + rng.normal(size=(n, d))
+    return make_dataset(x.astype(np.float32).astype(np.float64), labels)
+
+
+def sha256_prefix(lines):
+    return hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n, d, seed, merges, clusters, lps", [
+    (300, 8, 0, "cecc9b73e397adcf", "c723e2c925437252", 85),
+    (300, 8, 1, "5d63ec6c45b5c0b3", "0b9d667013dae459", 96),
+    (300, 8, 2, "7a9f73a11d48e4e9", "620dc4c821bd20cf", 104),
+    (1000, 64, 0, "7b1a6f20e7ea4499", "3fa973ac3d920909", 64),
+])
+def test_decisions_are_pinned(solves, n, d, seed, merges, clusters, lps):
+    # the merge sequence, the clusters and the LP count: a change to the
+    # solver's pivots or to the merge bookkeeping that moves one decision
+    # moves them; distances are left out, so the pins hold under any BLAS
+    # kernel's rounding
+    result = run_directprobe(probe_overlap_points(n, d, seed))
+    assert sha256_prefix(f"{m.cluster_a} {m.cluster_b}" for m in result.merge_log) == merges
+    assert sha256_prefix(f"{c.label} {' '.join(map(str, c.member_indices))}"
+                         for c in result.clusters) == clusters
+    assert len(solves) == lps
+
+
+def test_a_wrong_inseparable_verdict_is_refused(monkeypatch):
+    # two parallel segments along (1, -1), one above the other: their boxes
+    # touch and the centroid gap (0, 1) has margin 0, so the LP decides; a
+    # solver that reports t* = 0 for them is caught by its own hull weights
+    solve = probe._max_margin
+    monkeypatch.setattr(probe, "_max_margin", lambda za, zb: (0.0, *solve(za, zb)[1:]))
+    with pytest.raises(RuntimeError, match="hull weights miss its margin"):
+        separable([[2.0, 1.0], [3.0, 0.0]], [[2.0, 2.0], [3.0, 1.0]])
+
+
 def test_tied_distances_merge_in_the_order_of_the_full_heap():
     # a 2-D lattice with repeated rows, labeled by side with three flips:
     # many centroid distances tie exactly, so cluster ids decide which
@@ -234,17 +280,19 @@ def max_margin_separable(a, b):
 
 
 def assert_solver_matches_highs(a, b):
-    """The probe's solver gives HiGHS's margin t* within 1e-9, and its w
-    is in [-1, 1]^d and attains t*; returns t*."""
+    """The probe's solver gives HiGHS's margin t* within 1e-9, its w is in
+    [-1, 1]^d and attains t*, and its hull weights bound t* within 1e-9;
+    returns t*."""
     frame = joint_frame(a, b)
     if frame is None:
         return 0.0
     za, zb = frame
-    t, w = probe._max_margin(za, zb)
+    t, w, on_a, on_b = probe._max_margin(za, zb)
     expected = highs_margin(za, zb)
     assert abs(t - expected) <= 1e-9, (t, expected)
     assert np.abs(w).max() <= 1 + 1e-9
     assert (np.min(zb @ w) - np.max(za @ w)) / 2 >= t - 1e-9
+    assert abs(probe._hull_gap(za, zb, on_a, on_b) - t) <= 1e-9
     return t
 
 
