@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -35,10 +34,6 @@ class LabeledPoint:
         object.__setattr__(self, "vector", as_vector(self.vector, "vector"))
         if not isinstance(self.label, str) or not self.label:
             raise ValueError("label must be a nonempty string")
-
-    @property
-    def dimension(self) -> int:
-        return int(self.vector.size)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -119,6 +114,15 @@ def _as_point_matrix(points, name: str) -> FloatArray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains a non-finite value")
     return arr
+
+
+def _scaled(x):
+    """(x / 2^shift, shift), the least shift keeping each |x.w| with w in
+    [-1, 1]^d below 1: no projection or squared distance overflows, and
+    outside the subnormals no sum, mean, difference, product or sqrt
+    moves a bit."""
+    shift = int(np.frexp(np.abs(x).max())[1]) + x.shape[1].bit_length()
+    return np.ldexp(x, -shift), shift
 
 
 def _frames(lo_a, hi_a, lo_b, hi_b):
@@ -206,15 +210,25 @@ def _max_margin(za, zb):
     enters and the largest tied pivot leaves, until more degenerate
     pivots in a row than there are rows turn it to Bland's rule; the
     basis inverse is rebuilt before optimality is declared.
+
+    A coordinate whose span in the frame is below 2^-8 has its row divided
+    by the power of two f at or above that span, and its two slacks cost
+    f: the same program, whose row multiplier is f w_k, but whose pivots
+    on that row are not left below the pivot tolerance. Those slacks'
+    reduced costs, f (1 -+ w_k), are priced over f, so w stays within the
+    tolerance of [-1, 1]^d. Every other row has f = 1 and keeps its bits.
     """
     (na, d), nb = za.shape, zb.shape[0]
     n = na + nb
     width = n + 2 * d + 1
+    z = np.concatenate([za, zb])
+    span = z.max(0) - z.min(0)
+    f = np.ldexp(1.0, np.where(span < 2.0 ** -8, np.frexp(span)[1], 0))
     # columns: l (na), m (nb), +e_k, -e_k, s; rows: the d coordinates of
-    # sum l.za - sum m.zb + e+ - e-, then sum l - sum m = 0, sum l + sum m - s = 1
+    # (sum l.za - sum m.zb) / f + e+ - e-, then sum l - sum m = 0, sum l + sum m - s = 1
     matrix = np.zeros((d + 2, width))
-    matrix[:d, :na] = za.T
-    matrix[:d, na:n] = -zb.T
+    matrix[:d, :n] = z.T / f[:, None]
+    matrix[:d, na:n] *= -1.0
     matrix[d, :na] = 1.0
     matrix[d, na:n] = -1.0
     matrix[d + 1, :n] = 1.0
@@ -223,13 +237,14 @@ def _max_margin(za, zb):
     matrix[k, n + k] = 1.0
     matrix[k, n + d + k] = -1.0
     cost = np.zeros(width)
-    cost[n:n + 2 * d] = 1.0
+    cost[n:n + d] = cost[n + d:n + 2 * d] = f
     # l = m = 1/2 on a[0] and b[0], the slack of each coordinate's sign: feasible
     basis = np.concatenate(([0, na], n + k + d * (zb[0] < za[0])))
     inverse, exact, stalled = _inverse(matrix[:, basis]), True, 0
     while True:
         y = cost[basis] @ inverse
         reduced = cost - y @ matrix
+        reduced[n:n + 2 * d] /= cost[n:n + 2 * d]
         reduced[basis] = 0.0
         bland = stalled > d + 2
         # the first most negative reduced cost, or under Bland's rule the
@@ -239,7 +254,7 @@ def _max_margin(za, zb):
             if exact:
                 weights = np.zeros(width)
                 weights[basis] = inverse[:, -1]
-                return y[-1], y[:d], weights[:na], weights[na:n]
+                return y[-1], y[:d] / f, weights[:na], weights[na:n]
             inverse, exact = _inverse(matrix[:, basis]), True
             continue
         u = inverse @ matrix[:, j]
@@ -313,6 +328,15 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
     the LP. A direction is stored while both of its clusters are live,
     with its extreme projections on each, so checking it against a union
     takes one product with the points the other parent adds.
+
+    Every step computes on one copy of the points divided by a power of
+    two, the least that keeps each |x.w| with w in [-1, 1]^d below 1;
+    merge distances are given in the points' own units. That scaling
+    moves no bit outside float64's subnormals, so merges, clusters and
+    distances do not depend on a common scale of the vectors. Float64
+    points can still reach the subnormals: a centroid gap below about
+    2^-500 of the largest coordinate squares into them, and a coordinate
+    below about 2^-1000 of it is one. Float32 points never do.
     """
     points = tuple(dataset)
     if not points:
@@ -320,14 +344,12 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
     for i, p in enumerate(points):
         if not isinstance(p, LabeledPoint):
             raise ValueError(f"dataset[{i}] is not a LabeledPoint")
-        if p.dimension != points[0].dimension:
-            raise ValueError(
-                f"dataset[{i}] has dimension {p.dimension}, "
-                f"expected {points[0].dimension}"
-            )
+        if p.vector.size != points[0].vector.size:
+            raise ValueError(f"dataset[{i}] has dimension {p.vector.size}, "
+                             f"expected {points[0].vector.size}")
     n = len(points)
 
-    x = np.stack([p.vector for p in points])
+    x, shift = _scaled(np.stack([p.vector for p in points]))
     # per cluster id, as rows, columns or list items: member indices,
     # centroid, bounding box with its corners halved (``_frames``'
     # half-boxes, one column per id, so that a coordinate max runs along
@@ -339,13 +361,8 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
     codes: dict[str, int] = {}
     label = np.array([codes.setdefault(p.label, len(codes)) for p in points] * 2)
     live = np.arange(2 * n) < n
-    # projections x.w are taken on x scaled by a power of two that keeps
-    # every |x.w| with w in [-1, 1]^d below 1, so none overflows; scaling
-    # by a power of two changes no bits but those of subnormals
-    shift = int(np.frexp(np.abs(x).max())[1]) + x.shape[1].bit_length()
-    xs = np.ldexp(x, -shift)
     # known[i][c], for live i and c: with different labels, a w that puts
-    # cluster i below c, with max(xs_i.w) and min(xs_c.w); with one label,
+    # cluster i below c, with max(x_i.w) and min(x_c.w); with one label,
     # None: the two may never merge
     known: list[dict[int, tuple[FloatArray, float, float] | None]] = [
         {} for _ in range(n)]
@@ -354,32 +371,32 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
         """(w, top, bottom) settling every other-label cluster the box gaps
         leave open, or None at the first that the union is not separable
         from. A w stored for a parent and c clears the tolerance in the
-        frame of the union and c when (bottom - top) / unit / 2 does, all
-        in xs's scale, with top taken over the other parent's points too;
-        below a normal unit there, xs's subnormal rounding could outweigh
-        the margin, so such a check is left to ``_direction``."""
+        frame of the union and c when (bottom - top) / unit / 2 does, with
+        top taken over the other parent's points too; below a normal unit,
+        subnormal rounding could outweigh the margin, so such a check is
+        left to ``_direction``."""
         others = (live & (label != label[cid])).nonzero()[0]
         margin, center, unit = _frames(lo[:, cid:cid + 1], hi[:, cid:cid + 1],
                                        lo.take(others, axis=1), hi.take(others, axis=1))
         pending = (margin <= SEPARABILITY_TOLERANCE).nonzero()[0]
         if not pending.size:  # the box gaps settled them all, as for most candidates
             return {}
-        parents = {ia: xs[list(members[ia])], ib: xs[list(members[ib])]}
+        parents = {ia: x[list(members[ia])], ib: x[list(members[ib])]}
         found = {}
         for j in pending[np.argsort(margin[pending], kind="stable")]:
-            c, scale = int(others[j]), math.ldexp(unit[j], -shift)
+            c = int(others[j])
             for i, other in (ia, ib), (ib, ia):
-                if c in known[i] and scale >= sys.float_info.min:
+                if c in known[i] and unit[j] >= sys.float_info.min:
                     w, top, bottom = known[i][c]
                     top = max(top, float((parents[other] @ w).max()))
-                    if (bottom - top) / scale / 2 > SEPARABILITY_TOLERANCE:
+                    if (bottom - top) / unit[j] / 2 > SEPARABILITY_TOLERANCE:
                         break
             else:
                 w = _direction(union, x[list(members[c])], center[:, j], unit[j])
                 if w is None:
                     return None
                 top = max(float((parents[ia] @ w).max()), float((parents[ib] @ w).max()))
-                bottom = float((xs[list(members[c])] @ w).min())
+                bottom = float((x[list(members[c])] @ w).min())
             found[c] = w, top, bottom
         return found
 
@@ -410,7 +427,7 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
 
     for ia in range(n):
         enqueue(ia, ia + 1 + (label[ia + 1:n] == label[ia]).nonzero()[0])
-    log: list[MergeRecord] = []
+    log: list[tuple[int, int, float]] = []
     cid = n
 
     while heap:
@@ -434,7 +451,7 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
         centroid[cid] = union.mean(axis=0)
         live[[ia, ib, cid]] = False, False, True
         queues[ia] = queues[ib] = None
-        log.append(MergeRecord(ia, ib, dist))
+        log.append((ia, ib, dist))
         # only pairs of live clusters are ever read again, and a pair that
         # contains a rejected pair is rejected too
         for i in (ia, ib):
@@ -458,7 +475,9 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
 
     order = sorted(np.flatnonzero(live).tolist(), key=lambda c: members[c][0])
     clusters = tuple(Cluster(members[c], points[members[c][0]].label) for c in order)
-    return ProbeResult(points, clusters, tuple(log), converged=True)
+    with np.errstate(over="ignore"):  # in the points' units: inf past float64's range
+        merges = tuple(MergeRecord(a, b, float(np.ldexp(dist, shift))) for a, b, dist in log)
+    return ProbeResult(points, clusters, merges, converged=True)
 
 
 def _nearest_labels(result: ProbeResult, queries) -> list[str]:
@@ -471,15 +490,16 @@ def _nearest_labels(result: ProbeResult, queries) -> list[str]:
         raise ValueError("result has no clusters")
     sizes = [len(c.member_indices) for c in result.clusters]
     owner = np.repeat(np.arange(len(sizes)), sizes)
-    x = np.stack([result.points[i].vector
-                  for c in result.clusters for i in c.member_indices])
+    x, shift = _scaled(np.stack([result.points[i].vector
+                                 for c in result.clusters for i in c.member_indices]))
     labels = []
-    for query in queries:
-        q = as_vector(query, "query")
-        if q.size != x.shape[1]:
-            raise ValueError(f"query must be a vector of dimension {x.shape[1]}")
-        nearest = owner[np.argmin(np.linalg.norm(x - q, axis=1))]
-        labels.append(result.clusters[nearest].label)
+    with np.errstate(over="ignore"):  # an overflow ties all points, as unscaled rounding does
+        for query in queries:
+            q = as_vector(query, "query")
+            if q.size != x.shape[1]:
+                raise ValueError(f"query must be a vector of dimension {x.shape[1]}")
+            nearest = owner[np.argmin(np.linalg.norm(x - np.ldexp(q, -shift), axis=1))]
+            labels.append(result.clusters[nearest].label)
     return labels
 
 
@@ -493,7 +513,13 @@ def predict(result: ProbeResult, query) -> str:
 
 
 def evaluate(result: ProbeResult, heldout: Sequence[LabeledPoint]) -> EvalResult:
-    """Nearest-cluster accuracy per label plus the unweighted label mean."""
+    """Nearest-cluster accuracy per label plus the unweighted label mean.
+
+    Distances are taken with the training points and each query divided
+    by one power of two, ``run_directprobe``'s scale rule, so accuracy does
+    not depend on a common scale of the vectors, within the same float64
+    range.
+    """
     heldout = tuple(heldout)
     if not heldout:
         raise ValueError("held-out set is empty")

@@ -908,6 +908,45 @@ class TestProbe:
             "failed: Singular matrix')\n")
         assert not (tmp_path / "r.json").exists()
 
+    def test_an_uncertified_direction_is_an_internal_error(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # the dataset of test_a_singular_basis_is_an_internal_error, whose
+        # merges reach the LP, and a solver that claims a margin with w = 0
+        reps = {k: np.array([v]) for k, v in zip("abcd", (0.0, 1.0, 2.0, 3.0))}
+        pairs = [("c", "d", "yes"), ("d", "a", "yes"), ("a", "d", "no"), ("c", "b", "no")]
+        data_dir = tmp_path / "four"
+        write_pair_dataset(reps, pairs, data_dir)
+        monkeypatch.setattr(spectrobe.probe, "_max_margin", lambda za, zb: (
+            1.0, np.zeros(za.shape[1]), np.ones(len(za)), np.ones(len(zb))))
+        rc = cli.main(["probe", "--train", str(data_dir), "--eval", str(data_dir),
+                       "--task", "siblings", "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "spectrobe: internal error: RuntimeError('separability program "
+            "failed: its w misses its margin 1.0')\n")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_coordinates_of_far_apart_scales_are_probed(self, tmp_path):
+        # float32 coordinates scaled by 2^-40..1 each: rows of the solver's
+        # frame far below its pivot tolerance once ended it on an infeasible
+        # basis, and the run exited 2
+        rng = np.random.default_rng(1220)
+        n, d = rng.integers(4, 40), rng.integers(2, 8)
+        x = (rng.normal(size=(n, d)) * 2.0 ** rng.integers(-40, 1, d)).astype(np.float32)
+        labels = rng.integers(0, 2, n)
+        reps = {f"t{i}": row for i, row in enumerate(x)}
+        reps["z"] = np.zeros(d, np.float32)
+        data_dir = tmp_path / "scaled"
+        write_pair_dataset(reps, [(f"t{i}", "z", "ab"[k]) for i, k in enumerate(labels)],
+                           data_dir)
+        out = tmp_path / "probe.json"
+        rc = cli.main(["probe", "--train", str(data_dir), "--eval", str(data_dir),
+                       "--task", "siblings", "--out", str(out)])
+        assert rc == 0
+        data = json.loads(out.read_text())
+        assert data["train_points"] == n
+        assert data["mean_accuracy"] == 1.0
+
     def test_label_rules_are_enforced(self, tmp_path, capsys):
         reps = {"a": np.array([0.0]), "b": np.array([1.0])}
         pairs = [("a", "b", "nope")]

@@ -178,6 +178,12 @@ class TestRunDirectprobe:
             assert np.sqrt(np.vecdot(diff, diff)).tolist() == [
                 float(np.linalg.norm(row)) for row in diff], f"anchor {anchor}"
 
+    def test_a_distance_past_the_float64_range_is_inf(self):
+        # the points' gap of 3e308 overflows float64; computed on the
+        # scaled points it does not, and the log gives it as inf
+        result = run_directprobe([lp([-1.5e308], "a"), lp([1.5e308], "a")])
+        assert [m.distance for m in result.merge_log] == [np.inf]
+
     def test_validation(self):
         with pytest.raises(ValueError, match="empty"):
             run_directprobe([])
@@ -206,6 +212,14 @@ class TestPredictEvaluate:
         assert predict(result, np.array([4.0])) == "a"
         outcome = evaluate(result, [lp([4.0], "a")])
         assert outcome.per_label == {"a": 1.0}
+
+    def test_a_query_far_past_the_points_scale_ties_them_all(self):
+        # scaled by the points' power of two, these queries overflow;
+        # unscaled, the distances to both points round to 1e10, a tie,
+        # which goes to the earlier cluster either way
+        result = run_directprobe([lp([1e-300], "a"), lp([-1e-300], "b")])
+        assert predict(result, np.array([1e10])) == "a"
+        assert predict(result, np.array([-1e10])) == "a"
 
     def test_query_validation(self):
         result = run_directprobe([lp([0.0, 0.0], "a")])

@@ -19,7 +19,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from spectrobe import LabeledPoint, probe, run_directprobe, separable
+from spectrobe import LabeledPoint, evaluate, probe, run_directprobe, separable
 from spectrobe.probe import SEPARABILITY_TOLERANCE, Cluster, MergeRecord
 
 
@@ -190,6 +190,24 @@ def test_decisions_are_pinned(solves, n, d, seed, merges, clusters, lps):
     assert len(solves) == lps
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
+def test_merges_and_accuracy_ignore_the_points_scale(scale):
+    # squared centroid gaps of points near 1e-170 underflow and those of
+    # points near 1e170 overflow unless the points are scaled first
+    train, heldout = probe_overlap_points(150, 8, 0), probe_overlap_points(150, 8, 1)
+    base = run_directprobe(train)
+    scaled = run_directprobe([LabeledPoint(p.vector * scale, p.label) for p in train])
+    assert [(m.cluster_a, m.cluster_b) for m in scaled.merge_log] == [
+        (m.cluster_a, m.cluster_b) for m in base.merge_log]
+    assert [m.distance for m in scaled.merge_log] == pytest.approx(
+        [m.distance * scale for m in base.merge_log], rel=1e-12)
+    assert outcome(scaled)[1] == outcome(base)[1]
+    accuracy = evaluate(base, heldout)
+    assert evaluate(scaled, [LabeledPoint(p.vector * scale, p.label)
+                             for p in heldout]) == accuracy
+    assert accuracy.mean_accuracy > 0.5
+
+
 def test_a_wrong_inseparable_verdict_is_refused(monkeypatch):
     # two parallel segments along (1, -1), one above the other: their boxes
     # touch and the centroid gap (0, 1) has margin 0, so the LP decides; a
@@ -197,6 +215,22 @@ def test_a_wrong_inseparable_verdict_is_refused(monkeypatch):
     solve = probe._max_margin
     monkeypatch.setattr(probe, "_max_margin", lambda za, zb: (0.0, *solve(za, zb)[1:]))
     with pytest.raises(RuntimeError, match="hull weights miss its margin"):
+        separable([[2.0, 1.0], [3.0, 0.0]], [[2.0, 2.0], [3.0, 1.0]])
+
+
+@pytest.mark.parametrize("answer, fault", [
+    (lambda za, zb, solve: (1.0, np.zeros(za.shape[1]), *solve(za, zb)[2:]),
+     "its w misses its margin 1.0"),
+    (lambda za, zb, solve: (0.0, solve(za, zb)[1], np.zeros(len(za)), np.zeros(len(zb))),
+     "its hull weights miss its margin 0.0"),
+], ids=["zero-w", "no-hull-weights"])
+def test_an_uncertified_answer_is_refused(monkeypatch, answer, fault):
+    # the segments of test_a_wrong_inseparable_verdict_is_refused reach the
+    # LP: a separable verdict whose w is zero, and an inseparable one with
+    # no hull weight on either side, fail their certificates
+    solve = probe._max_margin
+    monkeypatch.setattr(probe, "_max_margin", lambda za, zb: answer(za, zb, solve))
+    with pytest.raises(RuntimeError, match=fault):
         separable([[2.0, 1.0], [3.0, 0.0]], [[2.0, 2.0], [3.0, 1.0]])
 
 
@@ -342,6 +376,56 @@ def test_separable_agrees_with_the_max_margin_lp(data):
         for k in (2, 4, None):
             a, b = x[labels == ka][:k], x[labels == kb][:k]
             assert separable(a, b) == max_margin_separable(a, b), (ka, kb, k)
+
+
+def coordinate_maps(rng, d):
+    """A permutation of d coordinates, a sign per coordinate and a
+    power-of-two scale per coordinate in 2^-40..1, drawn in that order."""
+    return rng.permutation(d), rng.choice([-1.0, 1.0], d), 2.0 ** rng.integers(-40, 1, d)
+
+
+def label_pairs(x, labels):
+    """The first 2, the first 4 and all points of each pair of labels."""
+    for ka, kb in itertools.combinations(np.unique(labels), 2):
+        for k in (2, 4, None):
+            yield x[labels == ka][:k], x[labels == kb][:k]
+
+
+@settings(max_examples=40)
+@given(datasets(), st.integers(0, 2**32 - 1))
+def test_separable_ignores_coordinate_order_signs_and_set_order(data, seed):
+    # the joint box frame and [-1, 1]^d map onto themselves under all three
+    x, labels = data
+    order, signs, _ = coordinate_maps(np.random.default_rng(seed), x.shape[1])
+    for a, b in label_pairs(x, labels):
+        verdict = separable(a, b)
+        assert separable(a[:, order], b[:, order]) == verdict
+        assert separable(a * signs, b * signs) == verdict
+        assert separable(b, a) == verdict
+
+
+@settings(max_examples=40)
+@given(datasets(), st.integers(0, 2**32 - 1))
+def test_separable_holds_under_per_coordinate_scales(data, seed):
+    # coordinates whose spans differ by up to 2^40 leave frame rows far
+    # below the pivot tolerance; the verdict must still be the LP's
+    x, labels = data
+    _, _, scales = coordinate_maps(np.random.default_rng(seed), x.shape[1])
+    for a, b in label_pairs(x * scales, labels):
+        assert separable(a, b) == max_margin_separable(a, b)
+
+
+def test_separable_holds_on_a_lattice_with_per_coordinate_scales():
+    # a seeded case the derandomized draws may miss: frame rows of span
+    # 2^-13 and 2^-30 beside rows of span 2, on which the solver once
+    # ended with hull weights that missed its margin
+    rng = np.random.default_rng(115)
+    n, d = rng.integers(2, 40), rng.integers(1, 8)
+    x = rng.integers(-2, 3, (n, d)).astype(np.float64)
+    labels = rng.integers(0, 2, n)
+    _, _, scales = coordinate_maps(rng, d)
+    a, b = x[labels == 0] * scales, x[labels == 1] * scales
+    assert separable(a, b) == max_margin_separable(a, b)
 
 
 def test_a_centroid_gap_settles_overlapping_boxes_without_the_solver(solves):
