@@ -33,7 +33,7 @@ from .analysis import (
 )
 from .config import RunConfig, config_from_mapping, finite_float, located, quoted
 from .kernels import S4DParams
-from .probe import BuiltPairs, EvalResult, ProbeResult, _checked_representations
+from .probe import BuiltPairs, EvalResult, ProbeResult, representation_matrix
 from .spectral import DIRECTIONS, Direction
 
 _PAYLOAD_DTYPE = "<f4"
@@ -289,7 +289,7 @@ def read_bundle(path) -> KernelBundle:
 def _check_token_id(token_id, where) -> str:
     if not isinstance(token_id, str) or not token_id:
         raise FormatError(f"{where}: token ids must be nonempty strings")
-    if any(ch.isspace() for ch in token_id):
+    if token_id.split() != [token_id]:  # str.split breaks where str.isspace is true
         raise FormatError(f"{where}: token id {quoted(token_id)} contains whitespace")
     return token_id
 
@@ -316,8 +316,8 @@ def write_pair_dataset(
     for token_id in representations:
         _check_token_id(token_id, root)
         _check_encodable(f"{root}: token id", token_id)
-    vectors = _checked_representations(representations)
-    if not vectors:
+    matrix = representation_matrix(representations)
+    if not len(matrix):
         raise ValueError("dataset needs at least one representation")
     lines = []
     for i, (id_i, id_j, label) in enumerate(pairs):
@@ -332,9 +332,8 @@ def write_pair_dataset(
                                  "with no surrounding whitespace")
             _check_encodable("label", label)
         lines.append(f"{id_i} {id_j} {label}\n")
-    ids = list(vectors)
-    matrix = _float32(np.stack(list(vectors.values())),
-                      lambda row: f"representation {quoted(ids[row])}")
+    ids = list(representations)
+    matrix = _float32(matrix, lambda row: f"representation {quoted(ids[row])}")
     manifest = {"count": len(ids), "dimension": matrix.shape[1], "token_ids": ids}
     files = {
         "vectors.f32": matrix.tobytes(),
@@ -370,7 +369,7 @@ def read_pair_dataset(path) -> tuple[dict[str, np.ndarray], list[tuple[str, str,
     _check_payload(vpath, count * dim, vpath)
     matrix = _read_payload(vpath, np.empty((count, dim), _PAYLOAD_DTYPE))
     _check_finite(matrix, [vpath])
-    representations = {token_id: matrix[i] for i, token_id in enumerate(ids)}
+    representations = dict(zip(ids, matrix))
     ppath = root / "pairs.txt"
     if not ppath.is_file():
         raise FormatError(f"{ppath}: missing pair list")

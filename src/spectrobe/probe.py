@@ -17,7 +17,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .config import located, quoted
+from .config import quoted
 from .spectral import FloatArray, as_vector
 
 SEPARABILITY_TOLERANCE = 1e-6
@@ -34,6 +34,15 @@ class LabeledPoint:
         object.__setattr__(self, "vector", as_vector(self.vector, "vector"))
         if not isinstance(self.label, str) or not self.label:
             raise ValueError("label must be a nonempty string")
+
+
+def _checked_point(vector: FloatArray, label: str) -> LabeledPoint:
+    """A LabeledPoint of a read-only, finite 1-D float64 vector and a
+    nonempty str label, as they are: no copy."""
+    point = object.__new__(LabeledPoint)
+    object.__setattr__(point, "vector", vector)
+    object.__setattr__(point, "label", label)
+    return point
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -114,6 +123,22 @@ def _as_point_matrix(points, name: str) -> FloatArray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains a non-finite value")
     return arr
+
+
+def _matrix(rows: list, size: int = 0) -> FloatArray | None:
+    """The rows as one float64 matrix, widened before any arithmetic as by
+    ``as_vector``, if they are real, finite, nonempty 1-D arrays of one
+    size (``size``, if given); else None."""
+    try:
+        matrix = np.array(rows)
+    except (TypeError, ValueError):  # ragged
+        return None
+    if (matrix.dtype.kind in "biuf" and matrix.ndim == 2 and matrix.shape[1]
+            and size in (0, matrix.shape[1])):
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if np.isfinite(matrix).all():
+            return matrix
+    return None
 
 
 def _scaled(x):
@@ -200,6 +225,15 @@ def _inverse(block):
         raise RuntimeError(f"separability program failed: {err}") from None
 
 
+def _row_scales(z):
+    """Per coordinate of the rows z, the least power of two f at or above
+    its span if that span is below 2^-8, else 1."""
+    span = z.max(0) - z.min(0)
+    if span.min() >= 2.0 ** -8:  # as for every LP of well-spread points
+        return np.ones(z.shape[1])
+    return np.ldexp(1.0, np.where(span < 2.0 ** -8, np.frexp(span)[1], 0))
+
+
 def _max_margin(za, zb):
     """(t*, w, on_a, on_b): the largest t with z.w <= b0 - t on za,
     z.w >= b0 + t on zb, w in [-1, 1]^d, an optimal w, and the weights of
@@ -222,8 +256,8 @@ def _max_margin(za, zb):
     n = na + nb
     width = n + 2 * d + 1
     z = np.concatenate([za, zb])
-    span = z.max(0) - z.min(0)
-    f = np.ldexp(1.0, np.where(span < 2.0 ** -8, np.frexp(span)[1], 0))
+    f = _row_scales(z)
+    scaled = f.min() < 1.0
     # columns: l (na), m (nb), +e_k, -e_k, s; rows: the d coordinates of
     # (sum l.za - sum m.zb) / f + e+ - e-, then sum l - sum m = 0, sum l + sum m - s = 1
     matrix = np.zeros((d + 2, width))
@@ -244,7 +278,8 @@ def _max_margin(za, zb):
     while True:
         y = cost[basis] @ inverse
         reduced = cost - y @ matrix
-        reduced[n:n + 2 * d] /= cost[n:n + 2 * d]
+        if scaled:  # else a division by 1
+            reduced[n:n + 2 * d] /= cost[n:n + 2 * d]
         reduced[basis] = 0.0
         bland = stalled > d + 2
         # the first most negative reduced cost, or under Bland's rule the
@@ -485,6 +520,15 @@ def _nearest_labels(result: ProbeResult, queries) -> list[str]:
 
     Points are stacked cluster by cluster: the nearest cluster holds the
     nearest point, and argmin's first minimum has the lowest cluster index.
+    Each block of queries q gets every squared distance to the points x
+    from one product, e = |x|^2 + |q|^2 - 2 q.x. In any order of sums,
+    fused or not, e and the square of the exact ``norm(x - q)`` each lie
+    within 1.01 (d + 4) u (|x| + |q|)^2 + (3d + 1) 2^-1074 of |x - q|^2,
+    u = 2^-53. The limit, the least e plus (d + 4) (2^-49 (max |x|^2 +
+    |q|^2) + 2^-1070), clears the least e by more than twice that, so a
+    point past it is farther than the point of the least e; only the
+    points within it get the exact norm. A query whose least e is not
+    finite, being past float64's range, gets it for every point.
     """
     if not result.clusters:
         raise ValueError("result has no clusters")
@@ -492,22 +536,39 @@ def _nearest_labels(result: ProbeResult, queries) -> list[str]:
     owner = np.repeat(np.arange(len(sizes)), sizes)
     x, shift = _scaled(np.stack([result.points[i].vector
                                  for c in result.clusters for i in c.member_indices]))
-    labels = []
-    with np.errstate(over="ignore"):  # an overflow ties all points, as unscaled rounding does
-        for query in queries:
-            q = as_vector(query, "query")
-            if q.size != x.shape[1]:
-                raise ValueError(f"query must be a vector of dimension {x.shape[1]}")
-            nearest = owner[np.argmin(np.linalg.norm(x - np.ldexp(q, -shift), axis=1))]
-            labels.append(result.clusters[nearest].label)
-    return labels
+    d = x.shape[1]
+    queries = list(queries)
+    if (q := _matrix(queries, d)) is None:  # walk them in order for the first fault's message
+        q = np.empty((len(queries), d))
+        for k, query in enumerate(queries):
+            if (vector := as_vector(query, "query")).size != d:
+                raise ValueError(f"query must be a vector of dimension {d}")
+            q[k] = vector
+    xx, picks = np.vecdot(x, x), []
+    # an overflow ties all points, as unscaled rounding does; a query past
+    # the float64 range makes a not-a-number estimate
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.ldexp(q, -shift)
+        for block in np.split(q, range(64, len(q), 64)):  # 512 bytes of e per point
+            qq = np.vecdot(block, block)
+            e = xx + qq[:, None] - 2.0 * (block @ x.T)
+            limit = e.min(axis=1) + (d + 4) * (2.0 ** -49 * (xx.max() + qq) + 2.0 ** -1070)
+            near = (e <= limit[:, None]) | ~np.isfinite(limit)[:, None]
+            picks.append(pick := near.argmax(axis=1))
+            for k in (near.sum(axis=1) > 1).nonzero()[0]:
+                rows = near[k].nonzero()[0]
+                pick[k] = rows[np.argmin(np.linalg.norm(x[rows] - block[k], axis=1))]
+    return [result.clusters[c].label for c in owner[np.concatenate(picks)].tolist()]
 
 
 def predict(result: ProbeResult, query) -> str:
     """Label of the cluster nearest to the query.
 
     Distance to a cluster is the minimum Euclidean distance to any of its
-    member points; ties go to the lower-indexed cluster.
+    member points; ties go to the lower-indexed cluster. As in
+    ``evaluate``, exact norms decide among the points whose estimate from
+    one product is within (d + 4) (2^-49 (max |x|^2 + |q|^2) + 2^-1070)
+    of the least.
     """
     return _nearest_labels(result, [query])[0]
 
@@ -518,7 +579,12 @@ def evaluate(result: ProbeResult, heldout: Sequence[LabeledPoint]) -> EvalResult
     Distances are taken with the training points and each query divided
     by one power of two, ``run_directprobe``'s scale rule, so accuracy does
     not depend on a common scale of the vectors, within the same float64
-    range.
+    range. In those units, one product per block of 64 queries q
+    estimates their squared distances e to the points x; only the points
+    whose e is within (d + 4) (2^-49 (max |x|^2 + |q|^2) + 2^-1070) of the
+    least, more than twice the product's and the norm's rounding, get the
+    exact norm. So the label is the one exact norms to every point give,
+    ties to the lower-indexed cluster included, whatever the BLAS or CPU.
     """
     heldout = tuple(heldout)
     if not heldout:
@@ -534,17 +600,20 @@ def evaluate(result: ProbeResult, heldout: Sequence[LabeledPoint]) -> EvalResult
     return EvalResult(per_label=per_label, mean_accuracy=mean, unknown_labels=unknown)
 
 
-def _checked_representations(representations) -> dict[str, FloatArray]:
-    """Token id -> float64 vector, each nonempty, finite, 1-D and of one size."""
-    vectors: dict[str, FloatArray] = {}
-    dim = 0
-    for token_id, rep in representations.items():
-        what = f"representation {quoted(token_id)}"
-        arr = vectors[token_id] = as_vector(rep, what)
-        dim = dim or arr.size
-        if arr.size != dim:
-            raise ValueError(f"{what} has dimension {arr.size}, expected {dim}")
-    return vectors
+def representation_matrix(representations: Mapping[str, "np.ndarray"]) -> FloatArray:
+    """The representations as the rows of one float64 matrix, in their
+    order: each real, nonempty, finite, 1-D and of one size. A fault names
+    the first representation that has it."""
+    matrix = _matrix(list(representations.values()))
+    if matrix is None:  # walk them in order for the first fault's message
+        vectors: list[FloatArray] = []
+        for token_id, rep in representations.items():
+            what = f"representation {quoted(token_id)}"
+            vectors.append(arr := as_vector(rep, what))
+            if arr.size != vectors[0].size:
+                raise ValueError(f"{what} has dimension {arr.size}, expected {vectors[0].size}")
+        matrix = np.stack(vectors) if vectors else np.empty((0, 0))
+    return matrix
 
 
 _MAX_DISTINCT_LABELS = {PairTask.SIBLINGS: 2, PairTask.DFG_EDGE: 3}
@@ -566,14 +635,17 @@ def build_pairs(
     label count at 2 and 3 respectively. A fault in a pair names it:
     ``pairs[<i>]: <message>``.
     """
-    vectors = _checked_representations(representations)
-    points: list[LabeledPoint] = []
+    matrix = representation_matrix(representations)
+    row = {token_id: i for i, token_id in enumerate(representations)}
+    kept, labels = [], []  # (pair index, row of id_i, row of id_j), label
     skipped = 0
     seen_labels: set[str] = set()
+    fault = None
     for i, (id_i, id_j, label) in enumerate(pairs):
-        with located(f"pairs[{i}]"):
+        # not located(): once per pair, and a context costs more than the checks
+        try:
             for token_id in (id_i, id_j):
-                if token_id not in vectors:
+                if token_id not in row:
                     raise ValueError(f"unknown token id {quoted(token_id)}")
             if task is PairTask.DISTANCE:
                 # ASCII digits only: int() also takes "1_0", "+3" and other scripts' digits
@@ -592,9 +664,7 @@ def build_pairs(
                 if distance > DISTANCE_MAX:
                     skipped += 1
                     continue
-                points.append(
-                    LabeledPoint(vectors[id_i] - vectors[id_j], str(distance))
-                )
+                label = str(distance)
             else:
                 seen_labels.add(label)
                 cap = _MAX_DISTINCT_LABELS[task]
@@ -603,7 +673,26 @@ def build_pairs(
                         f"{task.value} allows at most {cap} distinct labels; "
                         f"got {quoted(sorted(seen_labels))}"
                     )
-                points.append(
-                    LabeledPoint(np.concatenate([vectors[id_i], vectors[id_j]]), label)
-                )
-    return BuiltPairs(tuple(points), skipped)
+                if not isinstance(label, str) or not label:
+                    raise ValueError("label must be a nonempty string")
+        except ValueError as err:  # raised once the points before it are checked
+            fault = ValueError(f"pairs[{i}]: {err}")
+            break
+        kept.append((i, row[id_i], row[id_j]))
+        labels.append(label)
+    # one gather; float32 representations were widened first, so each point
+    # has the bits of a float64 one
+    kept = np.array(kept, dtype=np.intp).reshape(-1, 3)
+    ends = matrix[kept[:, 1:]]
+    if task is PairTask.DISTANCE:
+        vectors = ends[:, 0] - ends[:, 1]
+    else:
+        vectors = ends.reshape(len(ends), 2 * matrix.shape[1])
+    # a difference of float64 representations can pass the float64 range
+    if (bad := np.argwhere(~np.isfinite(vectors))).size:
+        k, index = bad[0]
+        raise ValueError(f"pairs[{kept[k, 0]}]: vector has a non-finite value at index {index}")
+    if fault is not None:
+        raise fault
+    vectors.flags.writeable = False
+    return BuiltPairs(tuple(map(_checked_point, vectors, labels)), skipped)

@@ -87,3 +87,28 @@ def hulls_intersect(set_a, set_b):
         method="highs",
     )
     return bool(res.success)
+
+
+def nearest_labels(result, queries):
+    """The probe's nearest-cluster labels, one exact ``norm`` row per query.
+
+    The training points are stacked cluster by cluster and divided by the
+    probe's power of two, as are the queries; argmin's first minimum picks
+    the point, so a tie goes to the lower-indexed cluster.
+    """
+    from spectrobe.probe import _scaled
+    from spectrobe.spectral import as_vector
+
+    sizes = [len(c.member_indices) for c in result.clusters]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    x, shift = _scaled(np.stack([result.points[i].vector
+                                 for c in result.clusters for i in c.member_indices]))
+    labels = []
+    with np.errstate(over="ignore"):  # an overflow ties all points, as unscaled rounding does
+        for query in queries:
+            q = as_vector(query, "query")
+            if q.size != x.shape[1]:
+                raise ValueError(f"query must be a vector of dimension {x.shape[1]}")
+            nearest = owner[np.argmin(np.linalg.norm(x - np.ldexp(q, -shift), axis=1))]
+            labels.append(result.clusters[nearest].label)
+    return labels

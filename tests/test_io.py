@@ -476,6 +476,23 @@ class TestPairDataset:
         assert str(caught.value) == message.format(root=root)
         assert not root.exists()
 
+    @pytest.mark.parametrize("space", [chr(c) for c in range(sys.maxunicode + 1)
+                                       if chr(c).isspace()], ids=ord)
+    def test_an_id_holding_any_whitespace_is_refused(self, tmp_path, space):
+        token_id = f"t{space}1"
+        root = tmp_path / "d"
+        with pytest.raises(FormatError) as caught:
+            write_pair_dataset({token_id: np.ones(2)}, [], root)
+        assert str(caught.value) == f"{root}: token id {quoted(token_id)} contains whitespace"
+        write_pair_dataset({"t1": np.ones(2)}, [], root)
+        mpath = root / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["token_ids"] = [token_id]
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError) as caught:
+            read_pair_dataset(root)
+        assert str(caught.value) == f"{mpath}: token id {quoted(token_id)} contains whitespace"
+
     def test_manifest_is_written_last(self, tmp_path, monkeypatch):
         written, write = [], spectrobe.io._atomic_write_bytes
 

@@ -11,6 +11,7 @@ from spectrobe import (
     build_pairs,
     evaluate,
     predict,
+    probe,
     run_directprobe,
     separable,
 )
@@ -101,6 +102,19 @@ class TestSeparable:
         # a real cast would drop the imaginary part and only warn
         with pytest.raises(ValueError, match="set_b must be real, got complex values"):
             separable(np.zeros((1, 2)), np.array([[1j, 2.0]]))
+
+    @pytest.mark.parametrize("span", [np.nextafter(2.0 ** -8, 0.0), 3 * 2.0 ** -10, 2.0 ** -40])
+    def test_a_row_spanning_less_than_2_to_the_minus_8_is_scaled(self, span):
+        # the solver divides that coordinate's row by the power of two f at
+        # or above its span; the rows spanning 2 and 2^-8 keep f = 1
+        z = np.array([[-1.0, 0.0, 0.25], [1.0, span, 0.25 + 2.0 ** -8]])
+        f = probe._row_scales(z)
+        assert f[0] == f[2] == 1.0
+        assert span <= f[1] <= 2 * span and np.frexp(f[1])[0] == 0.5
+
+    def test_rows_spanning_2_to_the_minus_8_are_not_scaled(self):
+        z = np.array([[-1.0, 0.5, 0.0], [1.0, 0.5 + 2.0 ** -8, 2.0 ** -8]])
+        assert probe._row_scales(z).tolist() == [1.0, 1.0, 1.0]
 
 
 class TestRunDirectprobe:
@@ -356,7 +370,88 @@ class TestBuildPairs:
                 PairTask.DISTANCE,
             )
 
+    @pytest.mark.parametrize("task, label", [(PairTask.DISTANCE, "3"),
+                                             (PairTask.SIBLINGS, "yes")])
+    def test_points_hold_read_only_float64_rows(self, task, label):
+        reps = {k: v.astype(np.float32) for k, v in self.reps.items()}
+        built = build_pairs(reps, [("t1", "t2", label), ("t2", "t3", label)], task)
+        for point in built.points:
+            assert point.vector.dtype == np.float64 and point.vector.ndim == 1
+            assert not point.vector.flags.writeable
+            assert type(point.label) is str and point.label == label
+        reps["t1"][:] = 99.0  # the points do not share the caller's memory
+        assert 99.0 not in built.points[0].vector
+
+    def test_a_difference_past_the_float64_range_names_its_pair(self):
+        reps = {"a": np.array([1.5e308]), "b": np.array([-1.5e308])}
+        pairs = [("a", "a", "3"), ("a", "b", "4"), ("a", "t9", "5")]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError) as caught:
+                build_pairs(reps, pairs, PairTask.DISTANCE)
+        # named before the unknown id of a later pair: the pairs count in order
+        assert str(caught.value) == "pairs[1]: vector has a non-finite value at index 0"
+
     def test_returns_built_pairs_type(self):
         built = build_pairs(self.reps, [], PairTask.DISTANCE)
         assert isinstance(built, BuiltPairs)
         assert built.points == () and built.skipped == 0
+
+
+OK_REPS = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 5.0])}
+
+
+class TestInputMessages:
+    """The exact message of each input fault of ``build_pairs`` and
+    ``predict``: the first faulty representation, pair or query in input
+    order is the one named."""
+
+    @pytest.mark.parametrize("reps, pairs, task, message", [
+        (OK_REPS, [("a", "b", "2"), ("a", "t9", "2"), ("a", "b", "x")], PairTask.DISTANCE,
+         "pairs[1]: unknown token id 't9'"),
+        (OK_REPS, [("a", "b", "near")], PairTask.DISTANCE,
+         "pairs[0]: label 'near' is not an integer tree distance"),
+        (OK_REPS, [("a", "b", "2"), ("a", "b", "1")], PairTask.DISTANCE,
+         "pairs[1]: tree distance must be >= 2, got 1"),
+        (OK_REPS, [("a", "b", "9" * 5000)], PairTask.DISTANCE,
+         "pairs[0]: label '999999999999999999999999999...9999999999999999999999999999' "
+         "is not an integer tree distance"),
+        (OK_REPS, [("a", "b", "x"), ("a", "b", "y"), ("b", "a", "z")], PairTask.SIBLINGS,
+         "pairs[2]: siblings allows at most 2 distinct labels; got ['x', 'y', 'z']"),
+        (OK_REPS, [("a", "b", "w"), ("a", "b", "x"), ("a", "b", "y"), ("a", "b", "z")],
+         PairTask.DFG_EDGE,
+         "pairs[3]: dfg_edge allows at most 3 distinct labels; got ['w', 'x', 'y', 'z']"),
+        (OK_REPS, [("a", "b", "x"), ("a", "b", "")], PairTask.SIBLINGS,
+         "pairs[1]: label must be a nonempty string"),
+        ({"a": np.ones(2), "b": np.array([1j, 2.0])}, [], PairTask.DISTANCE,
+         "representation 'b' must be real, got complex values"),
+        ({"a": np.ones(2), "b": np.ones((1, 2))}, [], PairTask.DISTANCE,
+         "representation 'b' must be 1-D, got shape (1, 2)"),
+        ({"a": np.array([]), "b": np.ones(1)}, [], PairTask.DISTANCE,
+         "representation 'a' must be nonempty with at least 1 values, got 0"),
+        ({"a": np.ones(2), "b": np.array([0.0, np.nan])}, [], PairTask.DISTANCE,
+         "representation 'b' has a non-finite value at index 1"),
+        ({"a": np.ones(2), "b": np.ones(3)}, [], PairTask.DISTANCE,
+         "representation 'b' has dimension 3, expected 2"),
+        ({"a": np.ones(2), "b": np.array([np.inf, 1.0]), "c": np.ones(3),
+          "d": np.array([1j, 1])}, [], PairTask.SIBLINGS,
+         "representation 'b' has a non-finite value at index 0"),
+    ], ids=["unknown-id", "non-digit-distance", "too-small-distance", "too-long-distance",
+            "third-label", "fourth-label", "empty-label", "complex", "2-D", "empty",
+            "non-finite", "dimensions", "first-of-several"])
+    def test_build_pairs(self, reps, pairs, task, message):
+        with pytest.raises(ValueError) as caught:
+            build_pairs(reps, pairs, task)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("query, message", [
+        (np.ones(3), "query must be a vector of dimension 2"),
+        (np.array([np.nan, 0.0]), "query has a non-finite value at index 0"),
+        (np.array([1j, 0.0]), "query must be real, got complex values"),
+        (np.ones((1, 2)), "query must be 1-D, got shape (1, 2)"),
+        (np.array([]), "query must be nonempty with at least 1 values, got 0"),
+    ], ids=["wrong-size", "non-finite", "complex", "2-D", "empty"])
+    def test_predict(self, query, message):
+        result = run_directprobe([lp([0.0, 0.0], "a"), lp([1.0, 1.0], "b")])
+        with pytest.raises(ValueError) as caught:
+            predict(result, query)
+        assert str(caught.value) == message
