@@ -76,6 +76,8 @@ class KernelBundle:
     values: npt.NDArray[np.float32 | np.float64]
 
     def __post_init__(self):
+        if not isinstance(self.model_tag, str):  # as read_bundle requires
+            raise ValueError(f"model_tag must be str, got {type(self.model_tag).__name__}")
         values = np.asarray(self.values)
         if np.iscomplexobj(values):  # a real cast would drop the imaginary part
             raise ValueError("bundle values must be real, got complex values")

@@ -125,22 +125,6 @@ def _as_point_matrix(points, name: str) -> FloatArray:
     return arr
 
 
-def _matrix(rows: list, size: int = 0) -> FloatArray | None:
-    """The rows as one float64 matrix, widened before any arithmetic as by
-    ``as_vector``, if they are real, finite, nonempty 1-D arrays of one
-    size (``size``, if given); else None."""
-    try:
-        matrix = np.array(rows)
-    except (TypeError, ValueError):  # ragged
-        return None
-    if (matrix.dtype.kind in "biuf" and matrix.ndim == 2 and matrix.shape[1]
-            and size in (0, matrix.shape[1])):
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if np.isfinite(matrix).all():
-            return matrix
-    return None
-
-
 def _scaled(x):
     """(x / 2^shift, shift), the least shift keeping each |x.w| with w in
     [-1, 1]^d below 1: no projection or squared distance overflows, and
@@ -515,8 +499,9 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
     return ProbeResult(points, clusters, merges, converged=True)
 
 
-def _nearest_labels(result: ProbeResult, queries) -> list[str]:
-    """``predict`` for each query, over one stack of the training points.
+def _nearest_labels(result: ProbeResult, queries: Sequence[FloatArray]) -> list[str]:
+    """``predict`` for each query, a finite 1-D float64 vector, over one
+    stack of the training points.
 
     Points are stacked cluster by cluster: the nearest cluster holds the
     nearest point, and argmin's first minimum has the lowest cluster index.
@@ -537,18 +522,13 @@ def _nearest_labels(result: ProbeResult, queries) -> list[str]:
     x, shift = _scaled(np.stack([result.points[i].vector
                                  for c in result.clusters for i in c.member_indices]))
     d = x.shape[1]
-    queries = list(queries)
-    if (q := _matrix(queries, d)) is None:  # walk them in order for the first fault's message
-        q = np.empty((len(queries), d))
-        for k, query in enumerate(queries):
-            if (vector := as_vector(query, "query")).size != d:
-                raise ValueError(f"query must be a vector of dimension {d}")
-            q[k] = vector
+    if any(query.size != d for query in queries):
+        raise ValueError(f"query must be a vector of dimension {d}")
     xx, picks = np.vecdot(x, x), []
     # an overflow ties all points, as unscaled rounding does; a query past
     # the float64 range makes a not-a-number estimate
     with np.errstate(over="ignore", invalid="ignore"):
-        q = np.ldexp(q, -shift)
+        q = np.ldexp(np.array(queries), -shift)
         for block in np.split(q, range(64, len(q), 64)):  # 512 bytes of e per point
             qq = np.vecdot(block, block)
             e = xx + qq[:, None] - 2.0 * (block @ x.T)
@@ -562,33 +542,31 @@ def _nearest_labels(result: ProbeResult, queries) -> list[str]:
 
 
 def predict(result: ProbeResult, query) -> str:
-    """Label of the cluster nearest to the query.
+    """Label of the cluster nearest to the query, checked by ``as_vector``.
 
     Distance to a cluster is the minimum Euclidean distance to any of its
-    member points; ties go to the lower-indexed cluster. As in
-    ``evaluate``, exact norms decide among the points whose estimate from
-    one product is within (d + 4) (2^-49 (max |x|^2 + |q|^2) + 2^-1070)
-    of the least.
+    member points; ties go to the lower-indexed cluster, whatever the BLAS
+    or CPU (see ``_nearest_labels``).
     """
-    return _nearest_labels(result, [query])[0]
+    return _nearest_labels(result, [as_vector(query, "query")])[0]
 
 
 def evaluate(result: ProbeResult, heldout: Sequence[LabeledPoint]) -> EvalResult:
     """Nearest-cluster accuracy per label plus the unweighted label mean.
 
-    Distances are taken with the training points and each query divided
-    by one power of two, ``run_directprobe``'s scale rule, so accuracy does
-    not depend on a common scale of the vectors, within the same float64
-    range. In those units, one product per block of 64 queries q
-    estimates their squared distances e to the points x; only the points
-    whose e is within (d + 4) (2^-49 (max |x|^2 + |q|^2) + 2^-1070) of the
-    least, more than twice the product's and the norm's rounding, get the
-    exact norm. So the label is the one exact norms to every point give,
-    ties to the lower-indexed cluster included, whatever the BLAS or CPU.
+    Each held-out item must be a ``LabeledPoint`` of the training points'
+    dimension, whose vector was checked when the point was built. Labels
+    are ``predict``'s (see ``_nearest_labels``), taken with the training
+    points and each query divided by one power of two, ``run_directprobe``'s
+    scale rule, so accuracy does not depend on a common scale of the
+    vectors, within the same float64 range.
     """
     heldout = tuple(heldout)
     if not heldout:
         raise ValueError("held-out set is empty")
+    for i, point in enumerate(heldout):
+        if not isinstance(point, LabeledPoint):
+            raise ValueError(f"heldout[{i}] is not a LabeledPoint")
     if not result.converged:
         raise ValueError("result did not converge and is excluded from evaluation")
     predicted = _nearest_labels(result, [point.vector for point in heldout])
@@ -602,18 +580,24 @@ def evaluate(result: ProbeResult, heldout: Sequence[LabeledPoint]) -> EvalResult
 
 def representation_matrix(representations: Mapping[str, "np.ndarray"]) -> FloatArray:
     """The representations as the rows of one float64 matrix, in their
-    order: each real, nonempty, finite, 1-D and of one size. A fault names
-    the first representation that has it."""
-    matrix = _matrix(list(representations.values()))
-    if matrix is None:  # walk them in order for the first fault's message
-        vectors: list[FloatArray] = []
-        for token_id, rep in representations.items():
-            what = f"representation {quoted(token_id)}"
-            vectors.append(arr := as_vector(rep, what))
-            if arr.size != vectors[0].size:
-                raise ValueError(f"{what} has dimension {arr.size}, expected {vectors[0].size}")
-        matrix = np.stack(vectors) if vectors else np.empty((0, 0))
-    return matrix
+    order, widened before any arithmetic as by ``as_vector``: each real,
+    nonempty, finite, 1-D and of one size. A fault names the first
+    representation that has it."""
+    try:
+        matrix = np.array(list(representations.values()))
+    except (TypeError, ValueError):  # ragged: the walk names the fault
+        matrix = np.empty(0)
+    if matrix.dtype.kind in "biuf" and matrix.ndim == 2 and matrix.shape[1]:
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if np.isfinite(matrix).all():
+            return matrix
+    vectors: list[FloatArray] = []  # walk them in order for the first fault's message
+    for token_id, rep in representations.items():
+        what = f"representation {quoted(token_id)}"
+        vectors.append(arr := as_vector(rep, what))
+        if arr.size != vectors[0].size:
+            raise ValueError(f"{what} has dimension {arr.size}, expected {vectors[0].size}")
+    return np.stack(vectors) if vectors else np.empty((0, 0))
 
 
 _MAX_DISTINCT_LABELS = {PairTask.SIBLINGS: 2, PairTask.DFG_EDGE: 3}
@@ -641,9 +625,15 @@ def build_pairs(
     skipped = 0
     seen_labels: set[str] = set()
     fault = None
-    for i, (id_i, id_j, label) in enumerate(pairs):
+    for i, pair in enumerate(pairs):
         # not located(): once per pair, and a context costs more than the checks
         try:
+            try:
+                id_i, id_j, label = pair
+            except (TypeError, ValueError):
+                raise ValueError(f"pair must be (id_i, id_j, label), got {quoted(pair)}") from None
+            if not isinstance(label, str):  # before it is parsed or counted
+                raise ValueError("label must be a nonempty string")
             for token_id in (id_i, id_j):
                 if token_id not in row:
                     raise ValueError(f"unknown token id {quoted(token_id)}")
@@ -673,7 +663,7 @@ def build_pairs(
                         f"{task.value} allows at most {cap} distinct labels; "
                         f"got {quoted(sorted(seen_labels))}"
                     )
-                if not isinstance(label, str) or not label:
+                if not label:
                     raise ValueError("label must be a nonempty string")
         except ValueError as err:  # raised once the points before it are checked
             fault = ValueError(f"pairs[{i}]: {err}")

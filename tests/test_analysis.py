@@ -122,6 +122,12 @@ class TestKernelBundle:
         with pytest.raises(ValueError, match="bundle values must be real, got complex"):
             KernelBundle("m", values)
 
+    def test_a_model_tag_that_is_not_a_str_is_refused(self):
+        # read_bundle refuses such a manifest, so no bundle may hold one
+        with pytest.raises(ValueError) as caught:
+            KernelBundle(5, np.zeros((1, 2, 1, 4)))
+        assert str(caught.value) == "model_tag must be str, got int"
+
     def test_read_only_view_is_copied(self):
         base = np.ones((1, 2, 1, 16))
         view = base.view()

@@ -286,6 +286,12 @@ class TestPredictEvaluate:
         with pytest.raises(ValueError, match="empty"):
             evaluate(result, [])
 
+    def test_an_item_that_is_not_a_point_is_named(self):
+        result = run_directprobe([lp([0.0, 0.0], "a"), lp([1.0, 1.0], "b")])
+        with pytest.raises(ValueError) as caught:
+            evaluate(result, [lp([0.0, 1.0], "a"), np.ones(2)])
+        assert str(caught.value) == "heldout[1] is not a LabeledPoint"
+
 
 class TestBuildPairs:
     reps = {
@@ -435,9 +441,17 @@ class TestInputMessages:
         ({"a": np.ones(2), "b": np.array([np.inf, 1.0]), "c": np.ones(3),
           "d": np.array([1j, 1])}, [], PairTask.SIBLINGS,
          "representation 'b' has a non-finite value at index 0"),
+        (OK_REPS, [("a", "b", "2"), ("a", "b")], PairTask.DISTANCE,
+         "pairs[1]: pair must be (id_i, id_j, label), got ('a', 'b')"),
+        (OK_REPS, [("a", "b", 2)], PairTask.DISTANCE, "pairs[0]: label must be a nonempty string"),
+        (OK_REPS, [("a", "b", "x"), ("a", "b", ["x"])], PairTask.SIBLINGS,
+         "pairs[1]: label must be a nonempty string"),
+        (OK_REPS, [("a", "b", "x"), ("a", "b", "y"), ("b", "a", 5)], PairTask.SIBLINGS,
+         "pairs[2]: label must be a nonempty string"),
     ], ids=["unknown-id", "non-digit-distance", "too-small-distance", "too-long-distance",
             "third-label", "fourth-label", "empty-label", "complex", "2-D", "empty",
-            "non-finite", "dimensions", "first-of-several"])
+            "non-finite", "dimensions", "first-of-several", "two-items", "int-distance",
+            "list-label", "int-third-label"])
     def test_build_pairs(self, reps, pairs, task, message):
         with pytest.raises(ValueError) as caught:
             build_pairs(reps, pairs, task)
