@@ -33,7 +33,7 @@ from .analysis import (
 )
 from .config import RunConfig, config_from_mapping, finite_float, located, quoted
 from .kernels import S4DParams
-from .probe import BuiltPairs, EvalResult, ProbeResult, representation_matrix
+from .probe import BuiltPairs, EvalResult, ProbeResult, checked_pair, representation_matrix
 from .spectral import DIRECTIONS, Direction
 
 _PAYLOAD_DTYPE = "<f4"
@@ -306,11 +306,11 @@ def write_pair_dataset(
 ) -> None:
     """Write a pair-dataset directory.
 
-    Token ids must be whitespace-free; labels must be one nonempty line
-    with no leading or trailing blanks, so the text format stays
-    unambiguous. An id or label with a lone surrogate, which UTF-8 cannot
-    carry, or a value beyond the float32 range is refused before any file
-    is written; the manifest is written last.
+    Each pair must pass ``probe.checked_pair``; token ids must be
+    whitespace-free and labels one line with no surrounding blanks, so the
+    text format stays unambiguous. An id or label with a lone surrogate
+    (UTF-8 cannot carry it) or a value beyond the float32 range is refused
+    before any file is written; the manifest is written last.
     """
     root = Path(path)
     for token_id in representations:
@@ -320,14 +320,11 @@ def write_pair_dataset(
     if not len(matrix):
         raise ValueError("dataset needs at least one representation")
     lines = []
-    for i, (id_i, id_j, label) in enumerate(pairs):
+    for i, pair in enumerate(pairs):
         with located(f"pairs[{i}]"):
-            for token_id in (id_i, id_j):
-                if token_id not in representations:
-                    raise ValueError(f"unknown token id {quoted(token_id)}")
+            id_i, id_j, label = checked_pair(pair, representations)
             # the reader splits pairs.txt at every line break str.splitlines knows
-            if (not isinstance(label, str) or label.splitlines() != [label]
-                    or label != label.strip()):
+            if label.splitlines() != [label] or label != label.strip():
                 raise ValueError(f"label {quoted(label)} must be one nonempty line "
                                  "with no surrounding whitespace")
             _check_encodable("label", label)
@@ -382,13 +379,10 @@ def read_pair_dataset(path) -> tuple[dict[str, np.ndarray], list[tuple[str, str,
             raise FormatError(
                 f"{ppath}:{lineno}: expected 'id_i id_j label', got {quoted(line)}"
             )
-        id_i, id_j, label = parts
-        for token_id in (id_i, id_j):
-            if token_id not in representations:
-                raise FormatError(
-                    f"{ppath}:{lineno}: unknown token id {quoted(token_id)}"
-                )
-        pairs.append((id_i, id_j, label))
+        try:
+            pairs.append(checked_pair(parts, representations))
+        except ValueError as exc:
+            raise FormatError(f"{ppath}:{lineno}: {exc}") from None
     return representations, pairs
 
 

@@ -600,6 +600,22 @@ def representation_matrix(representations: Mapping[str, "np.ndarray"]) -> FloatA
     return np.stack(vectors) if vectors else np.empty((0, 0))
 
 
+def checked_pair(pair, ids: Mapping[str, object]) -> tuple[str, str, str]:
+    """``pair`` as ``(id_i, id_j, label)`` by the one pair rule of
+    ``build_pairs`` and the pair-dataset reader and writer: a tuple or list
+    of three items, then a nonempty ``str`` label, then two ``str`` keys of
+    ``ids``. A fault raises a bare ValueError; each caller names the place."""
+    if not isinstance(pair, (tuple, list)) or len(pair) != 3:
+        raise ValueError(f"pair must be (id_i, id_j, label), got {quoted(pair)}")
+    id_i, id_j, label = pair
+    if not isinstance(label, str) or not label:
+        raise ValueError("label must be a nonempty string")
+    for token_id in (id_i, id_j):
+        if not isinstance(token_id, str) or token_id not in ids:
+            raise ValueError(f"unknown token id {quoted(token_id)}")
+    return id_i, id_j, label
+
+
 _MAX_DISTINCT_LABELS = {PairTask.SIBLINGS: 2, PairTask.DFG_EDGE: 3}
 DISTANCE_MIN = 2
 DISTANCE_MAX = 6
@@ -616,8 +632,8 @@ def build_pairs(
     must be ASCII decimal digits giving a tree distance of at least 2, and
     distances above 6 are dropped (the skip count says how many). SIBLINGS
     and DFG_EDGE points concatenate the representations and cap the distinct
-    label count at 2 and 3 respectively. A fault in a pair names it:
-    ``pairs[<i>]: <message>``.
+    label count at 2 and 3 respectively. Each pair is first checked by
+    ``checked_pair``. A fault in a pair names it: ``pairs[<i>]: <message>``.
     """
     matrix = representation_matrix(representations)
     row = {token_id: i for i, token_id in enumerate(representations)}
@@ -628,15 +644,7 @@ def build_pairs(
     for i, pair in enumerate(pairs):
         # not located(): once per pair, and a context costs more than the checks
         try:
-            try:
-                id_i, id_j, label = pair
-            except (TypeError, ValueError):
-                raise ValueError(f"pair must be (id_i, id_j, label), got {quoted(pair)}") from None
-            if not isinstance(label, str):  # before it is parsed or counted
-                raise ValueError("label must be a nonempty string")
-            for token_id in (id_i, id_j):
-                if token_id not in row:
-                    raise ValueError(f"unknown token id {quoted(token_id)}")
+            id_i, id_j, label = checked_pair(pair, row)  # before it is parsed or counted
             if task is PairTask.DISTANCE:
                 # ASCII digits only: int() also takes "1_0", "+3" and other scripts' digits
                 try:
@@ -663,8 +671,6 @@ def build_pairs(
                         f"{task.value} allows at most {cap} distinct labels; "
                         f"got {quoted(sorted(seen_labels))}"
                     )
-                if not label:
-                    raise ValueError("label must be a nonempty string")
         except ValueError as err:  # raised once the points before it are checked
             fault = ValueError(f"pairs[{i}]: {err}")
             break

@@ -391,6 +391,9 @@ class TestHandBuiltBundle:
         )
 
 
+SET_PAIR = {"var:x", "var:y", "x"}  # three items in no fixed order
+
+
 class TestPairDataset:
     reps = {
         "fn:main": np.array([1.5, -2.25], dtype=np.float64),
@@ -462,6 +465,25 @@ class TestPairDataset:
                                      "nonempty line with no surrounding whitespace")
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("pair, message", [
+        ("abc", "pair must be (id_i, id_j, label), got 'abc'"),
+        (SET_PAIR, f"pair must be (id_i, id_j, label), got {quoted(SET_PAIR)}"),
+        ((["var:x"], "var:y", "x"), "unknown token id ['var:x']"),
+        (("var:x", "var:y"), "pair must be (id_i, id_j, label), got ('var:x', 'var:y')"),
+        (("var:x", "var:y", "x", "y"),
+         "pair must be (id_i, id_j, label), got ('var:x', 'var:y', 'x', 'y')"),
+        (("var:x", "ghost", 5), "label must be a nonempty string"),
+        (("var:x", "var:y", ""), "label must be a nonempty string"),
+    ], ids=["str-pair", "set-pair", "list-id", "two-items", "four-items", "int-label",
+            "empty-label"])
+    def test_a_faulty_pair_is_refused_as_the_builder_refuses_it(self, tmp_path, pair,
+                                                                message):
+        root = tmp_path / "d"
+        with pytest.raises(ValueError) as caught:
+            write_pair_dataset(self.reps, [self.pairs[0], pair], root)
+        assert str(caught.value) == f"pairs[1]: {message}"
+        assert not root.exists()
+
     @pytest.mark.parametrize("reps, pairs, message", [
         ({"t\ud800": np.ones(2)}, [],
          "{root}: token id 't\\ud800' has a lone surrogate"),
@@ -518,8 +540,9 @@ class TestPairDataset:
         write_pair_dataset(self.reps, self.pairs, tmp_path / "d")
         ppath = tmp_path / "d" / "pairs.txt"
         ppath.write_text(ppath.read_text() + "ghost var:x 2\n")
-        with pytest.raises(FormatError, match=r"pairs.txt:3"):
+        with pytest.raises(FormatError) as caught:
             read_pair_dataset(tmp_path / "d")
+        assert str(caught.value) == f"{ppath}:3: unknown token id 'ghost'"
 
     def test_malformed_line(self, tmp_path):
         write_pair_dataset(self.reps, [], tmp_path / "d")

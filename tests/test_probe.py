@@ -15,6 +15,7 @@ from spectrobe import (
     run_directprobe,
     separable,
 )
+from spectrobe.config import quoted
 
 
 def lp(vector, label):
@@ -404,6 +405,7 @@ class TestBuildPairs:
 
 
 OK_REPS = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 5.0])}
+SET_PAIR = {"a", "b", "x"}  # three items in no fixed order: refused, never unpacked
 
 
 class TestInputMessages:
@@ -448,10 +450,19 @@ class TestInputMessages:
          "pairs[1]: label must be a nonempty string"),
         (OK_REPS, [("a", "b", "x"), ("a", "b", "y"), ("b", "a", 5)], PairTask.SIBLINGS,
          "pairs[2]: label must be a nonempty string"),
+        (OK_REPS, [("a", "b", "x"), "abc"], PairTask.SIBLINGS,
+         "pairs[1]: pair must be (id_i, id_j, label), got 'abc'"),
+        (OK_REPS, [SET_PAIR], PairTask.SIBLINGS,
+         f"pairs[0]: pair must be (id_i, id_j, label), got {quoted(SET_PAIR)}"),
+        (OK_REPS, [("a", "b", "x"), (["a"], "b", "x")], PairTask.SIBLINGS,
+         "pairs[1]: unknown token id ['a']"),
+        (OK_REPS, [("a", "b", "2"), ("a", "b", "")], PairTask.DISTANCE,
+         "pairs[1]: label must be a nonempty string"),
     ], ids=["unknown-id", "non-digit-distance", "too-small-distance", "too-long-distance",
             "third-label", "fourth-label", "empty-label", "complex", "2-D", "empty",
             "non-finite", "dimensions", "first-of-several", "two-items", "int-distance",
-            "list-label", "int-third-label"])
+            "list-label", "int-third-label", "str-pair", "set-pair", "list-id",
+            "empty-distance-label"])
     def test_build_pairs(self, reps, pairs, task, message):
         with pytest.raises(ValueError) as caught:
             build_pairs(reps, pairs, task)

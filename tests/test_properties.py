@@ -4,8 +4,9 @@ A kernel's class must not depend on its scale, sign or time direction; a
 bundle must come back from disk as the float32 rounding of what was
 written, and float32 values must give the reports and probe points their
 float64 widening gives; a degenerate kernel changes only its own diff
-row; a slot list is a bundle's exactly when it fills a grid; and no
-malformed input file may make the CLI exit 2.
+row; the pair-dataset writer and the probe's pair builder refuse a
+faulty pair with one message; a slot list is a bundle's exactly when it
+fills a grid; and no malformed input file may make the CLI exit 2.
 """
 import contextlib
 import copy
@@ -198,6 +199,56 @@ def test_float32_rows_build_the_points_of_float64_ones(matrix, task):
     got, want = build_pairs(reps, pairs, task), build_pairs(widened, pairs, task)
     assert [(p.vector.tobytes(), p.label) for p in got.points] == [
         (p.vector.tobytes(), p.label) for p in want.points]
+
+
+PAIR_IDS = ["t0", "t1", "t2"]
+PAIR_FAULTS = {
+    "str-pair": lambda draw, pair: draw(st.text(max_size=6)),
+    "set-pair": lambda draw, pair: set(pair),
+    "two-items": lambda draw, pair: pair[:2],
+    "four-items": lambda draw, pair: (*pair, pair[2]),
+    "non-str-label": lambda draw, pair: (*pair[:2], draw(st.sampled_from(
+        [5, None, 2.0, b"x", ["x"]]))),
+    "empty-label": lambda draw, pair: (*pair[:2], ""),
+    "unknown-id": lambda draw, pair: with_id(draw, pair, st.text().filter(
+        lambda text: text not in PAIR_IDS)),
+    "non-str-id": lambda draw, pair: with_id(draw, pair, st.sampled_from(
+        [5, None, b"t0", ["t0"], ("t0",)])),
+}
+
+
+def with_id(draw, pair, ids):
+    """``pair`` with one of its two ids drawn from ``ids``."""
+    slot = draw(st.integers(0, 1))
+    return (*pair[:slot], draw(ids), *pair[slot + 1:])
+
+
+@st.composite
+def pairs_with_one_fault(draw):
+    """Valid pairs, as tuples or lists, with at most two labels, and one
+    faulty pair at a drawn position; (pairs, position)."""
+    pair = st.tuples(st.sampled_from(PAIR_IDS), st.sampled_from(PAIR_IDS),
+                     st.sampled_from(["x", "y"]))
+    pairs = draw(st.lists(pair.map(draw(st.sampled_from([tuple, list]))), max_size=5))
+    fault = PAIR_FAULTS[draw(st.sampled_from(sorted(PAIR_FAULTS)))]
+    position = draw(st.integers(0, len(pairs)))
+    pairs.insert(position, fault(draw, tuple(draw(pair))))
+    return pairs, position
+
+
+@settings(max_examples=200)
+@given(pairs_with_one_fault())
+def test_the_writer_and_the_builder_refuse_a_faulty_pair_alike(case):
+    pairs, position = case
+    reps = {token_id: np.full(2, i + 0.5) for i, token_id in enumerate(PAIR_IDS)}
+    with tempfile.TemporaryDirectory() as tmp:
+        with pytest.raises(ValueError) as wrote:
+            write_pair_dataset(reps, pairs, Path(tmp) / "d")
+        assert not (Path(tmp) / "d").exists()
+    with pytest.raises(ValueError) as built:
+        build_pairs(reps, pairs, PairTask.SIBLINGS)
+    assert str(wrote.value) == str(built.value)
+    assert str(built.value).startswith(f"pairs[{position}]: ")
 
 
 # ------------------------------------------------------------------ grid
