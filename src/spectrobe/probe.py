@@ -151,14 +151,16 @@ def _frames(lo_a, hi_a, lo_b, hi_b):
     return margin, lo + hi, unit
 
 
-def _direction(a, b, center, unit):
-    """A w in [-1, 1]^d putting a below b with a margin above the
-    tolerance in the frame (center, unit), or None. The centroid gap
-    scaled to max-abs 1, if it clears the tolerance, proves the best
-    margin does; else ``_max_margin``'s largest t with x.w <= b0 - t on a,
-    x.w >= b0 + t on b decides. Its answer is checked either way: its w,
-    scaled to max-abs 1, must clear the tolerance as the centroid gap
-    does, and its hull weights must bound every margin by the tolerance.
+def _direction(a, b, center, unit, start=None):
+    """(w, basis): a w in [-1, 1]^d putting a below b with a margin above
+    the tolerance in the frame (center, unit), with the LP's optimal
+    basis, or start where no LP ran; None when there is no such w. The
+    centroid gap scaled to max-abs 1, if it clears the tolerance, proves
+    the best margin does; else ``_max_margin``'s largest t with
+    x.w <= b0 - t on a, x.w >= b0 + t on b decides, from start if given.
+    Its answer is checked either way: its w, scaled to max-abs 1, must
+    clear the tolerance as the centroid gap does, and its hull weights
+    must bound every margin by the tolerance.
     """
     if unit == 0:
         return None
@@ -170,8 +172,8 @@ def _direction(a, b, center, unit):
 
     gap = zb.mean(axis=0) - za.mean(axis=0)
     if gap.any() and clears(w := gap / np.abs(gap).max()):
-        return w
-    t, w, on_a, on_b = _max_margin(za, zb)
+        return w, start
+    t, w, on_a, on_b, basis = _max_margin(za, zb, start)
     if t <= SEPARABILITY_TOLERANCE:
         if _hull_gap(za, zb, on_a, on_b) <= SEPARABILITY_TOLERANCE:
             return None
@@ -179,7 +181,7 @@ def _direction(a, b, center, unit):
             f"separability program failed: its hull weights miss its margin {t!r}")
     if not (w.any() and clears(w := w / np.abs(w).max())):
         raise RuntimeError(f"separability program failed: its w misses its margin {t!r}")
-    return w
+    return w, basis
 
 
 def _hull_gap(za, zb, on_a, on_b):
@@ -218,16 +220,29 @@ def _row_scales(z):
     return np.ldexp(1.0, np.where(span < 2.0 ** -8, np.frexp(span)[1], 0))
 
 
-def _max_margin(za, zb):
-    """(t*, w, on_a, on_b): the largest t with z.w <= b0 - t on za,
-    z.w >= b0 + t on zb, w in [-1, 1]^d, an optimal w, and the weights of
-    za's and zb's rows at the optimum. Solved as its dual, the least L1
-    gap 1/2 |sum l.za - sum m.zb|_1 between a point of each hull, by a
-    revised simplex over d + 2 rows: the multipliers of the d coordinate
-    rows are w, and l, m are the weights. The most negative reduced cost
-    enters and the largest tied pivot leaves, until more degenerate
-    pivots in a row than there are rows turn it to Bland's rule; the
-    basis inverse is rebuilt before optimality is declared.
+def _max_margin(za, zb, start=None):
+    """(t*, w, on_a, on_b, basis): the largest t with z.w <= b0 - t on za,
+    z.w >= b0 + t on zb, w in [-1, 1]^d, an optimal w, the weights of
+    za's and zb's rows at the optimum, and the optimal basis as column
+    indices. Solved as its dual, the least L1 gap 1/2 |sum l.za - sum
+    m.zb|_1 between a point of each hull, by a revised simplex over d + 2
+    rows: the multipliers of the d coordinate rows are w, and l, m are
+    the weights. The most negative reduced cost enters and the largest
+    tied pivot leaves, until more degenerate pivots in a row than there
+    are rows turn it to Bland's rule; the basis inverse is rebuilt before
+    optimality is declared.
+
+    start, if given, is the optimal basis of this program on subsets of
+    za's and zb's points in another frame, mapped onto these columns; the
+    simplex starts there, not from a0, b0 and the sign slacks. It is a
+    feasible basis: it names only columns this program has, its points
+    and slacks; in this frame each coordinate row is the old row times a
+    positive factor (the ratio of the units and row scales) plus a
+    multiple of the sum l - sum m = 0 row (the center's move); so its
+    matrix is T B D, T triangular and D diagonal, both with positive
+    diagonals, which is nonsingular and keeps the old basic values, each
+    slack's times a positive factor. t* is unique, so no verdict depends
+    on the start; only the optimal vertex, and so w and the weights, can.
 
     A coordinate whose span in the frame is below 2^-8 has its row divided
     by the power of two f at or above that span, and its two slacks cost
@@ -256,8 +271,9 @@ def _max_margin(za, zb):
     matrix[k, n + d + k] = -1.0
     cost = np.zeros(width)
     cost[n:n + d] = cost[n + d:n + 2 * d] = f
-    # l = m = 1/2 on a[0] and b[0], the slack of each coordinate's sign: feasible
-    basis = np.concatenate(([0, na], n + k + d * (zb[0] < za[0])))
+    # else l = m = 1/2 on a[0] and b[0], the slack of each coordinate's sign: feasible
+    basis = (np.concatenate(([0, na], n + k + d * (zb[0] < za[0]))) if start is None
+             else np.array(start))
     inverse, exact, stalled = _inverse(matrix[:, basis]), True, 0
     while True:
         y = cost[basis] @ inverse
@@ -273,7 +289,7 @@ def _max_margin(za, zb):
             if exact:
                 weights = np.zeros(width)
                 weights[basis] = inverse[:, -1]
-                return y[-1], y[:d] / f, weights[:na], weights[na:n]
+                return y[-1], y[:d] / f, weights[:na], weights[na:n], basis
             inverse, exact = _inverse(matrix[:, basis]), True
             continue
         u = inverse @ matrix[:, j]
@@ -346,7 +362,12 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
     direction between the two sets' centroids if it clears it, or else by
     the LP. A direction is stored while both of its clusters are live,
     with its extreme projections on each, so checking it against a union
-    takes one product with the points the other parent adds.
+    takes one product with the points the other parent adds. With it goes
+    the optimal basis of the last LP on subsets of the two, and the LP
+    against a union starts from the basis stored for either parent (see
+    ``_max_margin``), not cold. Its verdict is the cold start's, but its
+    w can be another optimal one, so a later check by stored direction
+    can settle, or leave to the LP, what a cold start's w would not.
 
     Every step computes on one copy of the points divided by a power of
     two, the least that keeps each |x.w| with w in [-1, 1]^d below 1;
@@ -374,49 +395,67 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
     # half-boxes, one column per id, so that a coordinate max runs along
     # contiguous rows), label code and liveness; the ids from n on are
     # filled as merges mint them, and an id is never reused
-    members = [(i,) for i in range(n)]
+    members = list(np.arange(n)[:, None])
     centroid = np.vstack([x, x])
     lo, hi = (np.ascontiguousarray(np.vstack([x, x]).T) / 2 for _ in range(2))
     codes: dict[str, int] = {}
     label = np.array([codes.setdefault(p.label, len(codes)) for p in points] * 2)
     live = np.arange(2 * n) < n
     # known[i][c], for live i and c: with different labels, a w that puts
-    # cluster i below c, with max(x_i.w) and min(x_c.w); with one label,
-    # None: the two may never merge
-    known: list[dict[int, tuple[FloatArray, float, float] | None]] = [
+    # cluster i below c, with max(x_i.w) and min(x_c.w) and the optimal
+    # basis of the last LP on subsets of i and c, or None; with one label,
+    # None: the two may never merge. A basis names the program's columns
+    # by run-wide ids: point ids, then +e_k, -e_k and s from n on; flip
+    # swaps +e_k and -e_k, as swapping i and c does
+    known: list[dict[int, tuple[FloatArray, float, float, np.ndarray | None] | None]] = [
         {} for _ in range(n)]
+    d = x.shape[1]
+    slacks = np.arange(n, n + 2 * d + 1)
+    flip = np.concatenate([np.arange(n), slacks[d:-1], slacks[:d], slacks[-1:]])
+    slot = np.empty(n + 2 * d + 1, dtype=np.intp)  # per LP: its column of each id
 
-    def union_directions(ia, ib, cid, union):
-        """(w, top, bottom) settling every other-label cluster the box gaps
-        leave open, or None at the first that the union is not separable
-        from. A w stored for a parent and c clears the tolerance in the
-        frame of the union and c when (bottom - top) / unit / 2 does, with
-        top taken over the other parent's points too; below a normal unit,
-        subnormal rounding could outweigh the margin, so such a check is
-        left to ``_direction``."""
+    def union_directions(ia, ib, cid, merged, union):
+        """(w, top, bottom, basis) settling every other-label cluster the
+        box gaps leave open, or None at the first that the union is not
+        separable from. A w stored for a parent and c clears the tolerance
+        in the frame of the union and c when (bottom - top) / unit / 2
+        does, with top taken over the other parent's points too; below a
+        normal unit, subnormal rounding could outweigh the margin, so such
+        a check is left to ``_direction``."""
         others = (live & (label != label[cid])).nonzero()[0]
         margin, center, unit = _frames(lo[:, cid:cid + 1], hi[:, cid:cid + 1],
                                        lo.take(others, axis=1), hi.take(others, axis=1))
         pending = (margin <= SEPARABILITY_TOLERANCE).nonzero()[0]
         if not pending.size:  # the box gaps settled them all, as for most candidates
             return {}
-        parents = {ia: x[list(members[ia])], ib: x[list(members[ib])]}
+        parents = {ia: x[members[ia]], ib: x[members[ib]]}
         found = {}
         for j in pending[np.argsort(margin[pending], kind="stable")]:
             c = int(others[j])
             for i, other in (ia, ib), (ib, ia):
                 if c in known[i] and unit[j] >= sys.float_info.min:
-                    w, top, bottom = known[i][c]
+                    w, top, bottom, basis = known[i][c]
                     top = max(top, float((parents[other] @ w).max()))
                     if (bottom - top) / unit[j] / 2 > SEPARABILITY_TOLERANCE:
                         break
             else:
-                w = _direction(union, x[list(members[c])], center[:, j], unit[j])
-                if w is None:
+                # the LP starts from ia's basis against c, else ib's: each
+                # side of that program is a subset of this one's
+                start = next((known[i][c][3] for i in (ia, ib)
+                              if c in known[i] and known[i][c][3] is not None), None)
+                columns = np.concatenate([merged, members[c], slacks])
+                if start is not None:
+                    slot[columns] = np.arange(columns.size)
+                    start = slot[start]
+                points_c = x[members[c]]
+                settled = _direction(union, points_c, center[:, j], unit[j], start)
+                if settled is None:
                     return None
+                w, basis = settled
+                basis = None if basis is None else columns[basis]
                 top = max(float((parents[ia] @ w).max()), float((parents[ib] @ w).max()))
-                bottom = float((x[list(members[c])] @ w).min())
-            found[c] = w, top, bottom
+                bottom = float((points_c @ w).min())
+            found[c] = w, top, bottom, basis
         return found
 
     # candidate pairs (dist, ia, ib), ia < ib: each has one owner, the lower
@@ -456,12 +495,12 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
         if not live[ia + ib - owner]:  # the partner died since the push
             push_next(owner)
             continue
-        merged = tuple(sorted(members[ia] + members[ib]))
-        union = x[list(merged)]
+        merged = np.sort(np.concatenate([members[ia], members[ib]]))
+        union = x[merged]
         # the candidate takes the next id's slots
         lo[:, cid], hi[:, cid] = np.minimum(lo[:, ia], lo[:, ib]), np.maximum(hi[:, ia], hi[:, ib])
         label[cid] = label[ia]
-        found = union_directions(ia, ib, cid, union)
+        found = union_directions(ia, ib, cid, merged, union)
         if found is None:
             known[ia][ib] = known[ib][ia] = None
             push_next(owner)
@@ -484,8 +523,8 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
             if fact is None:
                 known[c][cid] = None
             else:
-                w, top, bottom = fact
-                known[c][cid] = -w, -bottom, -top
+                w, top, bottom, basis = fact
+                known[c][cid] = -w, -bottom, -top, None if basis is None else flip[basis]
         # of found's keys, those of cid's label are the rejected partners
         partners = live & (label == label[cid])
         partners[[cid, *found]] = False
@@ -493,7 +532,8 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
         cid += 1
 
     order = sorted(np.flatnonzero(live).tolist(), key=lambda c: members[c][0])
-    clusters = tuple(Cluster(members[c], points[members[c][0]].label) for c in order)
+    clusters = tuple(Cluster(tuple(members[c].tolist()), points[members[c][0]].label)
+                     for c in order)
     with np.errstate(over="ignore"):  # in the points' units: inf past float64's range
         merges = tuple(MergeRecord(a, b, float(np.ldexp(dist, shift))) for a, b, dist in log)
     return ProbeResult(points, clusters, merges, converged=True)

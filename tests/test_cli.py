@@ -916,8 +916,8 @@ class TestProbe:
         pairs = [("c", "d", "yes"), ("d", "a", "yes"), ("a", "d", "no"), ("c", "b", "no")]
         data_dir = tmp_path / "four"
         write_pair_dataset(reps, pairs, data_dir)
-        monkeypatch.setattr(spectrobe.probe, "_max_margin", lambda za, zb: (
-            1.0, np.zeros(za.shape[1]), np.ones(len(za)), np.ones(len(zb))))
+        monkeypatch.setattr(spectrobe.probe, "_max_margin", lambda za, zb, start: (
+            1.0, np.zeros(za.shape[1]), np.ones(len(za)), np.ones(len(zb)), None))
         rc = cli.main(["probe", "--train", str(data_dir), "--eval", str(data_dir),
                        "--task", "siblings", "--out", str(tmp_path / "r.json")])
         assert rc == 2

@@ -190,6 +190,36 @@ def test_decisions_are_pinned(solves, n, d, seed, merges, clusters, lps):
     assert len(solves) == lps
 
 
+@pytest.mark.parametrize("n, d, seed, warm, lps", [
+    (300, 8, 0, 66, 85),
+    (300, 8, 1, 72, 96),
+    (300, 8, 2, 85, 104),
+    (1000, 64, 0, 63, 64),
+])
+def test_warm_starts_change_no_decision(solves, monkeypatch, n, d, seed, warm, lps):
+    # an LP starts from the optimal basis stored for a parent of its union
+    # against the same cluster; that moves at most the optimal vertex, so
+    # the run with every start dropped makes the same merges, at the same
+    # distances to the bit, the same clusters and the same LPs
+    points = probe_overlap_points(n, d, seed)
+    solve, starts = probe._max_margin, []
+
+    def started(za, zb, start):
+        starts.append(start is not None)
+        return solve(za, zb, start)
+
+    def exact(result):
+        return [(m.cluster_a, m.cluster_b, m.distance.hex())
+                for m in result.merge_log], outcome(result)[1]
+
+    monkeypatch.setattr(probe, "_max_margin", started)
+    built = exact(run_directprobe(points))
+    assert (sum(starts), len(solves)) == (warm, lps)
+    monkeypatch.setattr(probe, "_max_margin", lambda za, zb, start: solve(za, zb))
+    assert exact(run_directprobe(points)) == built
+    assert len(solves) == 2 * lps
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
 def test_merges_and_accuracy_ignore_the_points_scale(scale):
     # squared centroid gaps of points near 1e-170 underflow and those of
@@ -213,7 +243,7 @@ def test_a_wrong_inseparable_verdict_is_refused(monkeypatch):
     # touch and the centroid gap (0, 1) has margin 0, so the LP decides; a
     # solver that reports t* = 0 for them is caught by its own hull weights
     solve = probe._max_margin
-    monkeypatch.setattr(probe, "_max_margin", lambda za, zb: (0.0, *solve(za, zb)[1:]))
+    monkeypatch.setattr(probe, "_max_margin", lambda za, zb, start: (0.0, *solve(za, zb)[1:]))
     with pytest.raises(RuntimeError, match="hull weights miss its margin"):
         separable([[2.0, 1.0], [3.0, 0.0]], [[2.0, 2.0], [3.0, 1.0]])
 
@@ -221,7 +251,7 @@ def test_a_wrong_inseparable_verdict_is_refused(monkeypatch):
 @pytest.mark.parametrize("answer, fault", [
     (lambda za, zb, solve: (1.0, np.zeros(za.shape[1]), *solve(za, zb)[2:]),
      "its w misses its margin 1.0"),
-    (lambda za, zb, solve: (0.0, solve(za, zb)[1], np.zeros(len(za)), np.zeros(len(zb))),
+    (lambda za, zb, solve: (0.0, solve(za, zb)[1], np.zeros(len(za)), np.zeros(len(zb)), None),
      "its hull weights miss its margin 0.0"),
 ], ids=["zero-w", "no-hull-weights"])
 def test_an_uncertified_answer_is_refused(monkeypatch, answer, fault):
@@ -229,7 +259,7 @@ def test_an_uncertified_answer_is_refused(monkeypatch, answer, fault):
     # LP: a separable verdict whose w is zero, and an inseparable one with
     # no hull weight on either side, fail their certificates
     solve = probe._max_margin
-    monkeypatch.setattr(probe, "_max_margin", lambda za, zb: answer(za, zb, solve))
+    monkeypatch.setattr(probe, "_max_margin", lambda za, zb, start: answer(za, zb, solve))
     with pytest.raises(RuntimeError, match=fault):
         separable([[2.0, 1.0], [3.0, 0.0]], [[2.0, 2.0], [3.0, 1.0]])
 
@@ -315,18 +345,27 @@ def max_margin_separable(a, b):
 
 def assert_solver_matches_highs(a, b):
     """The probe's solver gives HiGHS's margin t* within 1e-9, its w is in
-    [-1, 1]^d and attains t*, and its hull weights bound t* within 1e-9;
-    returns t*."""
+    [-1, 1]^d and attains t*, and its hull weights bound t* within 1e-9,
+    from its cold start and from the optimal basis of the first half of
+    each set, solved in that half's own frame and mapped onto the full
+    sets' columns; returns t*."""
     frame = joint_frame(a, b)
     if frame is None:
         return 0.0
     za, zb = frame
-    t, w, on_a, on_b = probe._max_margin(za, zb)
     expected = highs_margin(za, zb)
-    assert abs(t - expected) <= 1e-9, (t, expected)
-    assert np.abs(w).max() <= 1 + 1e-9
-    assert (np.min(zb @ w) - np.max(za @ w)) / 2 >= t - 1e-9
-    assert abs(probe._hull_gap(za, zb, on_a, on_b) - t) <= 1e-9
+    (na, d), nb = za.shape, len(zb)
+    ka, kb = (na + 1) // 2, (nb + 1) // 2
+    starts = [None]
+    if (half := joint_frame(a[:ka], b[:kb])) is not None:
+        columns = np.r_[:ka, na:na + kb, na + nb:na + nb + 2 * d + 1]
+        starts.append(columns[probe._max_margin(*half)[4]])
+    for start in starts:
+        t, w, on_a, on_b, _ = probe._max_margin(za, zb, start)
+        assert abs(t - expected) <= 1e-9, (t, expected)
+        assert np.abs(w).max() <= 1 + 1e-9
+        assert (np.min(zb @ w) - np.max(za @ w)) / 2 >= t - 1e-9
+        assert abs(probe._hull_gap(za, zb, on_a, on_b) - t) <= 1e-9
     return t
 
 
