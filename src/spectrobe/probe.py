@@ -13,7 +13,7 @@ import heapq
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -68,15 +68,14 @@ class MergeRecord:
 class ProbeResult:
     """Final clustering over the training points.
 
-    Clusters are ordered by their smallest member index. ``run_directprobe``
-    always runs to completion and sets ``converged``; ``evaluate`` refuses
-    a result built by hand with it False.
+    Clusters are ordered by their smallest member index. ``converged`` is
+    True on every result: ``run_directprobe`` always runs to completion.
     """
 
     points: tuple[LabeledPoint, ...]
     clusters: tuple[Cluster, ...]
     merge_log: tuple[MergeRecord, ...]
-    converged: bool
+    converged: ClassVar[bool] = True
 
 
 class PairTask(enum.Enum):
@@ -536,7 +535,7 @@ def run_directprobe(dataset: Sequence[LabeledPoint]) -> ProbeResult:
                      for c in order)
     with np.errstate(over="ignore"):  # in the points' units: inf past float64's range
         merges = tuple(MergeRecord(a, b, float(np.ldexp(dist, shift))) for a, b, dist in log)
-    return ProbeResult(points, clusters, merges, converged=True)
+    return ProbeResult(points, clusters, merges)
 
 
 def _nearest_labels(result: ProbeResult, queries: Sequence[FloatArray]) -> list[str]:
@@ -607,8 +606,6 @@ def evaluate(result: ProbeResult, heldout: Sequence[LabeledPoint]) -> EvalResult
     for i, point in enumerate(heldout):
         if not isinstance(point, LabeledPoint):
             raise ValueError(f"heldout[{i}] is not a LabeledPoint")
-    if not result.converged:
-        raise ValueError("result did not converge and is excluded from evaluation")
     predicted = _nearest_labels(result, [point.vector for point in heldout])
     totals = Counter(point.label for point in heldout)
     correct = Counter(p.label for p, got in zip(heldout, predicted) if got == p.label)

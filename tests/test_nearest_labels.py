@@ -23,7 +23,7 @@ def clustered(x, cluster_of):
     points = tuple(LabeledPoint(v, f"c{j}") for v, j in zip(x, cluster_of))
     clusters = tuple(Cluster(tuple(np.flatnonzero(cluster_of == j).tolist()), f"c{j}")
                      for j in np.unique(cluster_of))
-    return ProbeResult(points, clusters, (), converged=True)
+    return ProbeResult(points, clusters, ())
 
 
 @st.composite

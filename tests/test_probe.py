@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -242,7 +244,7 @@ class TestPredictEvaluate:
             predict(result, np.array([1.0]))
         with pytest.raises(ValueError):
             predict(result, np.array([np.inf, 0.0]))
-        empty = ProbeResult(result.points, (), (), converged=True)
+        empty = ProbeResult(result.points, (), ())
         with pytest.raises(ValueError, match="result has no clusters"):
             predict(empty, np.array([1.0, 0.0]))
 
@@ -275,12 +277,20 @@ class TestPredictEvaluate:
         assert outcome.per_label == {"a": 1.0, "b": 0.0}
         assert outcome.mean_accuracy == 0.5
 
-    def test_non_converged_result_is_refused(self):
+    def test_every_result_is_converged(self):
         line = [lp([float(i)], "same") for i in range(3)]
         full = run_directprobe(line)
-        cut = ProbeResult(full.points, full.clusters, full.merge_log, converged=False)
-        with pytest.raises(ValueError, match="converge"):
-            evaluate(cut, line)
+        assert [f.name for f in dataclasses.fields(ProbeResult)] == [
+            "points", "clusters", "merge_log"]
+        with pytest.raises(TypeError):
+            ProbeResult(full.points, full.clusters, full.merge_log, converged=False)
+        built = ProbeResult(full.points, full.clusters, full.merge_log)
+        assert full.converged is True and built.converged is True
+        # a frozen slots dataclass refuses the class constant as an instance
+        # attribute: TypeError or AttributeError, by Python version
+        with pytest.raises((AttributeError, TypeError)):
+            built.converged = False
+        assert built.converged is True
 
     def test_empty_heldout_rejected(self):
         result = run_directprobe([lp([0.0], "a")])
