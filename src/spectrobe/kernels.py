@@ -8,7 +8,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .classify import FilterClass
-from .spectral import Kernel, as_vector
+from .spectral import Kernel, as_array
 
 ComplexArray = npt.NDArray[np.complex128]
 
@@ -34,8 +34,8 @@ class S4DParams:
     step: float
 
     def __post_init__(self):
-        poles = as_vector(self.poles, "poles", 0, np.complex128)
-        coeffs = as_vector(self.coefficients, "coefficients", 0, np.complex128)
+        poles = as_array(self.poles, "poles", 0, np.complex128)
+        coeffs = as_array(self.coefficients, "coefficients", 0, np.complex128)
         if poles.size != coeffs.size:
             raise ValueError(
                 f"got {poles.size} poles but {coeffs.size} coefficients"

@@ -18,7 +18,7 @@ from typing import ClassVar, Iterator, Mapping, Sequence
 import numpy as np
 
 from .config import quoted
-from .spectral import FloatArray, as_vector
+from .spectral import FloatArray, as_array
 
 SEPARABILITY_TOLERANCE = 1e-6
 
@@ -31,7 +31,7 @@ class LabeledPoint:
     label: str
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", as_vector(self.vector, "vector"))
+        object.__setattr__(self, "vector", as_array(self.vector, "vector"))
         if not isinstance(self.label, str) or not self.label:
             raise ValueError("label must be a nonempty string")
 
@@ -110,18 +110,6 @@ class EvalResult:
     per_label: dict[str, float]
     mean_accuracy: float
     unknown_labels: tuple[str, ...]
-
-
-def _as_point_matrix(points, name: str) -> FloatArray:
-    arr = np.asarray(points)
-    if np.iscomplexobj(arr):  # a real cast would drop the imaginary part
-        raise ValueError(f"{name} must be real, got complex values")
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValueError(f"{name} must be a nonempty set of vectors")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains a non-finite value")
-    return arr
 
 
 def _scaled(x):
@@ -308,7 +296,7 @@ def _max_margin(za, zb, start=None):
 
 def separable(set_a, set_b) -> bool:
     """True iff a hyperplane strictly separates the two point sets, each
-    a 2-D array-like with one point per row.
+    a 2-D array-like with one point per row, checked by ``as_array``.
 
     Equivalent to their convex hulls being disjoint. Decided by the
     maximal margin with w in [-1, 1]^d, measured once the joint bounding
@@ -326,8 +314,8 @@ def separable(set_a, set_b) -> bool:
     in L1. A failed certificate or a singular basis raises
     ``RuntimeError``, which the CLI reports as an internal error (exit 2).
     """
-    a = _as_point_matrix(set_a, "set_a")
-    b = _as_point_matrix(set_b, "set_b")
+    a = as_array(set_a, "set_a", ndim=2)
+    b = as_array(set_b, "set_b", ndim=2)
     if a.shape[1] != b.shape[1]:
         raise ValueError(
             f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
@@ -581,13 +569,13 @@ def _nearest_labels(result: ProbeResult, queries: Sequence[FloatArray]) -> list[
 
 
 def predict(result: ProbeResult, query) -> str:
-    """Label of the cluster nearest to the query, checked by ``as_vector``.
+    """Label of the cluster nearest to the query, checked by ``as_array``.
 
     Distance to a cluster is the minimum Euclidean distance to any of its
     member points; ties go to the lower-indexed cluster, whatever the BLAS
     or CPU (see ``_nearest_labels``).
     """
-    return _nearest_labels(result, [as_vector(query, "query")])[0]
+    return _nearest_labels(result, [as_array(query, "query")])[0]
 
 
 def evaluate(result: ProbeResult, heldout: Sequence[LabeledPoint]) -> EvalResult:
@@ -617,21 +605,17 @@ def evaluate(result: ProbeResult, heldout: Sequence[LabeledPoint]) -> EvalResult
 
 def representation_matrix(representations: Mapping[str, "np.ndarray"]) -> FloatArray:
     """The representations as the rows of one float64 matrix, in their
-    order, widened before any arithmetic as by ``as_vector``: each real,
-    nonempty, finite, 1-D and of one size. A fault names the first
-    representation that has it."""
+    order, checked by ``as_array`` as one 2-D array: each real, nonempty,
+    finite, 1-D and of one size. A fault names the first representation
+    that has it."""
     try:
-        matrix = np.array(list(representations.values()))
-    except (TypeError, ValueError):  # ragged: the walk names the fault
-        matrix = np.empty(0)
-    if matrix.dtype.kind in "biuf" and matrix.ndim == 2 and matrix.shape[1]:
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if np.isfinite(matrix).all():
-            return matrix
+        return as_array(list(representations.values()), "representations", ndim=2)
+    except (TypeError, ValueError):  # ragged or faulty: the walk names the fault
+        pass
     vectors: list[FloatArray] = []  # walk them in order for the first fault's message
     for token_id, rep in representations.items():
         what = f"representation {quoted(token_id)}"
-        vectors.append(arr := as_vector(rep, what))
+        vectors.append(arr := as_array(rep, what))
         if arr.size != vectors[0].size:
             raise ValueError(f"{what} has dimension {arr.size}, expected {vectors[0].size}")
     return np.stack(vectors) if vectors else np.empty((0, 0))

@@ -42,24 +42,25 @@ class Direction(enum.Enum):
 DIRECTIONS = Direction.FORWARD, Direction.BACKWARD
 
 
-def as_vector(values, what: str, minimum_length: int = 1,
-              dtype=np.float64) -> np.ndarray:
-    """Read-only 1-D copy of ``values`` as ``dtype``, at least
-    ``minimum_length`` long and finite; errors name ``what`` and the
+def as_array(values, what: str, minimum_length: int = 1,
+             dtype=np.float64, *, ndim: int = 1) -> np.ndarray:
+    """Read-only ``ndim``-D copy of ``values`` as ``dtype``, with at least
+    ``minimum_length`` values, all finite; errors name ``what`` and the
     first non-finite index. Complex values are refused, not cut to their
     real part, unless ``dtype`` is complex."""
     arr = np.asarray(values)
     if np.iscomplexobj(arr) and np.dtype(dtype).kind != "c":
         raise ValueError(f"{what} must be real, got complex values")
     arr = np.array(arr, dtype=dtype)  # a copy, widened if need be
-    if arr.ndim != 1:
-        raise ValueError(f"{what} must be 1-D, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ValueError(f"{what} must be {ndim}-D, got shape {arr.shape}")
     if arr.size < minimum_length:
         raise ValueError(f"{what} must be nonempty with at least "
                          f"{minimum_length} values, got {arr.size}")
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
-        raise ValueError(f"{what} has a non-finite value at index {bad[0]}")
+        index = ", ".join(str(i) for i in np.unravel_index(bad[0], arr.shape))
+        raise ValueError(f"{what} has a non-finite value at index {index}")
     arr.flags.writeable = False
     return arr
 
@@ -78,7 +79,7 @@ class Kernel:
     kernel_index: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "values", as_vector(self.values, "kernel", 2))
+        object.__setattr__(self, "values", as_array(self.values, "kernel", 2))
         object.__setattr__(self, "direction", Direction(self.direction))
         if self.layer < 1:
             raise ValueError(f"layer must be >= 1, got {self.layer}")
@@ -99,8 +100,8 @@ class Spectrum:
     source_length: int
 
     def __post_init__(self):
-        freqs = as_vector(self.frequencies, "frequencies")
-        mags = as_vector(self.magnitudes, "magnitudes")
+        freqs = as_array(self.frequencies, "frequencies")
+        mags = as_array(self.magnitudes, "magnitudes")
         n = self.source_length
         if n < 2:
             raise ValueError(f"source_length must be >= 2, got {n}")

@@ -97,7 +97,7 @@ def nearest_labels(result, queries):
     the point, so a tie goes to the lower-indexed cluster.
     """
     from spectrobe.probe import _scaled
-    from spectrobe.spectral import as_vector
+    from spectrobe.spectral import as_array
 
     sizes = [len(c.member_indices) for c in result.clusters]
     owner = np.repeat(np.arange(len(sizes)), sizes)
@@ -106,7 +106,7 @@ def nearest_labels(result, queries):
     labels = []
     with np.errstate(over="ignore"):  # an overflow ties all points, as unscaled rounding does
         for query in queries:
-            q = as_vector(query, "query")
+            q = as_array(query, "query")
             if q.size != x.shape[1]:
                 raise ValueError(f"query must be a vector of dimension {x.shape[1]}")
             nearest = owner[np.argmin(np.linalg.norm(x - np.ldexp(q, -shift), axis=1))]

@@ -788,6 +788,18 @@ class TestAtomicWrite:
             _atomic_write_bytes(tmp_path / "r.json", b"{}")
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_taken_temp_name_is_skipped(self, tmp_path, monkeypatch):
+        # the first name drawn is taken: the write draws again, leaving the
+        # other file as it was
+        names = iter([b"\x01" * 6, b"\x02" * 6])
+        monkeypatch.setattr("spectrobe.io.os.urandom", lambda n: next(names))
+        taken = tmp_path / f".{'01' * 6}.tmp"
+        taken.write_bytes(b"someone else's")
+        _atomic_write_bytes(tmp_path / "r.json", b"{}")
+        assert (tmp_path / "r.json").read_bytes() == b"{}"
+        assert taken.read_bytes() == b"someone else's"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["r.json", taken.name])
+
 
 class TestPayloadBuilders:
     def test_analysis_payload_serializes(self):

@@ -82,7 +82,7 @@ def test_a_point_one_ulp_farther_loses(first, second, nearest):
 
 # each public function checks its queries where they enter: a held-out
 # point's vector was checked, finite, when the point was built, so
-# evaluate meets only a width fault, and predict meets as_vector's first
+# evaluate meets only a width fault, and predict meets as_array's first
 @pytest.mark.parametrize("score, message", [
     (lambda result: evaluate(result, [LabeledPoint(np.ones(n), "c0") for n in (2, 3, 4)]),
      "query must be a vector of dimension 2"),

@@ -98,8 +98,21 @@ class TestSeparable:
             separable(np.zeros((1, 2)), np.zeros((1, 3)))
         with pytest.raises(ValueError):
             separable(np.zeros((0, 2)), np.zeros((1, 2)))
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="^set_a has a non-finite value at index 0, 0$"):
             separable(np.array([[np.nan]]), np.ones((1, 1)))
+
+    # the one rule of every real array input, spectral.as_array, at rank 2
+    @pytest.mark.parametrize("set_a, set_b, message", [
+        (np.ones(2), np.ones((1, 2)), "set_a must be 2-D, got shape (2,)"),
+        (np.zeros((0, 2)), np.ones((1, 2)), "set_a must be nonempty with at least 1 values, got 0"),
+        (np.zeros((2, 0)), np.ones((1, 2)), "set_a must be nonempty with at least 1 values, got 0"),
+        (np.ones((1, 2)), np.array([[0.0, 1.0], [np.nan, 1.0]]),
+         "set_b has a non-finite value at index 1, 0"),
+    ], ids=["1-D", "no-rows", "no-columns", "non-finite"])
+    def test_messages(self, set_a, set_b, message):
+        with pytest.raises(ValueError) as caught:
+            separable(set_a, set_b)
+        assert str(caught.value) == message
 
     def test_complex_points_are_refused(self):
         # a real cast would drop the imaginary part and only warn

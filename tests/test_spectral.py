@@ -287,7 +287,7 @@ class TestSummarize:
         assert kern.direction is Direction.BACKWARD
 
 
-# Every entry point that takes a vector goes through spectral.as_vector:
+# Every entry point that takes a vector goes through spectral.as_array:
 # (name the error gives the input, constructor from a candidate vector)
 _FIVE_D = run_directprobe([LabeledPoint(np.zeros(5), "a")])
 VECTOR_INPUTS = {
