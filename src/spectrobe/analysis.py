@@ -24,6 +24,7 @@ from .spectral import (
     Direction,
     Kernel,
     SpectralSummary,
+    as_array,
     magnitude_spectra,
     summary_fields,
 )
@@ -67,9 +68,10 @@ class KernelBundle:
     ``d`` (0 forward, 1 backward), so the shape is (layers, 2, kernels
     per direction, N). A float32 array, as read_bundle reads, stays
     float32 and every other input becomes float64; analyses widen float32
-    to float64 before the FFT, so both give the same reports. A read-only
-    array that owns its data is kept as given; any other input, views
-    included, is copied.
+    to float64 before the FFT, so both give the same reports. The values
+    are checked by ``as_array``: a read-only array of the bundle's dtype
+    that owns its data is kept as given; any other input, views included,
+    is copied.
     """
 
     model_tag: str
@@ -79,22 +81,13 @@ class KernelBundle:
         if not isinstance(self.model_tag, str):  # as read_bundle requires
             raise ValueError(f"model_tag must be str, got {type(self.model_tag).__name__}")
         values = np.asarray(self.values)
-        if np.iscomplexobj(values):  # a real cast would drop the imaginary part
-            raise ValueError("bundle values must be real, got complex values")
-        if values.dtype != np.float32:
-            values = np.asarray(values, dtype=np.float64)
-        if values.flags.writeable or not values.flags.owndata:
-            values = values.copy()
-            values.flags.writeable = False
         shape = values.shape
         if len(shape) != 4 or shape[1] != 2 or 0 in shape[:3] or shape[3] < 2:
-            raise ValueError(
-                f"bundle values must have shape (layers, 2, kernels, N >= 2), "
-                f"got {shape}"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError("bundle values must be finite")
-        object.__setattr__(self, "values", values)
+            raise ValueError("bundle values must have shape (layers, 2, kernels, "
+                             f"N >= 2), got {shape}")
+        dtype = np.float32 if values.dtype == np.float32 else np.float64
+        object.__setattr__(self, "values", as_array(values, "bundle values",
+                                                    dtype=dtype, ndim=4))
 
     @classmethod
     def from_kernels(cls, model_tag: str, kernels) -> "KernelBundle":

@@ -34,7 +34,7 @@ from .analysis import (
 from .config import RunConfig, config_from_mapping, finite_float, located, quoted
 from .kernels import S4DParams
 from .probe import BuiltPairs, EvalResult, ProbeResult, checked_pair, representation_matrix
-from .spectral import DIRECTIONS, Direction
+from .spectral import DIRECTIONS, Direction, first_nonfinite
 
 _PAYLOAD_DTYPE = "<f4"
 _UNNAMEABLE = re.compile("[\0\ud800-\udfff]")  # NUL, or a surrogate JSON left unpaired
@@ -154,16 +154,6 @@ def _read_payload(path: Path, buffer: np.ndarray) -> np.ndarray:
     return buffer
 
 
-def _check_finite(values: np.ndarray, paths) -> None:
-    """Raise, naming the payload and its element, at the first non-finite
-    value of ``values``, which the payloads ``paths`` fill in flat order,
-    an equal share each."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        i, element = divmod(int(finite.argmin()), values.size // len(paths))
-        raise FormatError(f"{paths[i]}: non-finite value at element {element}")
-
-
 def _inside(base: str, root: Path, rel: str, real_dirs: dict) -> bool:
     """Whether ``root/rel`` resolves into ``base``, root's realpath, by the
     realpath + commonpath rule. A last component that is not a symlink, ``.``
@@ -189,9 +179,8 @@ def _float32(values, row_name) -> np.ndarray:
     a ValueError naming its row, by ``row_name(*index)``, and its element."""
     with np.errstate(over="ignore"):  # an overflow is reported below
         payload = values.astype(_PAYLOAD_DTYPE)
-    overflow = np.argwhere(np.isinf(payload))
-    if overflow.size:
-        *row, i = first = tuple(overflow[0])
+    if (first := first_nonfinite(payload)) is not None:  # ``values`` are finite
+        *row, i = first
         raise ValueError(f"{row_name(*row)}: value {values[first]:.6g} at "
                          f"element {i} overflows float32")
     return payload
@@ -281,9 +270,9 @@ def read_bundle(path) -> KernelBundle:
     values.flags.writeable = False
     try:  # the bundle's one finite scan; only when it fails is the value found
         return KernelBundle(model_tag, values)
-    except ValueError:
-        _check_finite(values, payloads.reshape(-1))
-        raise
+    except ValueError:  # the manifest checks leave a non-finite value as its one fault
+        *slot, element = first_nonfinite(values)
+        raise FormatError(f"{payloads[tuple(slot)]}: non-finite value at element {element}")
 
 
 def _check_token_id(token_id, where) -> str:
@@ -365,7 +354,8 @@ def read_pair_dataset(path) -> tuple[dict[str, np.ndarray], list[tuple[str, str,
     vpath = root / "vectors.f32"
     _check_payload(vpath, count * dim, vpath)
     matrix = _read_payload(vpath, np.empty((count, dim), _PAYLOAD_DTYPE))
-    _check_finite(matrix, [vpath])
+    if (first := first_nonfinite(matrix.reshape(-1))) is not None:
+        raise FormatError(f"{vpath}: non-finite value at element {first[0]}")
     representations = dict(zip(ids, matrix))
     ppath = root / "pairs.txt"
     if not ppath.is_file():
@@ -440,11 +430,7 @@ def read_s4d_params(path) -> tuple[str, np.ndarray]:
                     poles.append(_mode_part(mode, "a", where_mode))
                     coefficients.append(_mode_part(mode, "c", where_mode))
                 with located(where, FormatError):
-                    params = S4DParams(
-                        np.asarray(poles, dtype=np.complex128),
-                        np.asarray(coefficients, dtype=np.complex128),
-                        step,
-                    )
+                    params = S4DParams(poles, coefficients, step)
                 slots.append((layer, direction, ki, params))
     with located(path, FormatError):
         return model_tag, slot_grid(slots)

@@ -8,7 +8,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .classify import FilterClass
-from .spectral import Kernel, as_array
+from .spectral import Kernel, as_array, as_int
 
 ComplexArray = npt.NDArray[np.complex128]
 
@@ -37,9 +37,7 @@ class S4DParams:
         poles = as_array(self.poles, "poles", 0, np.complex128)
         coeffs = as_array(self.coefficients, "coefficients", 0, np.complex128)
         if poles.size != coeffs.size:
-            raise ValueError(
-                f"got {poles.size} poles but {coeffs.size} coefficients"
-            )
+            raise ValueError(f"got {poles.size} poles but {coeffs.size} coefficients")
         unstable = np.flatnonzero(poles.real >= 0)
         if unstable.size:
             raise StabilityError(
@@ -78,7 +76,7 @@ class SynthSpec:
     length: int = 256
 
     def __post_init__(self):
-        if self.length < 16:
+        if as_int(self.length, "length") < 16:
             raise ValueError(f"length must be >= 16, got {self.length}")
         if not 0.0 < self.cutoff_low < 0.5:
             raise ValueError(f"cutoff_low {self.cutoff_low} outside (0, 0.5)")
@@ -105,7 +103,7 @@ def materialize_s4d(params: S4DParams, length: int) -> Kernel:
     the real part of one product X @ Y of X = c*bbar*exp(step*a*B*r) (r < B) by
     Y = exp(step*a*b) (b < B), l = B*r + b, as Re X @ Re Y - Im X @ Im Y.
     """
-    if length < 2:
+    if as_int(length, "length") < 2:
         raise ValueError(f"length must be >= 2, got {length}")
     # finite params can still overflow at this length; Kernel refuses the
     # non-finite samples that leaves

@@ -18,7 +18,7 @@ from typing import ClassVar, Iterator, Mapping, Sequence
 import numpy as np
 
 from .config import quoted
-from .spectral import FloatArray, as_array
+from .spectral import FloatArray, as_array, first_nonfinite
 
 SEPARABILITY_TOLERANCE = 1e-6
 
@@ -317,9 +317,7 @@ def separable(set_a, set_b) -> bool:
     a = as_array(set_a, "set_a", ndim=2)
     b = as_array(set_b, "set_b", ndim=2)
     if a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
-        )
+        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     margin, center, unit = _frames(a.min(0) / 2, a.max(0) / 2, b.min(0) / 2, b.max(0) / 2)
     if margin > SEPARABILITY_TOLERANCE:
         return True
@@ -610,7 +608,7 @@ def representation_matrix(representations: Mapping[str, "np.ndarray"]) -> FloatA
     that has it."""
     try:
         return as_array(list(representations.values()), "representations", ndim=2)
-    except (TypeError, ValueError):  # ragged or faulty: the walk names the fault
+    except ValueError:  # ragged or faulty: the walk names the fault
         pass
     vectors: list[FloatArray] = []  # walk them in order for the first fault's message
     for token_id, rep in representations.items():
@@ -655,7 +653,9 @@ def build_pairs(
     and DFG_EDGE points concatenate the representations and cap the distinct
     label count at 2 and 3 respectively. Each pair is first checked by
     ``checked_pair``. A fault in a pair names it: ``pairs[<i>]: <message>``.
+    ``task`` is a PairTask or its value.
     """
+    task = PairTask(task)
     matrix = representation_matrix(representations)
     row = {token_id: i for i, token_id in enumerate(representations)}
     kept, labels = [], []  # (pair index, row of id_i, row of id_j), label
@@ -706,8 +706,8 @@ def build_pairs(
     else:
         vectors = ends.reshape(len(ends), 2 * matrix.shape[1])
     # a difference of float64 representations can pass the float64 range
-    if (bad := np.argwhere(~np.isfinite(vectors))).size:
-        k, index = bad[0]
+    if (bad := first_nonfinite(vectors)) is not None:
+        k, index = bad
         raise ValueError(f"pairs[{kept[k, 0]}]: vector has a non-finite value at index {index}")
     if fault is not None:
         raise fault

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .config import DEFAULT_CONFIG, RunConfig
+from .config import DEFAULT_CONFIG, RunConfig, quoted
 
 FloatArray = npt.NDArray[np.float64]
 
@@ -42,27 +42,48 @@ class Direction(enum.Enum):
 DIRECTIONS = Direction.FORWARD, Direction.BACKWARD
 
 
+def first_nonfinite(values) -> tuple[int, ...] | None:
+    """The index of the first non-finite value of ``values`` in C order, or
+    None when every value is finite."""
+    finite = np.isfinite(values)  # one scan, and one argmin only if it fails
+    return None if finite.all() else tuple(
+        int(i) for i in np.unravel_index(finite.argmin(), finite.shape))
+
+
 def as_array(values, what: str, minimum_length: int = 1,
              dtype=np.float64, *, ndim: int = 1) -> np.ndarray:
-    """Read-only ``ndim``-D copy of ``values`` as ``dtype``, with at least
-    ``minimum_length`` values, all finite; errors name ``what`` and the
-    first non-finite index. Complex values are refused, not cut to their
-    real part, unless ``dtype`` is complex."""
-    arr = np.asarray(values)
-    if np.iscomplexobj(arr) and np.dtype(dtype).kind != "c":
+    """``values`` as a read-only ``ndim``-D array of ``dtype``, with at least
+    ``minimum_length`` values, all finite; every error names ``what``, a
+    non-finite value its index too. A read-only array of ``dtype`` that owns
+    its data is kept as given; any other input is copied. Complex values
+    are refused, not cut to their real part, unless ``dtype`` is complex."""
+    try:
+        arr = np.asarray(values)
+        # iscomplexobj reads the dtype only, so an object array's items are asked
+        real = np.dtype(dtype).kind == "c" or not (np.iscomplexobj(arr) or (
+            arr.dtype == object and any(map(np.iscomplexobj, arr.flat))))
+        if real and (arr.dtype != dtype or arr.flags.writeable or not arr.flags.owndata):
+            arr = np.array(arr, dtype=dtype)  # a copy, widened if need be
+    except (TypeError, ValueError, OverflowError):  # ragged, or an item no cast takes
+        raise ValueError(f"{what} cannot be read as a {np.dtype(dtype)} array") from None
+    if not real:  # a real cast would drop the imaginary part
         raise ValueError(f"{what} must be real, got complex values")
-    arr = np.array(arr, dtype=dtype)  # a copy, widened if need be
     if arr.ndim != ndim:
         raise ValueError(f"{what} must be {ndim}-D, got shape {arr.shape}")
     if arr.size < minimum_length:
         raise ValueError(f"{what} must be nonempty with at least "
                          f"{minimum_length} values, got {arr.size}")
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        index = ", ".join(str(i) for i in np.unravel_index(bad[0], arr.shape))
-        raise ValueError(f"{what} has a non-finite value at index {index}")
+    if (bad := first_nonfinite(arr)) is not None:
+        raise ValueError(f"{what} has a non-finite value at index {', '.join(map(str, bad))}")
     arr.flags.writeable = False
     return arr
+
+
+def as_int(value, what: str) -> int:
+    """``value``, a Python or numpy integer but not a bool, or a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {quoted(value)}")
+    return value
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -81,9 +102,9 @@ class Kernel:
     def __post_init__(self):
         object.__setattr__(self, "values", as_array(self.values, "kernel", 2))
         object.__setattr__(self, "direction", Direction(self.direction))
-        if self.layer < 1:
+        if as_int(self.layer, "layer") < 1:
             raise ValueError(f"layer must be >= 1, got {self.layer}")
-        if self.kernel_index < 0:
+        if as_int(self.kernel_index, "kernel_index") < 0:
             raise ValueError(f"kernel_index must be >= 0, got {self.kernel_index}")
 
     @property

@@ -128,6 +128,31 @@ class TestKernelBundle:
             KernelBundle(5, np.zeros((1, 2, 1, 4)))
         assert str(caught.value) == "model_tag must be str, got int"
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_read_only_owning_array_is_kept(self, dtype):
+        values = np.ones((1, 2, 1, 16), dtype=dtype)
+        values.flags.writeable = False
+        assert KernelBundle("m", values).values is values
+        writeable = np.ones((1, 2, 1, 16), dtype=dtype)
+        copied = KernelBundle("m", writeable).values
+        assert copied is not writeable and copied.dtype == dtype
+        assert not copied.flags.writeable
+
+    def test_non_finite_value_is_named_by_its_index(self):
+        values = np.ones((2, 2, 1, 16), dtype=np.float32)
+        values[0, 1, 0, 3] = np.inf
+        values[1, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError) as caught:
+            KernelBundle("m", values)
+        assert str(caught.value) == "bundle values has a non-finite value at index 0, 1, 0, 3"
+
+    def test_complex_object_values_are_refused(self):
+        values = np.ones((1, 2, 1, 4), dtype=object)
+        values[0, 0, 0, 1] = 1j
+        with pytest.raises(ValueError) as caught:
+            KernelBundle("m", values)
+        assert str(caught.value) == "bundle values must be real, got complex values"
+
     def test_read_only_view_is_copied(self):
         base = np.ones((1, 2, 1, 16))
         view = base.view()

@@ -183,6 +183,18 @@ class TestMaterialize:
         with pytest.raises(ValueError):
             materialize_s4d(params, 1)
 
+    @pytest.mark.parametrize("length, message", [
+        (16.5, "length must be an integer, got 16.5"),
+        (True, "length must be an integer, got True"),
+        ("16", "length must be an integer, got '16'"),
+    ])
+    def test_length_must_be_an_integer(self, length, message):
+        params = S4DParams(np.array([-1.0 + 0j]), np.array([1.0 + 0j]), 0.1)
+        with pytest.raises(ValueError) as caught:
+            materialize_s4d(params, length)
+        assert str(caught.value) == message
+        assert materialize_s4d(params, np.int32(16)).length == 16
+
     def test_metadata_passthrough(self):
         # the kernel comes unplaced; Kernel places its values unchanged
         params = S4DParams(np.array([-1.0 + 0j]), np.array([1.0 + 0j]), 0.1)
@@ -247,6 +259,17 @@ class TestSynth:
             SynthSpec(LOW, 0.1, cutoff_high=0.2)
         with pytest.raises(ValueError):
             SynthSpec(LOW, 0.1, length=8)
+
+    @pytest.mark.parametrize("length, message", [
+        (16.5, "length must be an integer, got 16.5"),
+        (False, "length must be an integer, got False"),
+        (np.float64(64), "length must be an integer, got np.float64(64.0)"),
+    ])
+    def test_length_must_be_an_integer(self, length, message):
+        with pytest.raises(ValueError) as caught:
+            SynthSpec(LOW, 0.1, length=length)
+        assert str(caught.value) == message
+        assert synth_kernel(SynthSpec(LOW, 0.1, length=np.int64(64))).length == 64
 
     def test_metadata_passthrough(self):
         # the kernel comes unplaced; Kernel places its values unchanged

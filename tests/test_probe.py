@@ -421,6 +421,17 @@ class TestBuildPairs:
         # named before the unknown id of a later pair: the pairs count in order
         assert str(caught.value) == "pairs[1]: vector has a non-finite value at index 0"
 
+    @pytest.mark.parametrize("task", [PairTask.SIBLINGS, "siblings"])
+    def test_task_is_a_pair_task_or_its_value(self, task):
+        built = build_pairs(self.reps, [("t1", "t2", "yes")], task)
+        np.testing.assert_array_equal(built.points[0].vector, [1.0, 2.0, 5.0, 3.0])
+
+    @pytest.mark.parametrize("task", [None, "Siblings", PairTask])
+    @pytest.mark.parametrize("pairs", [[("t1", "t2", "yes")], []], ids=["a-pair", "no-pairs"])
+    def test_a_task_that_is_no_pair_task_is_refused(self, task, pairs):
+        with pytest.raises(ValueError, match="is not a valid PairTask"):
+            build_pairs(self.reps, pairs, task)
+
     def test_returns_built_pairs_type(self):
         built = build_pairs(self.reps, [], PairTask.DISTANCE)
         assert isinstance(built, BuiltPairs)

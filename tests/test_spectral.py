@@ -23,7 +23,7 @@ from spectrobe import (
     run_directprobe,
     summarize,
 )
-from spectrobe.spectral import summary_fields
+from spectrobe.spectral import as_array, first_nonfinite, summary_fields
 
 
 def spectrum_of(values):
@@ -320,3 +320,66 @@ def test_real_vector_inputs_refuse_complex_values(what):
     with pytest.raises(ValueError, match=re.escape(
             f"{what} must be real, got complex values")):
         VECTOR_INPUTS[what](np.array([1 + 1j, 2, 3j, 4, 5]))
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.array([1j, 1], dtype=object), "x must be real, got complex values"),
+    # numpy would cast this one with only a ComplexWarning, dropping 1j
+    (np.array([np.complex128(1j), 1], dtype=object), "x must be real, got complex values"),
+    (np.array(["a", 1], dtype=object), "x cannot be read as a float64 array"),
+    ([[1, 2], [3]], "x cannot be read as a float64 array"),
+    ([10 ** 400, 1], "x cannot be read as a float64 array"),
+], ids=["object-complex", "object-numpy-complex", "object-str", "ragged", "huge-int"])
+def test_as_array_names_every_refused_cast(values, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as caught:
+            as_array(values, "x")
+    assert str(caught.value) == message
+
+
+def test_as_array_keeps_only_a_read_only_owning_array_of_its_dtype():
+    kept, narrow = np.arange(4.0), np.arange(4.0, dtype=np.float32)
+    kept.flags.writeable = narrow.flags.writeable = False
+    assert as_array(kept, "x") is kept
+    assert as_array(narrow, "x", dtype=np.float32) is narrow
+    writeable = np.arange(4.0)
+    for copied in (writeable, kept[1:], narrow, [0.0, 1.0]):
+        got = as_array(copied, "x")
+        assert got is not copied and got.dtype == np.float64
+        assert not got.flags.writeable and got.flags.owndata
+    got = as_array(writeable, "x")
+    writeable[0] = 5.0  # a copy shares no memory with its input
+    assert got[0] == 0.0
+
+
+@pytest.mark.parametrize("values, index", [
+    (np.ones(3), None),
+    (np.empty((0, 2)), None),
+    (np.array([1.0, np.nan, np.inf]), (1,)),
+    (np.array([[1.0, 2.0], [3.0, -np.inf]]), (1, 1)),
+    (np.array([[1.0, 2.0], [np.nan, 4.0]]).T, (0, 1)),  # C order of the index, not of memory
+    (np.array([1.0, np.nan], dtype=np.float32), (1,)),
+])
+def test_first_nonfinite(values, index):
+    got = first_nonfinite(values)
+    assert got == index
+    assert got is None or all(type(i) is int for i in got)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Kernel(np.ones(4), layer=1.5), "layer must be an integer, got 1.5"),
+    (lambda: Kernel(np.ones(4), layer=True), "layer must be an integer, got True"),
+    (lambda: Kernel(np.ones(4), kernel_index="0"), "kernel_index must be an integer, got '0'"),
+    (lambda: Kernel(np.ones(4), kernel_index=np.float64(0)),
+     "kernel_index must be an integer, got np.float64(0.0)"),
+], ids=["float-layer", "bool-layer", "str-index", "numpy-float-index"])
+def test_kernel_slot_must_be_an_integer(make, message):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert str(caught.value) == message
+
+
+def test_kernel_slot_takes_numpy_integers():
+    kernel = Kernel(np.ones(4), layer=np.int64(2), kernel_index=np.uint8(3))
+    assert (kernel.layer, kernel.kernel_index) == (2, 3)
